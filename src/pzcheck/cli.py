@@ -24,16 +24,7 @@ from . import arith, dirichlet, radical, zeta
 from .cyclotomic import cyclotomic as cyclotomic_poly
 from .cyclotomic import height as cyclotomic_height
 
-CLAIM_IDS = ("CLAIM2_3", "CLAIM4", "MIGOTTI_REMARK")
-MODES = ("SYMBOLIC", "NUMERIC", "PROBE")
 VERDICTS = ("REFUTED", "CONSISTENT", "INCONCLUSIVE")
-
-# which modes make sense per claim; first entry is the default
-_CLAIM_MODES = {
-    "CLAIM2_3": ("SYMBOLIC", "NUMERIC", "PROBE"),
-    "CLAIM4": ("NUMERIC",),
-    "MIGOTTI_REMARK": ("SYMBOLIC",),
-}
 
 _DEFAULT_EPS = (1e-2, 1e-3, 1e-4, 1e-5)
 _DEFAULT_MAX_N = 10**4
@@ -55,13 +46,41 @@ def _opt(options: dict, key: str, default):
     return default if value is None else value
 
 
+def _bound_agrees(fact: dict) -> bool:
+    # a fact that carries its gap and bound must report their comparison
+    if "exceeds_bound" not in fact or "combined_error_bound" not in fact:
+        return True
+    gap = fact.get("difference", fact.get("value"))
+    try:
+        return (gap > fact["combined_error_bound"]) is fact["exceeds_bound"]
+    except TypeError:
+        return False
+
+
+def _refutes(fact: dict) -> bool:
+    # the fact itself must record the disagreement: a gap beyond its
+    # bound, unequal exact coefficients, or a Migotti counterexample
+    if fact.get("exceeds_bound") is True:
+        return True
+    if fact.get("exact") is not True:
+        return False
+    if "lhs_coefficient" in fact:
+        return fact["lhs_coefficient"] != fact.get("rhs_coefficient")
+    return fact.get("all_heights_one") is False or any(
+        fact.get(key, -2) != -2 for key in ("degree_7", "degree_41")
+    )
+
+
 @dataclass
 class ClaimReport:
     """Structured verdict: claim, mode, verdict, evidence, parameters.
 
     A REFUTED verdict must be carried by at least one evidence fact
-    that is exact or whose discrepancy exceeds its combined error
-    bound; validate() enforces that before anything is emitted.
+    that records a disagreement: a discrepancy exceeding its combined
+    error bound, or an exact fact whose own entries contradict the
+    claim.  Every fact that carries exceeds_bound with its numbers must
+    agree with them.  validate() enforces both before anything is
+    emitted.
     """
 
     claim_id: str
@@ -77,16 +96,17 @@ class ClaimReport:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.verdict not in VERDICTS:
             raise ValueError(f"unknown verdict {self.verdict!r}")
-        if self.verdict == "REFUTED":
-            supported = any(
-                fact.get("exact") is True or fact.get("exceeds_bound") is True
-                for fact in self.evidence
-            )
-            if not supported:
+        for fact in self.evidence:
+            if not _bound_agrees(fact):
                 raise ValueError(
-                    "REFUTED verdict without an exact mismatch or a "
-                    "discrepancy exceeding its combined error bound"
+                    f"fact {fact.get('name')!r}: exceeds_bound disagrees with "
+                    "its own gap and combined error bound"
                 )
+        if self.verdict == "REFUTED" and not any(map(_refutes, self.evidence)):
+            raise ValueError(
+                "REFUTED verdict without an exact mismatch or a "
+                "discrepancy exceeding its combined error bound"
+            )
         return self
 
     def to_dict(self) -> dict:
@@ -141,6 +161,9 @@ def _fmt_value(v) -> str:
 
 
 # ---------------------------------------------------------------- check
+#
+# A pipeline takes the normalized parameters and returns (verdict,
+# evidence); cmd_check wraps that into one validated ClaimReport.
 
 
 def _eval_fact(name: str, ev: zeta.EvalResult, **extra) -> dict:
@@ -149,116 +172,77 @@ def _eval_fact(name: str, ev: zeta.EvalResult, **extra) -> dict:
     return fact
 
 
-def _check_claim23_symbolic(params: dict) -> ClaimReport:
+def _discrepancy(name: str, gap: float, bound: float, key: str = "value", **extra) -> dict:
+    gap, bound = _r(gap), _r(bound)
+    return {"name": name, **extra, key: gap, "combined_error_bound": bound,
+            "exceeds_bound": gap > bound}
+
+
+def _mismatch_fact(name: str, index: int, a, b) -> dict:
+    return {"name": name, "index": index, "lhs_coefficient": str(a),
+            "rhs_coefficient": str(b), "exact": True}
+
+
+def _by_bound(discrepancy: dict, evidence: list, reason: str) -> tuple[str, list]:
+    if discrepancy["exceeds_bound"]:
+        return "REFUTED", evidence
+    return "INCONCLUSIVE", evidence + [{"name": "reason", "detail": reason}]
+
+
+def _probe_dict(row: zeta.ProbeRow, suffix: str = "") -> dict:
+    # raw values of one probe row; a failed row keeps only its reason
+    if row.lhs is None:
+        return {"eps": row.eps, "error": row.note}
+    return {"eps": row.eps, "lhs" + suffix: row.lhs.value,
+            "lhs_error_bound": row.lhs.error_bound, "rhs" + suffix: row.rhs.value,
+            "rhs_error_bound": row.rhs.error_bound, "note": row.note}
+
+
+def _claim23_symbolic(params: dict) -> tuple[str, list]:
     n = params["max_n"]
     table = arith.sieve(max(n, 2))
     lhs = dirichlet.claim_lhs_series(n)
     rhs = dirichlet.claim_rhs_series(n, table)
     hit = dirichlet.first_mismatch(lhs, rhs)
     if hit is None:
-        return ClaimReport(
-            claim_id="CLAIM2_3",
-            mode="SYMBOLIC",
-            verdict="CONSISTENT",
-            parameters=params,
-            evidence=[
-                {"name": "coefficient_agreement", "truncation": n, "exact": True}
-            ],
-        )
-    index, a, b = hit
+        return "CONSISTENT", [
+            {"name": "coefficient_agreement", "truncation": n, "exact": True}
+        ]
     mismatches = [m for m in range(1, n + 1) if lhs[m] != rhs[m]]
-    all_three = all(
-        arith.factorize(m, table).omega >= 3 for m in mismatches
-    )
-    return ClaimReport(
-        claim_id="CLAIM2_3",
-        mode="SYMBOLIC",
-        verdict="REFUTED",
-        parameters=params,
-        evidence=[
-            {
-                "name": "first_mismatch",
-                "index": index,
-                "lhs_coefficient": str(a),
-                "rhs_coefficient": str(b),
-                "exact": True,
-            },
-            {
-                "name": "mismatch_scan",
-                "truncation": n,
-                "mismatch_count": len(mismatches),
-                "all_mismatches_have_three_distinct_primes": all_three,
-            },
-        ],
-    )
-
-
-def _check_claim23_numeric(params: dict) -> ClaimReport:
-    s, tol = params["s"], params["tol"]
-    lhs = zeta.claim_lhs(s, tol)
-    rhs = zeta.claim_rhs(s, tol)
-    diff = abs(lhs.value - rhs.value)
-    combined = lhs.error_bound + rhs.error_bound
-    exceeds = diff > combined
-    evidence = [
-        _eval_fact("lhs", lhs),
-        _eval_fact("rhs", rhs),
+    return "REFUTED", [
+        _mismatch_fact("first_mismatch", *hit),
         {
-            "name": "difference",
-            "value": _r(diff),
-            "combined_error_bound": _r(combined),
-            "exceeds_bound": exceeds,
+            "name": "mismatch_scan",
+            "truncation": n,
+            "mismatch_count": len(mismatches),
+            "all_mismatches_have_three_distinct_primes": all(
+                arith.factorize(m, table).omega >= 3 for m in mismatches
+            ),
         },
     ]
-    if exceeds:
-        verdict = "REFUTED"
-    else:
-        verdict = "INCONCLUSIVE"
-        evidence.append(
-            {
-                "name": "reason",
-                "detail": "difference within combined error bounds at this s",
-            }
-        )
-    return ClaimReport(
-        claim_id="CLAIM2_3",
-        mode="NUMERIC",
-        verdict=verdict,
-        parameters=params,
-        evidence=evidence,
+
+
+def _claim23_numeric(params: dict) -> tuple[str, list]:
+    lhs = zeta.claim_lhs(params["s"], params["tol"])
+    rhs = zeta.claim_rhs(params["s"], params["tol"])
+    diff = _discrepancy(
+        "difference", abs(lhs.value - rhs.value), lhs.error_bound + rhs.error_bound
     )
+    evidence = [_eval_fact("lhs", lhs), _eval_fact("rhs", rhs), diff]
+    return _by_bound(diff, evidence, "difference within combined error bounds at this s")
 
 
-def _check_claim23_probe(params: dict) -> ClaimReport:
-    tol = params["tol"]
-    eps_grid = params["eps_grid"]
-    rows = zeta.singularity_probe(list(eps_grid), tol)
-    evidence = []
-    for row in rows:
-        if row.lhs is None:
-            evidence.append({"name": "probe_row", "eps": _r(row.eps), "error": row.note})
-        else:
-            evidence.append(
-                {
-                    "name": "probe_row",
-                    "eps": _r(row.eps),
-                    "lhs_value": _r(row.lhs.value),
-                    "lhs_error_bound": _r(row.lhs.error_bound),
-                    "rhs_value": _r(row.rhs.value),
-                    "rhs_error_bound": _r(row.rhs.error_bound),
-                    "note": row.note,
-                }
-            )
+def _claim23_probe(params: dict) -> tuple[str, list]:
+    params["eps_grid"] = [_r(e) for e in _DEFAULT_EPS]
+    rows = zeta.singularity_probe(list(params["eps_grid"]), params["tol"])
+    evidence = [
+        {"name": "probe_row", **_json_row(_probe_dict(row, "_value"))} for row in rows
+    ]
     good = [r for r in rows if r.lhs is not None and not r.note]
     if len(good) != len(rows):
-        return ClaimReport(
-            claim_id="CLAIM2_3",
-            mode="PROBE",
-            verdict="INCONCLUSIVE",
-            parameters=params,
-            evidence=evidence
-            + [{"name": "reason", "detail": "precision failure on probe rows"}],
-        )
+        return "INCONCLUSIVE", evidence + [
+            {"name": "reason", "detail": "precision failure on probe rows"}
+        ]
 
     lhs_vals = [r.lhs.value for r in good]
     rhs_vals = [r.rhs.value for r in good]
@@ -266,8 +250,13 @@ def _check_claim23_probe(params: dict) -> ClaimReport:
     rhs_increasing = all(a < b for a, b in zip(rhs_vals, rhs_vals[1:]))
     fit = zeta.fit_log_quadratic(rows)
     last = good[-1]
-    div_gap = abs(last.lhs.value - last.rhs.value)
-    div_bound = last.lhs.error_bound + last.rhs.error_bound
+    divergence = _discrepancy(
+        "divergence",
+        abs(last.lhs.value - last.rhs.value),
+        last.lhs.error_bound + last.rhs.error_bound,
+        key="difference",
+        eps=_r(last.eps),
+    )
     evidence += [
         {
             "name": "monotonicity",
@@ -281,116 +270,71 @@ def _check_claim23_probe(params: dict) -> ClaimReport:
             "constant": _r(fit.constant),
             "relative_residual": _r(fit.rel_residual),
         },
-        {
-            "name": "divergence",
-            "eps": _r(last.eps),
-            "difference": _r(div_gap),
-            "combined_error_bound": _r(div_bound),
-            "exceeds_bound": div_gap > div_bound,
-        },
+        divergence,
     ]
     ok = (
         lhs_decreasing
         and rhs_increasing
         and fit.leading > 0.0
         and fit.rel_residual < 0.1
-        and div_gap > div_bound
+        and divergence["exceeds_bound"]
     )
     if not ok:
-        evidence.append(
+        return "INCONCLUSIVE", evidence + [
             {"name": "reason", "detail": "probe shape checks failed"}
-        )
-    return ClaimReport(
-        claim_id="CLAIM2_3",
-        mode="PROBE",
-        verdict="REFUTED" if ok else "INCONCLUSIVE",
-        parameters=params,
-        evidence=evidence,
-    )
+        ]
+    return "REFUTED", evidence
 
 
-def _check_claim4(params: dict) -> ClaimReport:
-    s, depth, tol = params["s"], params["depth"], params["tol"]
-    result = radical.claim4_check(s, depth, tol)
-    combined = (
-        result.radical_value.error_bound + result.prime_zeta_value.error_bound
+def _claim4(params: dict) -> tuple[str, list]:
+    depth = params["depth"]
+    result = radical.claim4_check(params["s"], depth, params["tol"])
+    gap = _discrepancy(
+        "gap",
+        result.gap,
+        result.radical_value.error_bound + result.prime_zeta_value.error_bound,
     )
-    exceeds = result.gap > combined
 
     # exact-series leg: squaring the radical identity must land on the
     # claimed identity's coefficient structure, sharing its mismatch
     n = 100
     table = arith.sieve(n)
+    lhs = dirichlet.claim_lhs_series(n)  # 2/zeta(s)
+    rhs = dirichlet.claim_rhs_series(n, table)
     p = dirichlet.prime_zeta_series(n, table)
     delta = dirichlet.unit_series(n)
     one_minus_p = dirichlet.linear_combine([(1, delta), (-1, p)])
     squared_lhs = dirichlet.convolve(one_minus_p, one_minus_p)
     squared_rhs = dirichlet.linear_combine(
-        [
-            (1, dirichlet.claim_lhs_series(n)),  # 2/zeta(s)
-            (-1, delta),
-            (1, dirichlet.dilate(p, 2, n)),
-        ]
+        [(1, lhs), (-1, delta), (1, dirichlet.dilate(p, 2, n))]
     )
-    squared_diff = dirichlet.linear_combine([(1, squared_lhs), (-1, squared_rhs)])
-    claim_diff = dirichlet.linear_combine(
-        [(1, dirichlet.claim_rhs_series(n, table)), (-1, dirichlet.claim_lhs_series(n))]
-    )
-    structure_ok = squared_diff == claim_diff
-    shared = dirichlet.first_mismatch(
-        dirichlet.claim_lhs_series(n), dirichlet.claim_rhs_series(n, table)
-    )
+    structure_ok = dirichlet.linear_combine(
+        [(1, squared_lhs), (-1, squared_rhs)]
+    ) == dirichlet.linear_combine([(1, rhs), (-1, lhs)])
 
     evidence = [
         _eval_fact("radical_side", result.radical_value, depth=depth),
         _eval_fact("prime_zeta_side", result.prime_zeta_value),
-        {
-            "name": "gap",
-            "value": _r(result.gap),
-            "combined_error_bound": _r(combined),
-            "exceeds_bound": exceeds,
-        },
-        {
-            "name": "squared_form_equals_claim_form",
-            "truncation": n,
-            "equal": structure_ok,
-        },
-        {
-            "name": "series_mismatch",
-            "index": shared[0],
-            "lhs_coefficient": str(shared[1]),
-            "rhs_coefficient": str(shared[2]),
-            "exact": True,
-        },
+        gap,
+        {"name": "squared_form_equals_claim_form", "truncation": n, "equal": structure_ok},
+        _mismatch_fact("series_mismatch", *dirichlet.first_mismatch(lhs, rhs)),
     ]
-    verdict = "REFUTED" if exceeds else "INCONCLUSIVE"
-    if not exceeds:
-        evidence.append(
-            {"name": "reason", "detail": "gap within combined error bounds"}
-        )
-    return ClaimReport(
-        claim_id="CLAIM4",
-        mode="NUMERIC",
-        verdict=verdict,
-        parameters=params,
-        evidence=evidence,
-    )
+    return _by_bound(gap, evidence, "gap within combined error bounds")
 
 
-def _check_migotti(params: dict) -> ClaimReport:
+def _migotti(params: dict) -> tuple[str, list]:
     limit = params["max_n"]
+    if limit > 10**4:
+        raise UsageError("migotti scan limit capped at 10^4 (cyclotomic domain)")
     phi105 = cyclotomic_poly(105)
     c7, c41 = phi105.coefficient(7), phi105.coefficient(41)
     table = arith.sieve(max(limit, 2))
-    eligible = []
-    for n in range(1, limit + 1):
-        odd_part_omega = sum(
-            1 for prime, _ in arith.factorize(n, table).factors if prime != 2
-        )
-        if odd_part_omega <= 2:
-            eligible.append(n)
+    eligible = [
+        n
+        for n in range(1, limit + 1)
+        if sum(1 for prime, _ in arith.factorize(n, table).factors if prime != 2) <= 2
+    ]
     violations = [n for n in eligible if cyclotomic_height(n) != 1]
-    ok = c7 == -2 and c41 == -2 and not violations
     evidence = [
         {
             "name": "phi_105_coefficients",
@@ -409,13 +353,22 @@ def _check_migotti(params: dict) -> ClaimReport:
     ]
     if violations:
         evidence.append({"name": "violations", "indices": violations[:10]})
-    return ClaimReport(
-        claim_id="MIGOTTI_REMARK",
-        mode="SYMBOLIC",
-        verdict="CONSISTENT" if ok else "REFUTED",
-        parameters=params,
-        evidence=evidence,
-    )
+    ok = c7 == -2 and c41 == -2 and not violations
+    return "CONSISTENT" if ok else "REFUTED", evidence
+
+
+# claim -> mode -> pipeline; the first mode listed is the claim's default
+_PIPELINES = {
+    "CLAIM2_3": {
+        "SYMBOLIC": _claim23_symbolic,
+        "NUMERIC": _claim23_numeric,
+        "PROBE": _claim23_probe,
+    },
+    "CLAIM4": {"NUMERIC": _claim4},
+    "MIGOTTI_REMARK": {"SYMBOLIC": _migotti},
+}
+CLAIM_IDS = tuple(_PIPELINES)
+MODES = tuple(dict.fromkeys(mode for modes in _PIPELINES.values() for mode in modes))
 
 
 def cmd_check(claim_id: str, mode: str | None, options: dict) -> ClaimReport:
@@ -423,17 +376,18 @@ def cmd_check(claim_id: str, mode: str | None, options: dict) -> ClaimReport:
 
     options keys (all optional): s, max_n, tol, depth.  Unknown claim,
     unsupported claim/mode pairing, or out-of-domain parameter values
-    raise UsageError; precision shortfalls inside a pipeline degrade
-    the verdict to INCONCLUSIVE instead of raising.
+    raise UsageError; precision shortfalls inside a pipeline, and a
+    radical fold that leaves the reals, make the verdict INCONCLUSIVE
+    instead of raising.
     """
     claim_id = claim_id.upper()
-    if claim_id not in _CLAIM_MODES:
+    if claim_id not in _PIPELINES:
         raise UsageError(f"unknown claim {claim_id!r}")
-    allowed = _CLAIM_MODES[claim_id]
-    mode = mode.upper() if mode else allowed[0]
-    if mode not in allowed:
+    pipelines = _PIPELINES[claim_id]
+    mode = mode.upper() if mode else next(iter(pipelines))
+    if mode not in pipelines:
         raise UsageError(
-            f"{claim_id} supports modes {'/'.join(allowed)}, not {mode}"
+            f"{claim_id} supports modes {'/'.join(pipelines)}, not {mode}"
         )
 
     default_max_n = (
@@ -449,36 +403,27 @@ def cmd_check(claim_id: str, mode: str | None, options: dict) -> ClaimReport:
     }
     if params["max_n"] < 1:
         raise UsageError(f"--max-n must be >= 1, got {params['max_n']}")
-    if claim_id == "MIGOTTI_REMARK" and params["max_n"] > 10**4:
-        raise UsageError("migotti scan limit capped at 10^4 (cyclotomic domain)")
-    if claim_id == "CLAIM2_3" and mode == "PROBE":
-        params["eps_grid"] = [_r(e) for e in _DEFAULT_EPS]
 
     try:
-        if claim_id == "CLAIM2_3" and mode == "SYMBOLIC":
-            report = _check_claim23_symbolic(params)
-        elif claim_id == "CLAIM2_3" and mode == "NUMERIC":
-            report = _check_claim23_numeric(params)
-        elif claim_id == "CLAIM2_3" and mode == "PROBE":
-            report = _check_claim23_probe(params)
-        elif claim_id == "CLAIM4":
-            report = _check_claim4(params)
-        else:
-            report = _check_migotti(params)
+        verdict, evidence = pipelines[mode](params)
     except zeta.PrecisionError as exc:
-        report = ClaimReport(
-            claim_id=claim_id,
-            mode=mode,
-            verdict="INCONCLUSIVE",
-            parameters=params,
-            evidence=[{"name": "reason", "detail": str(exc)}],
-        )
+        verdict, evidence = "INCONCLUSIVE", [{"name": "reason", "detail": str(exc)}]
+    except radical.NegativeRadicandError as exc:
+        # where the radical stops being real is a finding, not bad input
+        verdict = "INCONCLUSIVE"
+        evidence = [
+            {"name": "negative_radicand", "level": exc.level, "radicand": _r(exc.radicand)}
+        ]
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    return report.validate()
+    return ClaimReport(claim_id, mode, verdict, params, evidence).validate()
 
 
 # ---------------------------------------------------------------- table
+#
+# A table takes the options, the tolerance and the parameter dict it
+# fills in, and returns (columns, rows, summary): rows are dicts of raw
+# values, summary is a closing line or None.  cmd_table renders them.
 
 
 def _parse_float_list(spec: str, flag: str) -> list[float]:
@@ -526,6 +471,97 @@ def _parse_eps_range(spec: str) -> list[float]:
         raise UsageError(f"bad --eps range {spec!r}") from exc
 
 
+def _value_table(evaluate, options: dict, tol: float, params: dict):
+    s_values = _parse_float_list(options.get("s") or "2,3,4", "--s")
+    params["s"] = [_r(s) for s in s_values]
+    rows = []
+    for s in s_values:
+        ev = evaluate(s, tol)
+        rows.append({"s": s, "value": ev.value, "error_bound": ev.error_bound})
+    return ["s", "value", "error_bound"], rows, None
+
+
+def _cyclotomic_table(options: dict, tol: float, params: dict):
+    n_values = _parse_int_range(options.get("n") or "1..120", "--n")
+    params["n"] = [n_values[0], n_values[-1]] if n_values else []
+    rows = [
+        {"n": n, "degree": cyclotomic_poly(n).degree, "height": cyclotomic_height(n)}
+        for n in n_values
+    ]
+    return ["n", "degree", "height"], rows, None
+
+
+def _probe_table(options: dict, tol: float, params: dict):
+    eps_grid = _parse_eps_range(options.get("eps") or "1e-2..1e-5")
+    params["eps"] = [_r(e) for e in eps_grid]
+    rows = [_probe_dict(row) for row in zeta.singularity_probe(eps_grid, tol)]
+    return ["eps", "lhs", "lhs_error_bound", "rhs", "rhs_error_bound", "note"], rows, None
+
+
+def _radical_table(options: dict, tol: float, params: dict):
+    s_values = _parse_float_list(options.get("s") or "2", "--s")
+    if len(s_values) != 1:
+        raise UsageError("radical table takes exactly one --s value")
+    params.update({"s": _r(s_values[0]), "depth": int(_opt(options, "depth", 20))})
+    rows = [
+        {"n": n, "zero_tail_gap": gap0, "one_tail_gap": gap1}
+        for n, gap0, gap1 in radical.convergence_report(s_values[0], params["depth"])
+    ]
+    return ["n", "zero_tail_gap", "one_tail_gap"], rows, None
+
+
+def _radical_domain_table(options: dict, tol: float, params: dict):
+    s_values = _parse_float_list(
+        options.get("s") or "1.05,1.1,1.2,1.3,1.4,1.5,1.6,1.8,2,3", "--s"
+    )
+    params.update({"s": [_r(s) for s in s_values], "depth": int(_opt(options, "depth", 20))})
+    for s in s_values:
+        if not s > 1.0:
+            raise UsageError(f"radical-domain needs s > 1, got {s}")
+    scan = radical.domain_scan(s_values, params["depth"], radical.TailMode.ONE_TAIL)
+    rows = [
+        {"s": s, "all_radicands_positive": ok, "failing_level": level}
+        for s, ok, level in scan
+    ]
+    valid = [s for s, ok, _ in scan if ok]
+    summary = (
+        f"smallest grid s with all ONE_TAIL radicands positive: {min(valid):.15g}"
+        if valid
+        else "no grid s kept all ONE_TAIL radicands positive"
+    )
+    return ["s", "all_radicands_positive", "failing_level"], rows, summary
+
+
+# selector -> table; the zeta functions are looked up at each call, so a
+# rebinding of them (a test double, a timing wrapper) is seen here too
+_TABLES = {
+    "zeta": lambda *args: _value_table(zeta.zeta_real, *args),
+    "prime-zeta": lambda *args: _value_table(zeta.prime_zeta, *args),
+    "cyclotomic-height": _cyclotomic_table,
+    "probe": _probe_table,
+    "radical": _radical_table,
+    "radical-domain": _radical_domain_table,
+}
+
+
+def _json_row(row: dict) -> dict:
+    # floats at report precision; an infinite gap (no such truncation) is null
+    return {
+        k: (None if math.isinf(v) else _r(v)) if isinstance(v, float) else v
+        for k, v in row.items()
+    }
+
+
+def _text_cell(row: dict, column: str) -> str:
+    # a failed probe row's reason shows in the note column
+    v = row.get(column, row.get("error") if column == "note" else None)
+    if v is None:
+        return "-"
+    if isinstance(v, bool):
+        return "yes" if v else "no"
+    return _fmt_value(v)
+
+
 def _text_table(headers: list[str], rows: list[list[str]]) -> str:
     widths = [
         max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
@@ -536,148 +572,27 @@ def _text_table(headers: list[str], rows: list[list[str]]) -> str:
     return "\n".join([render(headers)] + [render(r) for r in rows])
 
 
-def _f(v: float | None) -> str:
-    if v is None:
-        return "-"
-    if math.isinf(v):
-        return "inf"
-    return f"{v:.15g}"
-
-
 def cmd_table(selector: str, options: dict) -> str:
     """Build one deterministic table (text or structured)."""
-    fmt = _opt(options, "format", "text")
-    tol = float(_opt(options, "tol", 1e-12))
-    depth = int(_opt(options, "depth", 20))
-    params: dict = {"tol": _r(tol)}
-    headers: list[str]
-    text_rows: list[list[str]] = []
-    json_rows: list[dict] = []
-
-    if selector in ("zeta", "prime-zeta"):
-        s_values = _parse_float_list(options.get("s") or "2,3,4", "--s")
-        evaluate = zeta.zeta_real if selector == "zeta" else zeta.prime_zeta
-        params["s"] = [_r(s) for s in s_values]
-        headers = ["s", "value", "error_bound"]
-        for s in s_values:
-            try:
-                ev = evaluate(s, tol)
-            except ValueError as exc:
-                raise UsageError(str(exc)) from exc
-            text_rows.append([_f(s), _f(ev.value), _f(ev.error_bound)])
-            json_rows.append(
-                {"s": _r(s), "value": _r(ev.value), "error_bound": _r(ev.error_bound)}
-            )
-
-    elif selector == "cyclotomic-height":
-        n_values = _parse_int_range(options.get("n") or "1..120", "--n")
-        params["n"] = [n_values[0], n_values[-1]] if n_values else []
-        headers = ["n", "degree", "height"]
-        for n in n_values:
-            try:
-                poly = cyclotomic_poly(n)
-            except ValueError as exc:
-                raise UsageError(str(exc)) from exc
-            h = max(abs(c) for c in poly.coeffs)
-            text_rows.append([str(n), str(poly.degree), str(h)])
-            json_rows.append({"n": n, "degree": poly.degree, "height": h})
-
-    elif selector == "probe":
-        eps_grid = _parse_eps_range(options.get("eps") or "1e-2..1e-5")
-        params["eps"] = [_r(e) for e in eps_grid]
-        try:
-            rows = zeta.singularity_probe(eps_grid, tol)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        headers = ["eps", "lhs", "lhs_bound", "rhs", "rhs_bound", "note"]
-        for row in rows:
-            if row.lhs is None:
-                text_rows.append([_f(row.eps), "-", "-", "-", "-", row.note])
-                json_rows.append({"eps": _r(row.eps), "error": row.note})
-            else:
-                text_rows.append(
-                    [
-                        _f(row.eps),
-                        _f(row.lhs.value),
-                        _f(row.lhs.error_bound),
-                        _f(row.rhs.value),
-                        _f(row.rhs.error_bound),
-                        row.note,
-                    ]
-                )
-                json_rows.append(
-                    {
-                        "eps": _r(row.eps),
-                        "lhs": _r(row.lhs.value),
-                        "lhs_error_bound": _r(row.lhs.error_bound),
-                        "rhs": _r(row.rhs.value),
-                        "rhs_error_bound": _r(row.rhs.error_bound),
-                        "note": row.note,
-                    }
-                )
-
-    elif selector == "radical":
-        s_values = _parse_float_list(options.get("s") or "2", "--s")
-        if len(s_values) != 1:
-            raise UsageError("radical table takes exactly one --s value")
-        s = s_values[0]
-        params.update({"s": _r(s), "depth": depth})
-        try:
-            report = radical.convergence_report(s, depth)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        headers = ["n", "zero_tail_gap", "one_tail_gap"]
-        for n, gap0, gap1 in report:
-            text_rows.append([str(n), _f(gap0), _f(gap1)])
-            json_rows.append(
-                {
-                    "n": n,
-                    "zero_tail_gap": None if math.isinf(gap0) else _r(gap0),
-                    "one_tail_gap": None if math.isinf(gap1) else _r(gap1),
-                }
-            )
-
-    elif selector == "radical-domain":
-        s_values = _parse_float_list(
-            options.get("s") or "1.05,1.1,1.2,1.3,1.4,1.5,1.6,1.8,2,3", "--s"
-        )
-        params.update({"s": [_r(s) for s in s_values], "depth": depth})
-        for s in s_values:
-            if not s > 1.0:
-                raise UsageError(f"radical-domain needs s > 1, got {s}")
-        rows = radical.domain_scan(s_values, depth, radical.TailMode.ONE_TAIL)
-        headers = ["s", "all_radicands_positive", "failing_level"]
-        for s, ok, level in rows:
-            text_rows.append([_f(s), "yes" if ok else "no", "-" if ok else str(level)])
-            json_rows.append(
-                {"s": _r(s), "all_radicands_positive": ok, "failing_level": level}
-            )
-        valid = [s for s, ok, _ in rows if ok]
-        summary = (
-            f"smallest grid s with all ONE_TAIL radicands positive: {_f(min(valid))}"
-            if valid
-            else "no grid s kept all ONE_TAIL radicands positive"
-        )
-        if fmt == "structured":
-            return json.dumps(
-                {
-                    "table": selector,
-                    "parameters": params,
-                    "rows": json_rows,
-                    "summary": summary,
-                },
-                indent=2,
-            )
-        return _text_table(headers, text_rows) + "\n" + summary
-
-    else:
+    if selector not in _TABLES:
         raise UsageError(f"unknown table selector {selector!r}")
+    tol = float(_opt(options, "tol", 1e-12))
+    params: dict = {"tol": _r(tol)}
+    try:
+        columns, rows, summary = _TABLES[selector](options, tol, params)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
-    if fmt == "structured":
-        return json.dumps(
-            {"table": selector, "parameters": params, "rows": json_rows}, indent=2
-        )
-    return _text_table(headers, text_rows)
+    if _opt(options, "format", "text") == "structured":
+        payload = {"table": selector, "parameters": params, "rows": list(map(_json_row, rows))}
+        if summary is not None:
+            payload["summary"] = summary
+        return json.dumps(payload, indent=2)
+    text = _text_table(
+        [c.replace("_error_bound", "_bound") for c in columns],
+        [[_text_cell(row, c) for c in columns] for row in rows],
+    )
+    return text if summary is None else text + "\n" + summary
 
 
 # ----------------------------------------------------------------- main
@@ -692,9 +607,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("check", help="run a claim check and print its report")
     check.add_argument(
-        "claim", choices=["claim2_3", "claim4", "migotti_remark"], help="claim to check"
+        "claim", choices=[c.lower() for c in CLAIM_IDS], help="claim to check"
     )
-    check.add_argument("--mode", choices=["symbolic", "numeric", "probe"])
+    check.add_argument("--mode", choices=[m.lower() for m in MODES])
     check.add_argument("--s", type=float, help="evaluation point (default 2)")
     check.add_argument(
         "--max-n", type=int, dest="max_n",
@@ -705,17 +620,7 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--format", choices=["text", "structured"], default="text")
 
     table = sub.add_parser("table", help="print an evaluation table")
-    table.add_argument(
-        "selector",
-        choices=[
-            "zeta",
-            "prime-zeta",
-            "cyclotomic-height",
-            "probe",
-            "radical",
-            "radical-domain",
-        ],
-    )
+    table.add_argument("selector", choices=list(_TABLES))
     table.add_argument("--s", help="comma-separated s values")
     table.add_argument("--n", help="n range, e.g. 1..120 or 3,5,105")
     table.add_argument("--eps", help="eps grid, e.g. 1e-2..1e-5")

@@ -38,8 +38,6 @@ from functools import lru_cache
 from math import fsum, log
 from typing import NamedTuple
 
-import numpy as np
-
 from .arith import bernoulli, factorize, mobius, primes_upto, sieve
 
 # Euler-Maclaurin correction order J.  With M >= 20 the first omitted
@@ -328,6 +326,11 @@ class FitResult(NamedTuple):
     rel_residual: float
 
 
+def _det3(m) -> Fraction:
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
 def fit_log_quadratic(rows: list[ProbeRow]) -> FitResult:
     """Least-squares fit of rhs against (log eps)^2, log eps, 1.
 
@@ -335,19 +338,34 @@ def fit_log_quadratic(rows: list[ProbeRow]) -> FitResult:
     a divergent-but-logarithmic rhs shows up as a positive leading
     coefficient with a small relative residual.  Failed rows are
     skipped; fewer than three good rows is a domain error.
+
+    The normal equations are solved exactly: every log eps and rhs
+    double converts to a Fraction without error, Cramer's rule solves
+    the 3x3 Gram system, and each coefficient is rounded once, so the
+    fit is the correctly rounded least-squares solution for the data.
     """
     good = [(r.eps, r.rhs.value) for r in rows if r.rhs is not None]
     if len(good) < 3:
         raise ValueError(f"need >= 3 successful probe rows to fit, got {len(good)}")
-    logs = np.log([e for e, _ in good])
-    y = np.array([v for _, v in good])
-    design = np.column_stack([logs * logs, logs, np.ones_like(logs)])
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    residual = design @ coef - y
-    rel = float(np.linalg.norm(residual) / np.linalg.norm(y))
+    xs = [Fraction(log(e)) for e, _ in good]
+    ys = [Fraction(v) for _, v in good]
+    powers = [sum(x**k for x in xs) for k in range(5)]
+    moments = [sum(x**k * y for x, y in zip(xs, ys)) for k in range(3)]
+    # rows and columns ordered (x^2, x, 1): gram[i][j] = sum x^(4-i-j)
+    gram = [[powers[4 - i - j] for j in range(3)] for i in range(3)]
+    target = moments[::-1]
+    det = _det3(gram)
+    if det == 0:
+        raise ValueError("probe eps values do not determine a quadratic fit")
+    coef = [
+        _det3([[target[i] if j == col else gram[i][j] for j in range(3)] for i in range(3)])
+        / det
+        for col in range(3)
+    ]
+    residual = sum((coef[0] * x * x + coef[1] * x + coef[2] - y) ** 2 for x, y in zip(xs, ys))
     return FitResult(
         leading=float(coef[0]),
         linear=float(coef[1]),
         constant=float(coef[2]),
-        rel_residual=rel,
+        rel_residual=math.sqrt(residual / sum(y * y for y in ys)),
     )

@@ -119,6 +119,17 @@ def test_migotti_check_pipeline():
     assert bound["all_heights_one"] is True
 
 
+def test_negative_radicand_is_an_inconclusive_finding(capsys):
+    report = cmd_check("claim4", None, {"s": 1.3})
+    assert report.verdict == "INCONCLUSIVE"
+    (fact,) = report.evidence
+    assert fact["name"] == "negative_radicand"
+    assert fact["level"] == 1
+    assert fact["radicand"] == pytest.approx(-0.2415416, abs=1e-7)
+    assert main(["check", "claim4", "--s", "1.3"]) == 0
+    assert "verdict : INCONCLUSIVE" in capsys.readouterr().out
+
+
 def test_check_rejects_bad_combinations():
     with pytest.raises(UsageError):
         cmd_check("claim4", "symbolic", {})
@@ -180,6 +191,48 @@ def test_refuted_verdict_requires_supporting_fact():
         evidence=[{"name": "difference", "exceeds_bound": True}],
     )
     assert good.validate() is good
+
+
+def test_exact_flag_alone_does_not_support_refutation():
+    with pytest.raises(ValueError):
+        ClaimReport("CLAIM2_3", "SYMBOLIC", "REFUTED", {}, [{"exact": True}]).validate()
+    equal = {"name": "first_mismatch", "index": 30, "lhs_coefficient": "0",
+             "rhs_coefficient": "0", "exact": True}
+    with pytest.raises(ValueError):
+        ClaimReport("CLAIM2_3", "SYMBOLIC", "REFUTED", {}, [equal]).validate()
+    unequal = dict(equal, lhs_coefficient="-2")
+    ClaimReport("CLAIM2_3", "SYMBOLIC", "REFUTED", {}, [unequal]).validate()
+
+
+def test_migotti_refutation_needs_a_counterexample():
+    phi = {"name": "phi_105_coefficients", "degree_7": -2, "degree_41": -2,
+           "height": 2, "exact": True}
+    bound = {"name": "migotti_bound", "scan_limit": 200, "eligible_count": 197,
+             "all_heights_one": True, "exact": True}
+    with pytest.raises(ValueError):
+        ClaimReport("MIGOTTI_REMARK", "SYMBOLIC", "REFUTED", {}, [phi, bound]).validate()
+    for fact in (dict(phi, degree_41=-1), dict(bound, all_heights_one=False)):
+        ClaimReport("MIGOTTI_REMARK", "SYMBOLIC", "REFUTED", {}, [fact]).validate()
+
+
+def test_parse_report_recomputes_exceeds_bound():
+    payload = {
+        "claim_id": "CLAIM2_3",
+        "mode": "NUMERIC",
+        "verdict": "REFUTED",
+        "parameters": {},
+        "evidence": [{"name": "difference", "value": 1e-20,
+                      "combined_error_bound": 1.0, "exceeds_bound": True}],
+    }
+    with pytest.raises(ValueError):
+        parse_report(json.dumps(payload))
+    # a hidden discrepancy is as inconsistent as an invented one
+    payload["verdict"] = "INCONCLUSIVE"
+    payload["evidence"][0].update(value=2.0, exceeds_bound=False)
+    with pytest.raises(ValueError):
+        parse_report(json.dumps(payload))
+    payload["evidence"][0]["exceeds_bound"] = True
+    assert parse_report(json.dumps(payload)).verdict == "INCONCLUSIVE"
 
 
 def test_report_validation_rejects_unknown_fields():

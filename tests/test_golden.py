@@ -1,0 +1,105 @@
+"""Golden output: stdout, stderr and exit status of a fixed invocation set.
+
+Each file under tests/golden/ holds the runs of one pzcheck command line
+through main(), once per --format value where the flag applies: exit
+status, standard output and standard error, byte for byte.  The set
+covers every claim/mode pair, every table selector, a failing probe
+row, a radical table with non-existent truncations, the radical-domain
+summary, usage errors and the two subcommand help pages.
+
+Re-record after an intended output change with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and review the diff of tests/golden/ before committing it.
+"""
+
+import contextlib
+import io
+import os
+import sys
+from pathlib import Path
+
+import pytest
+
+from pzcheck.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# (file stem, argv without --format); each runs in both formats
+_FORMATTED = (
+    ("check-claim2_3-symbolic", ["check", "claim2_3", "--max-n", "500"]),
+    ("check-claim2_3-symbolic-consistent", ["check", "claim2_3", "--max-n", "20"]),
+    ("check-claim2_3-numeric", ["check", "claim2_3", "--mode", "numeric"]),
+    ("check-claim2_3-numeric-s50", ["check", "claim2_3", "--mode", "numeric", "--s", "50"]),
+    ("check-claim2_3-numeric-tol1e-16",
+     ["check", "claim2_3", "--mode", "numeric", "--tol", "1e-16"]),
+    ("check-claim2_3-probe", ["check", "claim2_3", "--mode", "probe"]),
+    ("check-claim4", ["check", "claim4"]),
+    ("check-claim4-s1.3", ["check", "claim4", "--s", "1.3"]),
+    ("check-migotti_remark", ["check", "migotti_remark"]),
+    ("table-zeta", ["table", "zeta"]),
+    ("table-prime-zeta", ["table", "prime-zeta", "--s", "1.5,2,3"]),
+    ("table-cyclotomic-height", ["table", "cyclotomic-height", "--n", "100..110"]),
+    ("table-probe", ["table", "probe"]),
+    ("table-probe-failing-row", ["table", "probe", "--eps", "1e-6,1e-8"]),
+    ("table-radical", ["table", "radical", "--s", "2", "--depth", "12"]),
+    ("table-radical-domain", ["table", "radical-domain"]),
+    ("usage-claim4-symbolic", ["check", "claim4", "--mode", "symbolic"]),
+    ("usage-radical-two-s", ["table", "radical", "--s", "2,3"]),
+    ("usage-unknown-claim", ["check", "claim9"]),
+)
+
+INVOCATIONS = tuple(
+    (stem, [argv + ["--format", fmt] for fmt in ("text", "structured")])
+    for stem, argv in _FORMATTED
+) + (
+    ("help-check", [["check", "--help"]]),
+    ("help-table", [["table", "--help"]]),
+)
+
+
+def run(argv: list[str]) -> str:
+    """One in-process run of main(), rendered as a golden file's text."""
+    out, err = io.StringIO(), io.StringIO()
+    saved = os.environ.get("COLUMNS")
+    os.environ["COLUMNS"] = "80"  # argparse wraps help text to the terminal
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                status = main(argv)
+            except SystemExit as exc:  # argparse: --help and bad arguments
+                status = exc.code
+    finally:
+        if saved is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = saved
+    return (f"$ pzcheck {' '.join(argv)}\n[exit {status}]\n"
+            f"--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}")
+
+
+def render(argvs: list[list[str]]) -> str:
+    return "".join(run(argv) for argv in argvs)
+
+
+@pytest.mark.parametrize("name,argvs", INVOCATIONS, ids=[name for name, _ in INVOCATIONS])
+def test_output_matches_golden(name, argvs):
+    want = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+    assert render(argvs) == want
+
+
+def test_golden_set_has_no_stale_files():
+    recorded = {path.stem for path in GOLDEN.glob("*.txt")}
+    assert recorded == {name for name, _ in INVOCATIONS}
+
+
+def _record() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    for name, argvs in INVOCATIONS:
+        (GOLDEN / f"{name}.txt").write_text(render(argvs), encoding="utf-8")
+        print(name, file=sys.stderr)
+
+
+if __name__ == "__main__":
+    _record()

@@ -10,6 +10,8 @@ Oracles used here, independent of the implementation under test:
 
 import dataclasses
 import math
+import subprocess
+import sys
 
 import pytest
 
@@ -260,6 +262,37 @@ def test_fit_log_quadratic_shape(default_probe):
     fit = fit_log_quadratic(default_probe)
     assert fit.leading > 0.5
     assert fit.rel_residual < 0.1
+
+
+def test_fit_matches_high_precision_least_squares(default_probe):
+    import mpmath  # test-only oracle
+
+    with mpmath.workdps(40):
+        xs = [mpmath.mpf(math.log(row.eps)) for row in default_probe]
+        design = mpmath.matrix([[x * x, x, 1] for x in xs])
+        y = mpmath.matrix([mpmath.mpf(row.rhs.value) for row in default_probe])
+        truth, _ = mpmath.qr_solve(design, y)
+        fit = fit_log_quadratic(default_probe)
+        for got, want in zip(fit[:3], truth):
+            assert abs((got - want) / want) <= 2.3e-16
+
+
+def test_fit_through_three_points_has_zero_residual():
+    rows = [
+        ProbeRow(eps=e, lhs=EvalResult(1.0, 0.0), rhs=EvalResult(v, 0.0))
+        for e, v in [(1e-2, 3.0), (1e-3, 5.5), (1e-4, 7.25)]
+    ]
+    assert fit_log_quadratic(rows).rel_residual == 0.0
+
+
+def test_import_leaves_numpy_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, pzcheck.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_fit_needs_three_good_rows():
