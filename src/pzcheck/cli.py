@@ -28,6 +28,7 @@ VERDICTS = ("REFUTED", "CONSISTENT", "INCONCLUSIVE")
 
 _DEFAULT_EPS = (1e-2, 1e-3, 1e-4, 1e-5)
 _DEFAULT_MAX_N = 10**4
+_SERIES_MAX_N = 10**6  # exact claim2_3 series; 10^6 already takes seconds and ~100 MB
 _MIGOTTI_DEFAULT_LIMIT = 200
 
 
@@ -59,8 +60,10 @@ def _bound_agrees(fact: dict) -> bool:
 
 def _refutes(fact: dict) -> bool:
     # the fact itself must record the disagreement: a gap beyond its
-    # bound, unequal exact coefficients, or a Migotti counterexample
-    if fact.get("exceeds_bound") is True:
+    # bound (with both numbers, which _bound_agrees has compared),
+    # unequal exact coefficients, or a Migotti counterexample
+    gap = "value" in fact or "difference" in fact
+    if fact.get("exceeds_bound") is True and gap and "combined_error_bound" in fact:
         return True
     if fact.get("exact") is not True:
         return False
@@ -76,11 +79,11 @@ class ClaimReport:
     """Structured verdict: claim, mode, verdict, evidence, parameters.
 
     A REFUTED verdict must be carried by at least one evidence fact
-    that records a disagreement: a discrepancy exceeding its combined
-    error bound, or an exact fact whose own entries contradict the
-    claim.  Every fact that carries exceeds_bound with its numbers must
-    agree with them.  validate() enforces both before anything is
-    emitted.
+    that records a disagreement: a discrepancy whose gap exceeds the
+    combined error bound it carries, or an exact fact whose own entries
+    contradict the claim.  Every fact that carries exceeds_bound with
+    its numbers must agree with them.  validate() enforces both before
+    anything is emitted.
     """
 
     claim_id: str
@@ -198,8 +201,39 @@ def _probe_dict(row: zeta.ProbeRow, suffix: str = "") -> dict:
             "rhs_error_bound": row.rhs.error_bound, "note": row.note}
 
 
+def _mismatch_scan(lhs: dirichlet.DirichletSeries, rhs: dirichlet.DirichletSeries,
+                   table: arith.PrimeTable) -> dict:
+    """The mismatch_scan fact of the two claim series, truncated to N.
+
+    all_mismatches_have_three_distinct_primes is true only when the
+    indices where the series differ are exactly the squarefree m <= N
+    with at least three distinct prime factors, the set the paper
+    names.  Squarefreeness and omega come from one pass over the
+    sieve's smallest_factor.
+    """
+    n = lhs.truncation
+    spf = table.smallest_factor
+    # omega[m] counts the primes of a squarefree m; -1 marks a square factor
+    omega = [0] * (n + 1)
+    for m in range(2, n + 1):
+        p = spf[m]
+        rest = m // p
+        omega[m] = -1 if spf[rest] == p or omega[rest] < 0 else omega[rest] + 1
+    pairs = zip(lhs.coefficients(), rhs.coefficients())
+    mismatches = [m for m, (a, b) in enumerate(pairs, 1) if a != b]
+    return {
+        "name": "mismatch_scan",
+        "truncation": n,
+        "mismatch_count": len(mismatches),
+        "all_mismatches_have_three_distinct_primes":
+            mismatches == [m for m in range(1, n + 1) if omega[m] >= 3],
+    }
+
+
 def _claim23_symbolic(params: dict) -> tuple[str, list]:
     n = params["max_n"]
+    if n > _SERIES_MAX_N:
+        raise UsageError("claim2_3 series truncation capped at 10^6 (exact series work)")
     table = arith.sieve(max(n, 2))
     lhs = dirichlet.claim_lhs_series(n)
     rhs = dirichlet.claim_rhs_series(n, table)
@@ -208,18 +242,7 @@ def _claim23_symbolic(params: dict) -> tuple[str, list]:
         return "CONSISTENT", [
             {"name": "coefficient_agreement", "truncation": n, "exact": True}
         ]
-    mismatches = [m for m in range(1, n + 1) if lhs[m] != rhs[m]]
-    return "REFUTED", [
-        _mismatch_fact("first_mismatch", *hit),
-        {
-            "name": "mismatch_scan",
-            "truncation": n,
-            "mismatch_count": len(mismatches),
-            "all_mismatches_have_three_distinct_primes": all(
-                arith.factorize(m, table).omega >= 3 for m in mismatches
-            ),
-        },
-    ]
+    return "REFUTED", [_mismatch_fact("first_mismatch", *hit), _mismatch_scan(lhs, rhs, table)]
 
 
 def _claim23_numeric(params: dict) -> tuple[str, list]:

@@ -1,4 +1,4 @@
-"""Truncated Dirichlet series with exact rational coefficients.
+"""Truncated Dirichlet series with exact coefficients.
 
 A series here is the coefficient vector (a_1, ..., a_N) of a formal sum
 sum_n a_n n^{-s}, carried to an explicit truncation N.  Products of the
@@ -6,10 +6,10 @@ underlying sums become Dirichlet convolution of coefficients,
 
     (a * b)_n = sum_{d | n} a_d * b_{n/d},
 
-which is what convolve() computes.  Every coefficient is a Fraction, so
-equality of coefficients is exact equality, and a mismatch between two
-series at some index is a theorem about the first N coefficients, not a
-floating-point observation.
+which is what convolve() computes.  Integral coefficients are ints and
+only non-integral ones Fractions, so equality of coefficients is exact,
+and a mismatch between two series at some index is a theorem about the
+first N coefficients, not a floating-point observation.
 
 Truncation discipline: an operation on inputs valid up to N produces an
 output valid up to its own (stated) truncation, never beyond; indices
@@ -23,26 +23,42 @@ from typing import Iterable, Sequence
 
 from .arith import PrimeTable, Rational
 
+Coefficient = int | Rational
+
+
+def _exact(c) -> Coefficient:
+    """c as an int when it is integral, else as a Fraction."""
+    if type(c) is not int:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
 
 class DirichletSeries:
     """Coefficients a_1..a_N of a truncated Dirichlet series."""
 
     __slots__ = ("truncation", "_a")
 
-    def __init__(self, coefficients: Sequence[Rational]):
+    def __init__(self, coefficients: Sequence[Coefficient]):
         """Build from the list [a_1, ..., a_N]; N = len(list) >= 1."""
         if len(coefficients) < 1:
             raise ValueError("a Dirichlet series needs at least coefficient a_1")
         self.truncation = len(coefficients)
         # index 0 is a permanent zero so that self._a[n] is a_n
-        self._a = [Fraction(0)] + [Fraction(c) for c in coefficients]
+        self._a = [0] + [_exact(c) for c in coefficients]
 
-    def __getitem__(self, n: int) -> Rational:
+    @classmethod
+    def _adopt(cls, padded: list) -> DirichletSeries:
+        # takes over [0, a_1, ..., a_N], built by an operation from exact values
+        series = cls.__new__(cls)
+        series.truncation, series._a = len(padded) - 1, padded
+        return series
+
+    def __getitem__(self, n: int) -> Coefficient:
         if not 1 <= n <= self.truncation:
             raise IndexError(f"coefficient index {n} outside [1, {self.truncation}]")
         return self._a[n]
 
-    def coefficients(self) -> list[Rational]:
+    def coefficients(self) -> list[Coefficient]:
         """The list [a_1, ..., a_N]."""
         return self._a[1:]
 
@@ -62,16 +78,16 @@ class DirichletSeries:
 
 def unit_series(truncation: int) -> DirichletSeries:
     """The convolution identity: a_1 = 1, all other a_n = 0."""
-    coeffs = [Fraction(0)] * truncation
-    coeffs[0] = Fraction(1)
-    return DirichletSeries(coeffs)
+    if truncation < 1:
+        raise ValueError(f"truncation must be >= 1, got {truncation}")
+    return DirichletSeries._adopt([0, 1] + [0] * (truncation - 1))
 
 
 def zeta_series(truncation: int) -> DirichletSeries:
     """The series of zeta(s): a_n = 1 for every n."""
     if truncation < 1:
         raise ValueError(f"truncation must be >= 1, got {truncation}")
-    return DirichletSeries([Fraction(1)] * truncation)
+    return DirichletSeries._adopt([0] + [1] * truncation)
 
 
 def prime_zeta_series(truncation: int, table: PrimeTable) -> DirichletSeries:
@@ -79,61 +95,55 @@ def prime_zeta_series(truncation: int, table: PrimeTable) -> DirichletSeries:
     if truncation < 1:
         raise ValueError(f"truncation must be >= 1, got {truncation}")
     if truncation > table.limit:
-        raise ValueError(
-            f"truncation {truncation} exceeds prime table limit {table.limit}"
-        )
-    coeffs = [Fraction(0)] * truncation
+        raise ValueError(f"truncation {truncation} exceeds prime table limit {table.limit}")
+    padded = [0] * (truncation + 1)
     for p in table.primes:
         if p > truncation:
             break
-        coeffs[p - 1] = Fraction(1)
-    return DirichletSeries(coeffs)
+        padded[p] = 1
+    return DirichletSeries._adopt(padded)
 
 
 def convolve(a: DirichletSeries, b: DirichletSeries) -> DirichletSeries:
     """Dirichlet convolution, truncated to min of the input truncations.
 
-    Loops over d and multiples of d, so the cost is O(N log N) Fraction
+    Loops over d and multiples of d, so the cost is O(N log N)
     multiplies rather than a divisor search per index.
     """
     n = min(a.truncation, b.truncation)
-    out = [Fraction(0)] * (n + 1)
+    out = [0] * (n + 1)
     for d in range(1, n + 1):
-        ad = a[d]
+        ad = a._a[d]
         if not ad:
             continue
-        for m in range(d, n + 1, d):
-            bm = b[m // d]
-            if bm:
-                out[m] += ad * bm
-    return DirichletSeries(out[1:])
+        for m, bk in zip(range(d, n + 1, d), b._a[1 : n // d + 1]):
+            if bk:
+                out[m] += ad * bk
+    return DirichletSeries._adopt(out)
 
 
 def invert(a: DirichletSeries) -> DirichletSeries:
     """Convolution inverse b with a * b = unit, truncated like a.
 
-    Needs a_1 != 0.  Uses the forward recurrence: once b_d is final,
-    push a_{m/d} * b_d into every multiple m of d, then finalize
-    b_m = -(accumulated)/a_1 in increasing m.
+    Needs a_1 != 0.  Uses the forward recurrence: b_m starts at unit_m;
+    once b_d is final, subtract a_{m/d} * b_d from every multiple m of d,
+    and b_m is final after its division by a_1, in increasing m.  1/a_1
+    is a_1 itself when a_1 = +-1, so integer input stays integer.
     """
-    if a[1] == 0:
+    a1 = a._a[1]
+    if a1 == 0:
         raise ValueError("series with a_1 = 0 has no convolution inverse")
     n = a.truncation
-    inv_a1 = 1 / a[1]
-    b = [Fraction(0)] * (n + 1)
-    acc = [Fraction(0)] * (n + 1)
-    b[1] = inv_a1
+    inv_a1 = a1 if a1 in (1, -1) else Fraction(1, a1)
+    b = [0, 1] + [0] * (n - 1)
     for d in range(1, n + 1):
-        if d > 1:
-            b[d] = -acc[d] * inv_a1
-        bd = b[d]
+        bd = b[d] = b[d] * inv_a1
         if not bd:
             continue
-        for m in range(2 * d, n + 1, d):
-            am = a[m // d]
-            if am:
-                acc[m] += am * bd
-    return DirichletSeries(b[1:])
+        for m, ak in zip(range(2 * d, n + 1, d), a._a[2 : n // d + 1]):
+            if ak:
+                b[m] -= ak * bd
+    return DirichletSeries._adopt(b)
 
 
 def dilate(a: DirichletSeries, k: int, truncation: int) -> DirichletSeries:
@@ -148,37 +158,31 @@ def dilate(a: DirichletSeries, k: int, truncation: int) -> DirichletSeries:
     if truncation < 1:
         raise ValueError(f"truncation must be >= 1, got {truncation}")
     n = min(truncation, a.truncation**k)
-    out = [Fraction(0)] * (n + 1)
+    out = [0] * (n + 1)
     m = 1
     while m**k <= n:
-        out[m**k] = a[m]
+        out[m**k] = a._a[m]
         m += 1
-    return DirichletSeries(out[1:])
+    return DirichletSeries._adopt(out)
 
 
-def linear_combine(
-    terms: Iterable[tuple[Rational, DirichletSeries]]
-) -> DirichletSeries:
+def linear_combine(terms: Iterable[tuple[Coefficient, DirichletSeries]]) -> DirichletSeries:
     """Sum of c_i * series_i, truncated to the minimum truncation."""
     terms = list(terms)
     if not terms:
         raise ValueError("linear_combine needs at least one term")
     n = min(s.truncation for _, s in terms)
-    out = [Fraction(0)] * (n + 1)
+    out = [0] * (n + 1)
     for c, s in terms:
-        c = Fraction(c)
-        if not c:
-            continue
-        for i in range(1, n + 1):
-            si = s[i]
-            if si:
-                out[i] += c * si
-    return DirichletSeries(out[1:])
+        c = _exact(c)
+        if c:
+            out = [o + c * x if x else o for o, x in zip(out, s._a)]
+    return DirichletSeries._adopt(out)
 
 
 def first_mismatch(
     a: DirichletSeries, b: DirichletSeries
-) -> tuple[int, Rational, Rational] | None:
+) -> tuple[int, Coefficient, Coefficient] | None:
     """Smallest n with a_n != b_n, as (n, a_n, b_n); None if all agree.
 
     Comparing series of different truncations is refused rather than
@@ -186,13 +190,8 @@ def first_mismatch(
     statement.
     """
     if a.truncation != b.truncation:
-        raise ValueError(
-            f"truncation mismatch: {a.truncation} vs {b.truncation}"
-        )
-    for n in range(1, a.truncation + 1):
-        if a[n] != b[n]:
-            return (n, a[n], b[n])
-    return None
+        raise ValueError(f"truncation mismatch: {a.truncation} vs {b.truncation}")
+    return next(((n, x, y) for n, (x, y) in enumerate(zip(a._a, b._a)) if x != y), None)
 
 
 def claim_lhs_series(truncation: int) -> DirichletSeries:
@@ -201,7 +200,7 @@ def claim_lhs_series(truncation: int) -> DirichletSeries:
     Coefficientwise this is 2*mu(n), which the tests check against an
     independent Mobius computation.
     """
-    return linear_combine([(Fraction(2), invert(zeta_series(truncation)))])
+    return linear_combine([(2, invert(zeta_series(truncation)))])
 
 
 def claim_rhs_series(truncation: int, table: PrimeTable) -> DirichletSeries:
@@ -209,9 +208,9 @@ def claim_rhs_series(truncation: int, table: PrimeTable) -> DirichletSeries:
     p = prime_zeta_series(truncation, table)
     return linear_combine(
         [
-            (Fraction(2), unit_series(truncation)),
-            (Fraction(-2), p),
-            (Fraction(1), convolve(p, p)),
-            (Fraction(-1), dilate(p, 2, truncation)),
+            (2, unit_series(truncation)),
+            (-2, p),
+            (1, convolve(p, p)),
+            (-1, dilate(p, 2, truncation)),
         ]
     )

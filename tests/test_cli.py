@@ -7,9 +7,11 @@ import sys
 
 import pytest
 
+from pzcheck import DirichletSeries, claim_lhs_series, claim_rhs_series, sieve
 from pzcheck.cli import (
     ClaimReport,
     UsageError,
+    _mismatch_scan,
     cmd_check,
     cmd_table,
     emit_report,
@@ -144,7 +146,25 @@ def test_check_rejects_bad_combinations():
     with pytest.raises(UsageError):
         cmd_check("claim2_3", "symbolic", {"max_n": 0})
     with pytest.raises(UsageError):
+        cmd_check("claim2_3", "symbolic", {"max_n": 10**6 + 1})
+    with pytest.raises(UsageError):
         cmd_check("claim2_3", "numeric", {"s": 1.0})
+
+
+def test_mismatch_scan_flag_needs_exactly_the_paper_set():
+    # the flag holds only when the mismatches are precisely the
+    # squarefree n <= N with at least three distinct primes
+    flag = "all_mismatches_have_three_distinct_primes"
+    table = sieve(200)
+    lhs, rhs = claim_lhs_series(200), claim_rhs_series(200, table)
+    assert _mismatch_scan(lhs, rhs, table)[flag] is True
+    missing = rhs.coefficients()
+    missing[30 - 1] = lhs[30]  # 30 = 2*3*5 no longer differs
+    extra = rhs.coefficients()
+    extra[60 - 1] += 1  # 60 = 2^2*3*5 has three primes but is not squarefree
+    for coefficients in (missing, extra):
+        scan = _mismatch_scan(lhs, DirichletSeries(coefficients), table)
+        assert scan[flag] is False
 
 
 def test_check_is_case_insensitive():
@@ -184,11 +204,17 @@ def test_refuted_verdict_requires_supporting_fact():
     )
     with pytest.raises(ValueError):
         bad.validate()
+    # a bare flag, or a gap without its bound, records no disagreement
+    for fact in ({"name": "difference", "exceeds_bound": True},
+                 {"name": "difference", "value": 2.0, "exceeds_bound": True}):
+        with pytest.raises(ValueError):
+            ClaimReport("CLAIM2_3", "NUMERIC", "REFUTED", {}, [fact]).validate()
     good = ClaimReport(
         claim_id="CLAIM2_3",
         mode="NUMERIC",
         verdict="REFUTED",
-        evidence=[{"name": "difference", "exceeds_bound": True}],
+        evidence=[{"name": "difference", "value": 2.0, "combined_error_bound": 1.0,
+                   "exceeds_bound": True}],
     )
     assert good.validate() is good
 

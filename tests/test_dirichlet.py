@@ -4,8 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import naive_convolve, naive_mobius
+from conftest import naive_convolve, naive_factor, naive_mobius
 from pzcheck import (
     DirichletSeries,
     claim_lhs_series,
@@ -211,6 +213,9 @@ def test_mismatch_indices_are_never_prime_power_pairs(table_1e4):
     rhs = claim_rhs_series(n, table_1e4)
     mismatches = [m for m in range(1, n + 1) if lhs[m] != rhs[m]]
     assert mismatches[0] == 30
+    # precisely the squarefree indices with three or more primes
+    assert mismatches == [m for m in range(1, n + 1)
+                          if naive_mobius(m) and len(naive_factor(m)) >= 3]
     from pzcheck import factorize
 
     for m in mismatches:
@@ -221,3 +226,114 @@ def test_claim_lhs_series_is_twice_mobius():
     lhs = claim_lhs_series(200)
     for n in range(1, 201):
         assert lhs[n] == 2 * naive_mobius(n)
+
+
+# -- integer-exact coefficients, against a Fraction reference -------------
+#
+# The references are naive divisor sums over Fraction, independent of the
+# package's loops; integer series (a_1 = +-1) must come out equal and
+# still int, rational series equal.
+
+
+def _ref_convolve(a, b):
+    n = min(len(a), len(b))
+    return [sum((Fraction(a[d - 1]) * b[m // d - 1] for d in range(1, m + 1) if m % d == 0),
+                Fraction(0)) for m in range(1, n + 1)]
+
+
+def _ref_invert(a):
+    b = []
+    for m in range(1, len(a) + 1):
+        rest = sum((Fraction(a[m // d - 1]) * b[d - 1] for d in range(1, m) if m % d == 0),
+                   Fraction(0))
+        b.append((int(m == 1) - rest) / Fraction(a[0]))
+    return b
+
+
+def _ref_dilate(a, k, truncation):
+    out = [Fraction(0)] * min(truncation, len(a) ** k)
+    for j, c in enumerate(a, 1):
+        if j**k <= len(out):
+            out[j**k - 1] = Fraction(c)
+    return out
+
+
+def _ref_combine(terms):
+    n = min(len(s) for _, s in terms)
+    return [sum((Fraction(c) * s[i] for c, s in terms), Fraction(0)) for i in range(n)]
+
+
+_INTS = st.integers(-6, 6)
+_RATIONALS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+_LENGTH = st.integers(1, 40)
+
+
+@st.composite
+def _series(draw, values, leading=None):
+    n = draw(_LENGTH)
+    coeffs = draw(st.lists(values, min_size=n, max_size=n))
+    if leading is not None:
+        coeffs[0] = draw(leading)
+    return coeffs
+
+
+def _all_int(series):
+    return all(type(c) is int for c in series.coefficients())
+
+
+@given(_series(_INTS, leading=st.sampled_from([1, -1])))
+def test_invert_integer_series_stays_int(coeffs):
+    inv = invert(DirichletSeries(coeffs))
+    assert inv.coefficients() == _ref_invert(coeffs)
+    assert _all_int(inv)
+
+
+@given(_series(_RATIONALS, leading=_RATIONALS.filter(bool)))
+def test_invert_rational_series_matches_reference(coeffs):
+    assert invert(DirichletSeries(coeffs)).coefficients() == _ref_invert(coeffs)
+
+
+@given(_series(_INTS), _series(_INTS))
+def test_convolve_integer_series_matches_reference(a, b):
+    got = convolve(DirichletSeries(a), DirichletSeries(b))
+    assert got.coefficients() == _ref_convolve(a, b)
+    assert _all_int(got)
+
+
+@given(_series(_RATIONALS), _series(_INTS))
+def test_convolve_rational_series_matches_reference(a, b):
+    got = convolve(DirichletSeries(a), DirichletSeries(b))
+    assert got.coefficients() == _ref_convolve(a, b)
+
+
+@given(st.lists(st.tuples(_INTS | _RATIONALS, _series(_INTS | _RATIONALS)),
+                min_size=1, max_size=4))
+def test_linear_combine_matches_reference(terms):
+    got = linear_combine([(c, DirichletSeries(s)) for c, s in terms])
+    assert got.coefficients() == _ref_combine(terms)
+    if all(type(c) is int and all(type(x) is int for x in s) for c, s in terms):
+        assert _all_int(got)
+
+
+@given(_series(_INTS | _RATIONALS), st.integers(1, 3), st.integers(1, 60))
+def test_dilate_matches_reference(coeffs, k, truncation):
+    got = dilate(DirichletSeries(coeffs), k, truncation)
+    assert got.coefficients() == _ref_dilate(coeffs, k, truncation)
+
+
+def test_claim_series_coefficients_are_ints(table_1e4):
+    assert _all_int(claim_lhs_series(1000))
+    assert _all_int(claim_rhs_series(1000, table_1e4))
+
+
+def test_invert_with_leading_two_is_rational_never_float():
+    inv = invert(DirichletSeries([2, 1, 0, 3, 1, -1]))
+    assert all(type(c) is Fraction for c in inv.coefficients())
+    assert inv[1] == Fraction(1, 2)
+    assert convolve(DirichletSeries([2, 1, 0, 3, 1, -1]), inv) == unit_series(6)
+
+
+def test_integral_input_is_stored_as_int():
+    s = DirichletSeries([Fraction(4, 2), 0.5, 3, 2.0])
+    assert [type(c) for c in s.coefficients()] == [int, Fraction, int, int]
+    assert s.coefficients() == [2, Fraction(1, 2), 3, 2]

@@ -30,6 +30,7 @@ GOLDEN = Path(__file__).parent / "golden"
 _FORMATTED = (
     ("check-claim2_3-symbolic", ["check", "claim2_3", "--max-n", "500"]),
     ("check-claim2_3-symbolic-consistent", ["check", "claim2_3", "--max-n", "20"]),
+    ("check-claim2_3-symbolic-1e5", ["check", "claim2_3", "--max-n", "100000"]),
     ("check-claim2_3-numeric", ["check", "claim2_3", "--mode", "numeric"]),
     ("check-claim2_3-numeric-s50", ["check", "claim2_3", "--mode", "numeric", "--s", "50"]),
     ("check-claim2_3-numeric-tol1e-16",
@@ -47,6 +48,7 @@ _FORMATTED = (
     ("table-radical-domain", ["table", "radical-domain"]),
     ("usage-claim4-symbolic", ["check", "claim4", "--mode", "symbolic"]),
     ("usage-radical-two-s", ["table", "radical", "--s", "2,3"]),
+    ("usage-claim2_3-over-cap", ["check", "claim2_3", "--max-n", "1000001"]),
     ("usage-unknown-claim", ["check", "claim9"]),
 )
 
