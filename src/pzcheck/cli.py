@@ -246,7 +246,7 @@ def _claim23_symbolic(params: dict) -> tuple[str, list]:
 
 
 def _claim23_numeric(params: dict) -> tuple[str, list]:
-    lhs = zeta.claim_lhs(params["s"], params["tol"])
+    lhs = zeta.claim_lhs(params["s"])
     rhs = zeta.claim_rhs(params["s"], params["tol"])
     diff = _discrepancy(
         "difference", abs(lhs.value - rhs.value), lhs.error_bound + rhs.error_bound

@@ -14,9 +14,12 @@ like 2^(-n).
 
 Evaluation is a single right-to-left fold.  values[m-1] of the
 resulting trace is the partial value after m fold steps, so values[-1]
-is the full depth-n evaluation.  zeta arguments beyond exponent 1000
-are clamped to exactly 1.0 with the clamp's own bound, zeta(x) - 1 <
-2^(1-x), folded into the trace error bounds.
+is the full depth-n evaluation.  Each level's zeta comes from the
+zeta module's Euler-Maclaurin core, which fixes its own cutoff and
+caches by argument alone, so repeated folds at one s sum each zeta
+once.  zeta arguments beyond exponent 1000 are clamped to exactly 1.0
+with the clamp's own bound, zeta(x) - 1 < 2^(1-x), folded into the
+trace error bounds.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 from .zeta import EvalResult, _euler_maclaurin, prime_zeta
@@ -34,8 +36,6 @@ from .zeta import EvalResult, _euler_maclaurin, prime_zeta
 _CLAMP_EXPONENT = 1000.0
 
 _MAX_DEPTH = 64
-
-_DEFAULT_ZETA_TOL = 1e-14
 
 
 class TailMode(enum.Enum):
@@ -73,21 +73,14 @@ class RadicalTrace:
     error_bounds: tuple[float, ...]
 
 
-@lru_cache(maxsize=65536)
-def _zeta_level(x: float, tol: float) -> tuple[float, float]:
+def _zeta_level(x: float) -> tuple[float, float]:
     if x > _CLAMP_EXPONENT:
         return 1.0, (2.0 ** (1.0 - x) if x < 1074.0 else 0.0)
-    ev = _euler_maclaurin(x, tol)
+    ev = _euler_maclaurin(x)
     return ev.value, ev.error_bound
 
 
-def eval_nested(
-    s: float,
-    depth: int,
-    tail_mode: TailMode,
-    *,
-    zeta_tol: float = _DEFAULT_ZETA_TOL,
-) -> RadicalTrace:
+def eval_nested(s: float, depth: int, tail_mode: TailMode) -> RadicalTrace:
     """Evaluate the depth-n radical at s by one right-to-left fold.
 
     Raises NegativeRadicandError (with the 1-based level, outermost
@@ -106,7 +99,7 @@ def eval_nested(
     partial = 1.0 if tail_mode is TailMode.ONE_TAIL else 0.0
     partial_err = 0.0
     for level in range(depth, 0, -1):
-        z, ez = _zeta_level(s * 2.0 ** (level - 1), zeta_tol)
+        z, ez = _zeta_level(s * 2.0 ** (level - 1))
         term = 2.0 / z
         term_err = 2.0 * ez / (z * (z - ez))
         radicand = term - partial
@@ -131,9 +124,7 @@ def eval_nested(
     )
 
 
-def convergence_report(
-    s: float, max_depth: int, *, zeta_tol: float = _DEFAULT_ZETA_TOL
-) -> list[tuple[int, float, float]]:
+def convergence_report(s: float, max_depth: int) -> list[tuple[int, float, float]]:
     """Per-depth gaps |f_zero(n) - f*| and |f_one(n) - f*|, n = 1..max_depth.
 
     f* is the accelerated sequence at max_depth — no closed form for
@@ -142,14 +133,14 @@ def convergence_report(
     reports an infinite gap: the truncation simply does not exist there,
     which for comparison purposes is as far from the limit as it gets.
     """
-    reference = eval_nested(s, max_depth, TailMode.ONE_TAIL, zeta_tol=zeta_tol)
+    reference = eval_nested(s, max_depth, TailMode.ONE_TAIL)
     f_star = reference.values[-1]
     rows = []
     for n in range(1, max_depth + 1):
         gaps = []
         for mode in (TailMode.ZERO_TAIL, TailMode.ONE_TAIL):
             try:
-                trace = eval_nested(s, n, mode, zeta_tol=zeta_tol)
+                trace = eval_nested(s, n, mode)
                 gaps.append(abs(trace.values[-1] - f_star))
             except NegativeRadicandError:
                 gaps.append(math.inf)

@@ -27,7 +27,7 @@ from pzcheck import (
     singularity_probe,
     zeta_real,
 )
-from pzcheck.zeta import ProbeRow
+from pzcheck.zeta import MIN_TOL, ProbeRow, _euler_maclaurin
 
 
 def _zeta_bracket(s, n):
@@ -88,6 +88,32 @@ def test_zeta_precision_error_close_to_pole():
     # inside the public domain but the cutoff would exceed the cap
     with pytest.raises(PrecisionError):
         zeta_real(1.0 + 2e-8)
+
+
+def test_euler_maclaurin_cutoff_meets_every_accepted_tolerance():
+    # M = max(20, ceil(10/(s-1))) alone keeps the remainder bound under
+    # 1.3e-23 (worst near s = 1.5), far below MIN_TOL, which is why the
+    # summation core needs no tolerance argument
+    grid = [1.0 + 10.0 ** (k / 20.0) for k in range(-80, 60)] + [1.5, 1000.0]
+    for s in grid:
+        bound = _euler_maclaurin(s).error_bound
+        assert bound <= 1.3e-23 < MIN_TOL, s
+        assert zeta_real(s, MIN_TOL).error_bound <= MIN_TOL, s
+
+
+def test_claim_sides_share_one_zeta_summation():
+    # P(s) inside claim_rhs needs zeta(s) too; claim_lhs's sum of the
+    # same zeta(s) (10^5 terms here) must be the same cache entry
+    s = 1.0 + 1e-4
+    _euler_maclaurin.cache_clear()
+    claim_rhs(s)
+    rhs_alone = _euler_maclaurin.cache_info()
+    _euler_maclaurin.cache_clear()
+    claim_lhs(s)
+    claim_rhs(s)
+    both = _euler_maclaurin.cache_info()
+    assert both.misses == rhs_alone.misses
+    assert both.hits == rhs_alone.hits + 1
 
 
 # -- euler_even_zeta ---------------------------------------------------
