@@ -5,11 +5,11 @@
     pzcheck table <selector> [--s LIST] [--n RANGE] [--eps RANGE]
                   [--depth D] [--tol T] [--format text|structured]
 
-Exit status encodes run success (0) or usage error (2), never the
-mathematical verdict: REFUTED is a result, not a failure, so scripted
-pipelines can consume reports without error handling.  Structured
-output is one UTF-8 JSON object with stable key order; identical
-invocations produce byte-identical output.
+Exit status encodes run success (0), a closed standard output (1) or
+usage error (2), never the mathematical verdict: REFUTED is a result,
+not a failure, so scripted pipelines can consume reports without error
+handling.  Structured output is one UTF-8 JSON object with stable key
+order; identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 
@@ -27,9 +28,7 @@ from .cyclotomic import height as cyclotomic_height
 VERDICTS = ("REFUTED", "CONSISTENT", "INCONCLUSIVE")
 
 _DEFAULT_EPS = (1e-2, 1e-3, 1e-4, 1e-5)
-_DEFAULT_MAX_N = 10**4
 _SERIES_MAX_N = 10**6  # exact claim2_3 series; 10^6 already takes seconds and ~100 MB
-_MIGOTTI_DEFAULT_LIMIT = 200
 
 
 class UsageError(ValueError):
@@ -380,15 +379,19 @@ def _migotti(params: dict) -> tuple[str, list]:
     return "CONSISTENT" if ok else "REFUTED", evidence
 
 
-# claim -> mode -> pipeline; the first mode listed is the claim's default
+# every option a check can use, in report order, with its converter
+_CHECK_OPTIONS = {"s": _r, "max_n": int, "tol": _r, "depth": int}
+
+# claim -> mode -> (pipeline, the options it uses with their defaults);
+# the first mode listed is the claim's default
 _PIPELINES = {
     "CLAIM2_3": {
-        "SYMBOLIC": _claim23_symbolic,
-        "NUMERIC": _claim23_numeric,
-        "PROBE": _claim23_probe,
+        "SYMBOLIC": (_claim23_symbolic, {"max_n": 10**4}),
+        "NUMERIC": (_claim23_numeric, {"s": 2.0, "tol": 1e-12}),
+        "PROBE": (_claim23_probe, {"tol": 1e-12}),
     },
-    "CLAIM4": {"NUMERIC": _claim4},
-    "MIGOTTI_REMARK": {"SYMBOLIC": _migotti},
+    "CLAIM4": {"NUMERIC": (_claim4, {"s": 2.0, "tol": 1e-12, "depth": 20})},
+    "MIGOTTI_REMARK": {"SYMBOLIC": (_migotti, {"max_n": 200})},
 }
 CLAIM_IDS = tuple(_PIPELINES)
 MODES = tuple(dict.fromkeys(mode for modes in _PIPELINES.values() for mode in modes))
@@ -397,11 +400,13 @@ MODES = tuple(dict.fromkeys(mode for modes in _PIPELINES.values() for mode in mo
 def cmd_check(claim_id: str, mode: str | None, options: dict) -> ClaimReport:
     """Run one claim-check pipeline and return its validated report.
 
-    options keys (all optional): s, max_n, tol, depth.  Unknown claim,
-    unsupported claim/mode pairing, or out-of-domain parameter values
-    raise UsageError; precision shortfalls inside a pipeline, and a
-    radical fold that leaves the reals, make the verdict INCONCLUSIVE
-    instead of raising.
+    options keys (all optional): s, max_n, tol, depth; the report's
+    parameters are the claim, the mode and the options the pipeline
+    uses.  Unknown claim, unsupported claim/mode pairing, an option the
+    pipeline does not use, or out-of-domain parameter values raise
+    UsageError; precision shortfalls inside a pipeline, and a radical
+    fold that leaves the reals, make the verdict INCONCLUSIVE instead
+    of raising.
     """
     claim_id = claim_id.upper()
     if claim_id not in _PIPELINES:
@@ -412,23 +417,20 @@ def cmd_check(claim_id: str, mode: str | None, options: dict) -> ClaimReport:
         raise UsageError(
             f"{claim_id} supports modes {'/'.join(pipelines)}, not {mode}"
         )
+    pipeline, defaults = pipelines[mode]
+    unused = ["--" + key.replace("_", "-") for key in _CHECK_OPTIONS
+              if options.get(key) is not None and key not in defaults]
+    if unused:
+        raise UsageError(f"{claim_id} [{mode}] does not use {', '.join(unused)}")
 
-    default_max_n = (
-        _MIGOTTI_DEFAULT_LIMIT if claim_id == "MIGOTTI_REMARK" else _DEFAULT_MAX_N
-    )
-    params = {
-        "claim": claim_id,
-        "mode": mode,
-        "s": _r(float(_opt(options, "s", 2.0))),
-        "max_n": int(_opt(options, "max_n", default_max_n)),
-        "tol": _r(float(_opt(options, "tol", 1e-12))),
-        "depth": int(_opt(options, "depth", 20)),
-    }
-    if params["max_n"] < 1:
+    params = {"claim": claim_id, "mode": mode}
+    params.update((key, convert(_opt(options, key, defaults[key])))
+                  for key, convert in _CHECK_OPTIONS.items() if key in defaults)
+    if params.get("max_n", 1) < 1:
         raise UsageError(f"--max-n must be >= 1, got {params['max_n']}")
 
     try:
-        verdict, evidence = pipelines[mode](params)
+        verdict, evidence = pipeline(params)
     except zeta.PrecisionError as exc:
         verdict, evidence = "INCONCLUSIVE", [{"name": "reason", "detail": str(exc)}]
     except radical.NegativeRadicandError as exc:
@@ -526,11 +528,17 @@ def _radical_table(options: dict, tol: float, params: dict):
     if len(s_values) != 1:
         raise UsageError("radical table takes exactly one --s value")
     params.update({"s": _r(s_values[0]), "depth": int(_opt(options, "depth", 20))})
-    rows = [
-        {"n": n, "zero_tail_gap": gap0, "one_tail_gap": gap1}
-        for n, gap0, gap1 in radical.convergence_report(s_values[0], params["depth"])
-    ]
-    return ["n", "zero_tail_gap", "one_tail_gap"], rows, None
+    columns = ["n", "zero_tail_gap", "one_tail_gap"]
+    try:
+        report = radical.convergence_report(s_values[0], params["depth"])
+    except radical.NegativeRadicandError as exc:
+        # no reference value, so no gaps; as in check claim4, where the
+        # fold leaves the reals is the finding
+        return columns, [], (
+            f"no gaps: the depth-{params['depth']} ONE_TAIL reference fold leaves "
+            f"the reals at level {exc.level} (radicand {exc.radicand:.15g})"
+        )
+    return columns, [dict(zip(columns, row)) for row in report], None
 
 
 def _radical_domain_table(options: dict, tol: float, params: dict):
@@ -542,17 +550,14 @@ def _radical_domain_table(options: dict, tol: float, params: dict):
         if not s > 1.0:
             raise UsageError(f"radical-domain needs s > 1, got {s}")
     scan = radical.domain_scan(s_values, params["depth"], radical.TailMode.ONE_TAIL)
-    rows = [
-        {"s": s, "all_radicands_positive": ok, "failing_level": level}
-        for s, ok, level in scan
-    ]
+    columns = ["s", "all_radicands_positive", "failing_level"]
     valid = [s for s, ok, _ in scan if ok]
     summary = (
         f"smallest grid s with all ONE_TAIL radicands positive: {min(valid):.15g}"
         if valid
         else "no grid s kept all ONE_TAIL radicands positive"
     )
-    return ["s", "all_radicands_positive", "failing_level"], rows, summary
+    return columns, [dict(zip(columns, row)) for row in scan], summary
 
 
 # selector -> table; the zeta functions are looked up at each call, so a
@@ -662,9 +667,14 @@ def main(argv: list[str] | None = None) -> int:
             print(emit_report(report, args.format))
         else:
             print(cmd_table(args.selector, options))
+        sys.stdout.flush()
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader is gone; the exit-time flush goes to devnull, not stderr
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

@@ -15,11 +15,10 @@ like 2^(-n).
 Evaluation is a single right-to-left fold.  values[m-1] of the
 resulting trace is the partial value after m fold steps, so values[-1]
 is the full depth-n evaluation.  Each level's zeta comes from the
-zeta module's Euler-Maclaurin core, which fixes its own cutoff and
-caches by argument alone, so repeated folds at one s sum each zeta
-once.  zeta arguments beyond exponent 1000 are clamped to exactly 1.0
-with the clamp's own bound, zeta(x) - 1 < 2^(1-x), folded into the
-trace error bounds.
+zeta module's Euler-Maclaurin core, cached there by argument alone, so
+repeated folds at one s sum each zeta once.  zeta arguments beyond
+exponent 1000 are clamped to exactly 1.0 with the clamp's own bound,
+zeta(x) - 1 < 2^(1-x), folded into the trace error bounds.
 """
 
 from __future__ import annotations

@@ -206,7 +206,7 @@ def prime_zeta(s: float, tol: float = 1e-12) -> EvalResult:
             continue
         zk = _euler_maclaurin(k * s)
         terms.append(mu[k] / k * log(zk.value))
-        # |d log z| <= e / (z - e); z > 1 and e <= ~1e-14 keep this sane
+        # |d log z| <= e / (z - e); z > 1 and e <= 1.3e-23 keep this sane
         eval_error += zk.error_bound / (k * (zk.value - zk.error_bound))
     return EvalResult(
         value=fsum(terms),

@@ -1,6 +1,7 @@
 """cli: claim pipelines, report contract, tables, exit codes."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -149,6 +150,14 @@ def test_check_rejects_bad_combinations():
         cmd_check("claim2_3", "symbolic", {"max_n": 10**6 + 1})
     with pytest.raises(UsageError):
         cmd_check("claim2_3", "numeric", {"s": 1.0})
+    # an option the pipeline does not use is an error, not an echo
+    for claim, mode, options in (("claim2_3", "numeric", {"max_n": 5_000_000}),
+                                 ("claim2_3", "probe", {"s": 3.0}),
+                                 ("claim2_3", "symbolic", {"depth": 5}),
+                                 ("claim4", None, {"max_n": 100}),
+                                 ("migotti_remark", None, {"tol": 1e-9})):
+        with pytest.raises(UsageError, match="does not use"):
+            cmd_check(claim, mode, options)
 
 
 def test_mismatch_scan_flag_needs_exactly_the_paper_set():
@@ -376,7 +385,7 @@ def test_main_check_exit_zero_and_json(capsys):
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["verdict"] == "REFUTED"
-    assert payload["parameters"]["max_n"] == 100
+    assert payload["parameters"] == {"claim": "CLAIM2_3", "mode": "SYMBOLIC", "max_n": 100}
 
 
 def test_main_refuted_still_exits_zero(capsys):
@@ -409,6 +418,23 @@ def test_structured_output_is_deterministic(capsys):
     assert main(["check", "claim2_3", "--mode", "numeric", "--format", "structured"]) == 0
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_closed_stdout_exits_one_without_a_traceback():
+    # the reader is gone before pzcheck writes a byte
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pzcheck", "check", "claim2_3", "--mode", "numeric"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
 
 
 def test_console_script_installed():

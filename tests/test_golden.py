@@ -4,8 +4,10 @@ Each file under tests/golden/ holds the runs of one pzcheck command line
 through main(), once per --format value where the flag applies: exit
 status, standard output and standard error, byte for byte.  The set
 covers every claim/mode pair, every table selector, a failing probe
-row, a radical table with non-existent truncations, the radical-domain
-summary, usage errors and the two subcommand help pages.
+row, a radical table with non-existent truncations, a radical table
+whose reference fold leaves the reals, the radical-domain summary,
+usage errors (an option the check does not use among them) and the two
+subcommand help pages.
 
 Re-record after an intended output change with
 
@@ -45,10 +47,13 @@ _FORMATTED = (
     ("table-probe", ["table", "probe"]),
     ("table-probe-failing-row", ["table", "probe", "--eps", "1e-6,1e-8"]),
     ("table-radical", ["table", "radical", "--s", "2", "--depth", "12"]),
+    ("table-radical-negative-radicand", ["table", "radical", "--s", "1.2"]),
     ("table-radical-domain", ["table", "radical-domain"]),
     ("usage-claim4-symbolic", ["check", "claim4", "--mode", "symbolic"]),
     ("usage-radical-two-s", ["table", "radical", "--s", "2,3"]),
     ("usage-claim2_3-over-cap", ["check", "claim2_3", "--max-n", "1000001"]),
+    ("usage-claim2_3-numeric-max-n",
+     ["check", "claim2_3", "--mode", "numeric", "--max-n", "5000000"]),
     ("usage-unknown-claim", ["check", "claim9"]),
 )
 
