@@ -41,9 +41,17 @@ def _r(v: float) -> float:
     return float(f"{v:.15g}")
 
 
-def _opt(options: dict, key: str, default):
-    value = options.get(key)
-    return default if value is None else value
+def _used_options(label: str, defaults: dict, options: dict, converters: dict) -> dict:
+    """The options an entry reads (defaults' keys), converted, in converters' order.
+
+    A given option (not None) that the entry does not read raises UsageError.
+    """
+    unused = ["--" + key.replace("_", "-") for key in converters
+              if options.get(key) is not None and key not in defaults]
+    if unused:
+        raise UsageError(f"{label} does not use {', '.join(unused)}")
+    return {key: convert(defaults[key] if options.get(key) is None else options[key])
+            for key, convert in converters.items() if key in defaults}
 
 
 def _bound_agrees(fact: dict) -> bool:
@@ -418,14 +426,8 @@ def cmd_check(claim_id: str, mode: str | None, options: dict) -> ClaimReport:
             f"{claim_id} supports modes {'/'.join(pipelines)}, not {mode}"
         )
     pipeline, defaults = pipelines[mode]
-    unused = ["--" + key.replace("_", "-") for key in _CHECK_OPTIONS
-              if options.get(key) is not None and key not in defaults]
-    if unused:
-        raise UsageError(f"{claim_id} [{mode}] does not use {', '.join(unused)}")
-
-    params = {"claim": claim_id, "mode": mode}
-    params.update((key, convert(_opt(options, key, defaults[key])))
-                  for key, convert in _CHECK_OPTIONS.items() if key in defaults)
+    params = {"claim": claim_id, "mode": mode,
+              **_used_options(f"{claim_id} [{mode}]", defaults, options, _CHECK_OPTIONS)}
     if params.get("max_n", 1) < 1:
         raise UsageError(f"--max-n must be >= 1, got {params['max_n']}")
 
@@ -446,9 +448,10 @@ def cmd_check(claim_id: str, mode: str | None, options: dict) -> ClaimReport:
 
 # ---------------------------------------------------------------- table
 #
-# A table takes the options, the tolerance and the parameter dict it
-# fills in, and returns (columns, rows, summary): rows are dicts of raw
-# values, summary is a closing line or None.  cmd_table renders them.
+# A table takes the options it reads, defaults filled in, parses their
+# strings back into that dict and returns (columns, rows, summary): rows
+# are dicts of raw values, summary a closing line or None.  cmd_table
+# renders them.
 
 
 def _parse_float_list(spec: str, flag: str) -> list[float]:
@@ -496,18 +499,18 @@ def _parse_eps_range(spec: str) -> list[float]:
         raise UsageError(f"bad --eps range {spec!r}") from exc
 
 
-def _value_table(evaluate, options: dict, tol: float, params: dict):
-    s_values = _parse_float_list(options.get("s") or "2,3,4", "--s")
+def _value_table(evaluate, params: dict):
+    s_values = _parse_float_list(params["s"], "--s")
     params["s"] = [_r(s) for s in s_values]
     rows = []
     for s in s_values:
-        ev = evaluate(s, tol)
+        ev = evaluate(s, params["tol"])
         rows.append({"s": s, "value": ev.value, "error_bound": ev.error_bound})
     return ["s", "value", "error_bound"], rows, None
 
 
-def _cyclotomic_table(options: dict, tol: float, params: dict):
-    n_values = _parse_int_range(options.get("n") or "1..120", "--n")
+def _cyclotomic_table(params: dict):
+    n_values = _parse_int_range(params["n"], "--n")
     params["n"] = [n_values[0], n_values[-1]] if n_values else []
     rows = [
         {"n": n, "degree": cyclotomic_poly(n).degree, "height": cyclotomic_height(n)}
@@ -516,18 +519,18 @@ def _cyclotomic_table(options: dict, tol: float, params: dict):
     return ["n", "degree", "height"], rows, None
 
 
-def _probe_table(options: dict, tol: float, params: dict):
-    eps_grid = _parse_eps_range(options.get("eps") or "1e-2..1e-5")
+def _probe_table(params: dict):
+    eps_grid = _parse_eps_range(params["eps"])
     params["eps"] = [_r(e) for e in eps_grid]
-    rows = [_probe_dict(row) for row in zeta.singularity_probe(eps_grid, tol)]
+    rows = [_probe_dict(row) for row in zeta.singularity_probe(eps_grid, params["tol"])]
     return ["eps", "lhs", "lhs_error_bound", "rhs", "rhs_error_bound", "note"], rows, None
 
 
-def _radical_table(options: dict, tol: float, params: dict):
-    s_values = _parse_float_list(options.get("s") or "2", "--s")
+def _radical_table(params: dict):
+    s_values = _parse_float_list(params["s"], "--s")
     if len(s_values) != 1:
         raise UsageError("radical table takes exactly one --s value")
-    params.update({"s": _r(s_values[0]), "depth": int(_opt(options, "depth", 20))})
+    params["s"] = _r(s_values[0])
     columns = ["n", "zero_tail_gap", "one_tail_gap"]
     try:
         report = radical.convergence_report(s_values[0], params["depth"])
@@ -541,11 +544,9 @@ def _radical_table(options: dict, tol: float, params: dict):
     return columns, [dict(zip(columns, row)) for row in report], None
 
 
-def _radical_domain_table(options: dict, tol: float, params: dict):
-    s_values = _parse_float_list(
-        options.get("s") or "1.05,1.1,1.2,1.3,1.4,1.5,1.6,1.8,2,3", "--s"
-    )
-    params.update({"s": [_r(s) for s in s_values], "depth": int(_opt(options, "depth", 20))})
+def _radical_domain_table(params: dict):
+    s_values = _parse_float_list(params["s"], "--s")
+    params["s"] = [_r(s) for s in s_values]
     for s in s_values:
         if not s > 1.0:
             raise UsageError(f"radical-domain needs s > 1, got {s}")
@@ -560,15 +561,20 @@ def _radical_domain_table(options: dict, tol: float, params: dict):
     return columns, [dict(zip(columns, row)) for row in scan], summary
 
 
-# selector -> table; the zeta functions are looked up at each call, so a
-# rebinding of them (a test double, a timing wrapper) is seen here too
+# every option a table can read, in report order, with its converter
+_TABLE_OPTIONS = {"tol": _r, "s": str, "n": str, "eps": str, "depth": int}
+
+# selector -> (table, the options it reads with their defaults); the
+# zeta functions are looked up at each call, so a rebinding of them (a
+# test double, a timing wrapper) is seen here too
 _TABLES = {
-    "zeta": lambda *args: _value_table(zeta.zeta_real, *args),
-    "prime-zeta": lambda *args: _value_table(zeta.prime_zeta, *args),
-    "cyclotomic-height": _cyclotomic_table,
-    "probe": _probe_table,
-    "radical": _radical_table,
-    "radical-domain": _radical_domain_table,
+    "zeta": (lambda p: _value_table(zeta.zeta_real, p), {"tol": 1e-12, "s": "2,3,4"}),
+    "prime-zeta": (lambda p: _value_table(zeta.prime_zeta, p), {"tol": 1e-12, "s": "2,3,4"}),
+    "cyclotomic-height": (_cyclotomic_table, {"n": "1..120"}),
+    "probe": (_probe_table, {"tol": 1e-12, "eps": "1e-2..1e-5"}),
+    "radical": (_radical_table, {"s": "2", "depth": 20}),
+    "radical-domain": (_radical_domain_table, {"s": "1.05,1.1,1.2,1.3,1.4,1.5,1.6,1.8,2,3",
+                                               "depth": 20}),
 }
 
 
@@ -601,17 +607,21 @@ def _text_table(headers: list[str], rows: list[list[str]]) -> str:
 
 
 def cmd_table(selector: str, options: dict) -> str:
-    """Build one deterministic table (text or structured)."""
+    """Build one deterministic table (text or structured).
+
+    The parameters echoed are the options the selector reads; an unknown
+    selector, any other option or an out-of-domain value raises UsageError.
+    """
     if selector not in _TABLES:
         raise UsageError(f"unknown table selector {selector!r}")
-    tol = float(_opt(options, "tol", 1e-12))
-    params: dict = {"tol": _r(tol)}
+    table, defaults = _TABLES[selector]
+    params = _used_options(selector, defaults, options, _TABLE_OPTIONS)
     try:
-        columns, rows, summary = _TABLES[selector](options, tol, params)
+        columns, rows, summary = table(params)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
-    if _opt(options, "format", "text") == "structured":
+    if options.get("format") == "structured":
         payload = {"table": selector, "parameters": params, "rows": list(map(_json_row, rows))}
         if summary is not None:
             payload["summary"] = summary

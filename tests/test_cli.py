@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from pzcheck import DirichletSeries, claim_lhs_series, claim_rhs_series, sieve
+from pzcheck import DirichletSeries, claim_lhs_series, claim_rhs_series, cli, sieve
 from pzcheck.cli import (
     ClaimReport,
     UsageError,
@@ -372,6 +372,35 @@ def test_table_usage_errors():
         cmd_table("probe", {"eps": "1e-5..1e-2"})
     with pytest.raises(UsageError):
         cmd_table("cyclotomic-height", {"n": "5..1"})
+
+
+# the options each table reads, in report order
+_TABLE_READS = {
+    "zeta": ["tol", "s"],
+    "prime-zeta": ["tol", "s"],
+    "cyclotomic-height": ["n"],
+    "probe": ["tol", "eps"],
+    "radical": ["s", "depth"],
+    "radical-domain": ["s", "depth"],
+}
+_TABLE_FLAG_VALUES = {"tol": 1e-9, "s": "2", "n": "1..3", "eps": "1e-2", "depth": 5}
+
+
+@pytest.mark.parametrize("selector,key", [
+    (selector, key) for selector, reads in _TABLE_READS.items()
+    for key in _TABLE_FLAG_VALUES if key not in reads
+])
+def test_table_rejects_an_option_it_does_not_read(selector, key):
+    with pytest.raises(UsageError, match=f"^{selector} does not use --{key}$"):
+        cmd_table(selector, {key: _TABLE_FLAG_VALUES[key]})
+
+
+@pytest.mark.parametrize("selector", list(_TABLE_READS))
+def test_table_parameters_are_the_options_it_reads(selector):
+    _, defaults = cli._TABLES[selector]
+    assert sorted(defaults) == sorted(_TABLE_READS[selector])
+    payload = json.loads(cmd_table(selector, {"format": "structured"}))
+    assert list(payload["parameters"]) == _TABLE_READS[selector]
 
 
 # -- entry point ----------------------------------------------------------

@@ -6,8 +6,8 @@ status, standard output and standard error, byte for byte.  The set
 covers every claim/mode pair, every table selector, a failing probe
 row, a radical table with non-existent truncations, a radical table
 whose reference fold leaves the reals, the radical-domain summary,
-usage errors (an option the check does not use among them) and the two
-subcommand help pages.
+usage errors (options a check or a table does not read among them)
+and the two subcommand help pages.
 
 Re-record after an intended output change with
 
@@ -55,6 +55,9 @@ _FORMATTED = (
     ("usage-claim2_3-numeric-max-n",
      ["check", "claim2_3", "--mode", "numeric", "--max-n", "5000000"]),
     ("usage-unknown-claim", ["check", "claim9"]),
+    ("usage-cyclotomic-height-unused",
+     ["table", "cyclotomic-height", "--n", "3..4", "--tol", "1e-3", "--depth", "7",
+      "--eps", "1e-2"]),
 )
 
 INVOCATIONS = tuple(
