@@ -41,17 +41,32 @@ def _r(v: float) -> float:
     return float(f"{v:.15g}")
 
 
-def _used_options(label: str, defaults: dict, options: dict, converters: dict) -> dict:
-    """The options an entry reads (defaults' keys), converted, in converters' order.
+def _finite(v: float) -> float:
+    if not math.isfinite(v):
+        raise ValueError(f"must be finite, got {v}")
+    return _r(v)
 
-    A given option (not None) that the entry does not read raises UsageError.
-    """
+
+def _count(n: int) -> int:
+    if int(n) < 1:
+        raise ValueError(f"must be >= 1, got {n}")
+    return int(n)
+
+
+def _used_options(label: str, defaults: dict, options: dict, converters: dict) -> dict:
+    """The entry's options, converted in report order; others or bad values raise UsageError."""
     unused = ["--" + key.replace("_", "-") for key in converters
               if options.get(key) is not None and key not in defaults]
     if unused:
         raise UsageError(f"{label} does not use {', '.join(unused)}")
-    return {key: convert(defaults[key] if options.get(key) is None else options[key])
-            for key, convert in converters.items() if key in defaults}
+    used = {}
+    for key, convert in converters.items():
+        if key in defaults:
+            try:
+                used[key] = convert(defaults[key] if options.get(key) is None else options[key])
+            except ValueError as exc:
+                raise UsageError(f"--{key.replace('_', '-')} {exc}") from exc
+    return used
 
 
 def _bound_agrees(fact: dict) -> bool:
@@ -388,7 +403,7 @@ def _migotti(params: dict) -> tuple[str, list]:
 
 
 # every option a check can use, in report order, with its converter
-_CHECK_OPTIONS = {"s": _r, "max_n": int, "tol": _r, "depth": int}
+_CHECK_OPTIONS = {"s": _finite, "max_n": _count, "tol": _finite, "depth": int}
 
 # claim -> mode -> (pipeline, the options it uses with their defaults);
 # the first mode listed is the claim's default
@@ -428,8 +443,6 @@ def cmd_check(claim_id: str, mode: str | None, options: dict) -> ClaimReport:
     pipeline, defaults = pipelines[mode]
     params = {"claim": claim_id, "mode": mode,
               **_used_options(f"{claim_id} [{mode}]", defaults, options, _CHECK_OPTIONS)}
-    if params.get("max_n", 1) < 1:
-        raise UsageError(f"--max-n must be >= 1, got {params['max_n']}")
 
     try:
         verdict, evidence = pipeline(params)
@@ -454,53 +467,46 @@ def cmd_check(claim_id: str, mode: str | None, options: dict) -> ClaimReport:
 # renders them.
 
 
-def _parse_float_list(spec: str, flag: str) -> list[float]:
+def _parse_list(spec: str, flag: str, kind=float) -> list:
     try:
-        values = [float(part) for part in spec.split(",") if part.strip()]
+        values = [kind(part) for part in spec.split(",") if part.strip()]
     except ValueError as exc:
         raise UsageError(f"bad {flag} list {spec!r}") from exc
     if not values:
         raise UsageError(f"empty {flag} list")
+    if not all(map(math.isfinite, values)):
+        raise UsageError(f"{flag} list {spec!r} has a non-finite value")
     return values
 
 
 def _parse_int_range(spec: str, flag: str) -> list[int]:
+    if ".." not in spec:
+        return _parse_list(spec, flag, int)
     try:
-        if ".." in spec:
-            lo_text, hi_text = spec.split("..", 1)
-            lo, hi = int(lo_text), int(hi_text)
-            if hi < lo:
-                raise UsageError(f"{flag} range {spec!r} is reversed")
-            return list(range(lo, hi + 1))
-        return [int(part) for part in spec.split(",") if part.strip()]
+        lo, hi = map(int, spec.split("..", 1))
     except ValueError as exc:
         raise UsageError(f"bad {flag} range {spec!r}") from exc
+    if hi < lo:
+        raise UsageError(f"{flag} range {spec!r} is reversed")
+    return list(range(lo, hi + 1))
 
 
 def _parse_eps_range(spec: str) -> list[float]:
     # "1e-2..1e-5" walks down a decade at a time; commas list explicitly
+    if ".." not in spec:
+        return _parse_list(spec, "--eps")
     try:
-        if ".." in spec:
-            start_text, end_text = spec.split("..", 1)
-            start, end = float(start_text), float(end_text)
-            hi = round(math.log10(start))
-            lo = round(math.log10(end))
-            if not (
-                math.isclose(start, 10.0**hi)
-                and math.isclose(end, 10.0**lo)
-                and lo <= hi
-            ):
-                raise UsageError(
-                    f"--eps range {spec!r} must run from a larger to a smaller power of 10"
-                )
-            return [10.0**k for k in range(hi, lo - 1, -1)]
-        return [float(part) for part in spec.split(",") if part.strip()]
-    except ValueError as exc:
+        start, end = map(float, spec.split("..", 1))
+        hi, lo = round(math.log10(start)), round(math.log10(end))
+    except (ValueError, OverflowError) as exc:
         raise UsageError(f"bad --eps range {spec!r}") from exc
+    if not (math.isclose(start, 10.0**hi) and math.isclose(end, 10.0**lo) and lo <= hi):
+        raise UsageError(f"--eps range {spec!r} must run from a larger to a smaller power of 10")
+    return [10.0**k for k in range(hi, lo - 1, -1)]
 
 
 def _value_table(evaluate, params: dict):
-    s_values = _parse_float_list(params["s"], "--s")
+    s_values = _parse_list(params["s"], "--s")
     params["s"] = [_r(s) for s in s_values]
     rows = []
     for s in s_values:
@@ -511,7 +517,8 @@ def _value_table(evaluate, params: dict):
 
 def _cyclotomic_table(params: dict):
     n_values = _parse_int_range(params["n"], "--n")
-    params["n"] = [n_values[0], n_values[-1]] if n_values else []
+    contiguous = n_values == list(range(n_values[0], n_values[-1] + 1))
+    params["n"] = [n_values[0], n_values[-1]] if contiguous else n_values
     rows = [
         {"n": n, "degree": cyclotomic_poly(n).degree, "height": cyclotomic_height(n)}
         for n in n_values
@@ -527,7 +534,7 @@ def _probe_table(params: dict):
 
 
 def _radical_table(params: dict):
-    s_values = _parse_float_list(params["s"], "--s")
+    s_values = _parse_list(params["s"], "--s")
     if len(s_values) != 1:
         raise UsageError("radical table takes exactly one --s value")
     params["s"] = _r(s_values[0])
@@ -545,7 +552,7 @@ def _radical_table(params: dict):
 
 
 def _radical_domain_table(params: dict):
-    s_values = _parse_float_list(params["s"], "--s")
+    s_values = _parse_list(params["s"], "--s")
     params["s"] = [_r(s) for s in s_values]
     for s in s_values:
         if not s > 1.0:
@@ -562,11 +569,10 @@ def _radical_domain_table(params: dict):
 
 
 # every option a table can read, in report order, with its converter
-_TABLE_OPTIONS = {"tol": _r, "s": str, "n": str, "eps": str, "depth": int}
+_TABLE_OPTIONS = {"tol": _finite, "s": str, "n": str, "eps": str, "depth": int}
 
-# selector -> (table, the options it reads with their defaults); the
-# zeta functions are looked up at each call, so a rebinding of them (a
-# test double, a timing wrapper) is seen here too
+# selector -> (table, the options it reads with their defaults); the zeta
+# functions are looked up at each call, so a rebinding of them is seen too
 _TABLES = {
     "zeta": (lambda p: _value_table(zeta.zeta_real, p), {"tol": 1e-12, "s": "2,3,4"}),
     "prime-zeta": (lambda p: _value_table(zeta.prime_zeta, p), {"tol": 1e-12, "s": "2,3,4"}),
@@ -607,11 +613,7 @@ def _text_table(headers: list[str], rows: list[list[str]]) -> str:
 
 
 def cmd_table(selector: str, options: dict) -> str:
-    """Build one deterministic table (text or structured).
-
-    The parameters echoed are the options the selector reads; an unknown
-    selector, any other option or an out-of-domain value raises UsageError.
-    """
+    """Build one deterministic table (text or structured) from the options it reads."""
     if selector not in _TABLES:
         raise UsageError(f"unknown table selector {selector!r}")
     table, defaults = _TABLES[selector]
@@ -670,13 +672,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    options = {k: v for k, v in vars(args).items() if k not in ("command",)}
     try:
         if args.command == "check":
-            report = cmd_check(args.claim, args.mode, options)
+            report = cmd_check(args.claim, args.mode, vars(args))
             print(emit_report(report, args.format))
         else:
-            print(cmd_table(args.selector, options))
+            print(cmd_table(args.selector, vars(args)))
         sys.stdout.flush()
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,6 +1,7 @@
 """cli: claim pipelines, report contract, tables, exit codes."""
 
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -144,7 +145,7 @@ def test_check_rejects_bad_combinations():
         cmd_check("claim9", None, {})
     with pytest.raises(UsageError):
         cmd_check("migotti_remark", None, {"max_n": 10**5})
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="^--max-n must be >= 1, got 0$"):
         cmd_check("claim2_3", "symbolic", {"max_n": 0})
     with pytest.raises(UsageError):
         cmd_check("claim2_3", "symbolic", {"max_n": 10**6 + 1})
@@ -158,6 +159,19 @@ def test_check_rejects_bad_combinations():
                                  ("migotti_remark", None, {"tol": 1e-9})):
         with pytest.raises(UsageError, match="does not use"):
             cmd_check(claim, mode, options)
+
+
+def test_non_finite_options_are_usage_errors():
+    for claim, mode, options in (("claim2_3", "probe", {"tol": math.inf}),
+                                 ("claim2_3", "numeric", {"s": math.inf}),
+                                 ("claim4", None, {"tol": math.nan})):
+        with pytest.raises(UsageError, match="must be finite"):
+            cmd_check(claim, mode, options)
+    for selector, options in (("zeta", {"tol": math.inf}), ("probe", {"tol": -math.inf}),
+                              ("prime-zeta", {"s": "2,inf"}), ("radical-domain", {"s": "nan"}),
+                              ("probe", {"eps": "inf..1e-5"})):
+        with pytest.raises(UsageError, match="finite|bad --eps range"):
+            cmd_table(selector, options)
 
 
 def test_mismatch_scan_flag_needs_exactly_the_paper_set():
@@ -306,7 +320,9 @@ def test_zeta_table_text_alignment():
 
 def test_cyclotomic_height_table():
     out = cmd_table("cyclotomic-height", {"n": "1..120", "format": "structured"})
-    rows = json.loads(out)["rows"]
+    payload = json.loads(out)
+    assert payload["parameters"] == {"n": [1, 120]}
+    rows = payload["rows"]
     assert len(rows) == 120
     by_n = {row["n"]: row for row in rows}
     assert all(by_n[n]["height"] == 1 for n in range(1, 105))
@@ -316,8 +332,10 @@ def test_cyclotomic_height_table():
 
 def test_cyclotomic_height_table_comma_list():
     out = cmd_table("cyclotomic-height", {"n": "3,5,105", "format": "structured"})
-    rows = json.loads(out)["rows"]
-    assert [row["n"] for row in rows] == [3, 5, 105]
+    payload = json.loads(out)
+    # the echo names the rows: a list that is not a range is echoed whole
+    assert payload["parameters"] == {"n": [3, 5, 105]}
+    assert [row["n"] for row in payload["rows"]] == [3, 5, 105]
 
 
 def test_probe_table():
@@ -366,12 +384,15 @@ def test_table_usage_errors():
         cmd_table("zeta", {"s": "0.5"})
     with pytest.raises(UsageError):
         cmd_table("zeta", {"s": "two"})
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="power of 10"):
         cmd_table("probe", {"eps": "3e-2..1e-5"})
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="power of 10"):
         cmd_table("probe", {"eps": "1e-5..1e-2"})
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="is reversed"):
         cmd_table("cyclotomic-height", {"n": "5..1"})
+    for n in (",", ", ,"):
+        with pytest.raises(UsageError, match="^empty --n list$"):
+            cmd_table("cyclotomic-height", {"n": n})
 
 
 # the options each table reads, in report order

@@ -6,8 +6,10 @@ status, standard output and standard error, byte for byte.  The set
 covers every claim/mode pair, every table selector, a failing probe
 row, a radical table with non-existent truncations, a radical table
 whose reference fold leaves the reals, the radical-domain summary,
-usage errors (options a check or a table does not read among them)
-and the two subcommand help pages.
+usage errors (options a check or a table does not read, and a
+non-finite tolerance, among them) and the two subcommand help pages.
+test_golden_set_covers_every_selector_and_pipeline checks the first two
+against the registries in cli.
 
 Re-record after an intended output change with
 
@@ -24,6 +26,7 @@ from pathlib import Path
 
 import pytest
 
+from pzcheck import cli
 from pzcheck.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -58,6 +61,7 @@ _FORMATTED = (
     ("usage-cyclotomic-height-unused",
      ["table", "cyclotomic-height", "--n", "3..4", "--tol", "1e-3", "--depth", "7",
       "--eps", "1e-2"]),
+    ("usage-claim2_3-probe-tol-inf", ["check", "claim2_3", "--mode", "probe", "--tol", "inf"]),
 )
 
 INVOCATIONS = tuple(
@@ -97,6 +101,20 @@ def render(argvs: list[list[str]]) -> str:
 def test_output_matches_golden(name, argvs):
     want = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
     assert render(argvs) == want
+
+
+def test_golden_set_covers_every_selector_and_pipeline():
+    ran = [argv for name, argvs in INVOCATIONS if not name.startswith("usage-")
+           for argv in argvs if "--help" not in argv]
+    selectors = {argv[1] for argv in ran if argv[0] == "table"}
+    pipelines = {
+        (argv[1].upper(), argv[argv.index("--mode") + 1].upper() if "--mode" in argv
+         else next(iter(cli._PIPELINES[argv[1].upper()])))
+        for argv in ran if argv[0] == "check"
+    }
+    assert set(cli._TABLES) <= selectors
+    registered = {(claim, mode) for claim, modes in cli._PIPELINES.items() for mode in modes}
+    assert registered <= pipelines
 
 
 def test_golden_set_has_no_stale_files():
