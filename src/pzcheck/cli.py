@@ -463,8 +463,7 @@ def cmd_check(claim_id: str, mode: str | None, options: dict) -> ClaimReport:
 #
 # A table takes the options it reads, defaults filled in, parses their
 # strings back into that dict and returns (columns, rows, summary): rows
-# are dicts of raw values, summary a closing line or None.  cmd_table
-# renders them.
+# are dicts of raw values, summary a closing line or None; cmd_table renders them.
 
 
 def _parse_list(spec: str, flag: str, kind=float) -> list:
