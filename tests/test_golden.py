@@ -40,6 +40,8 @@ _FORMATTED = (
     ("check-claim2_3-numeric-s50", ["check", "claim2_3", "--mode", "numeric", "--s", "50"]),
     ("check-claim2_3-numeric-tol1e-16",
      ["check", "claim2_3", "--mode", "numeric", "--tol", "1e-16"]),
+    ("check-claim2_3-numeric-near-pole",
+     ["check", "claim2_3", "--mode", "numeric", "--s", "1.000000001"]),
     ("check-claim2_3-probe", ["check", "claim2_3", "--mode", "probe"]),
     ("check-claim4", ["check", "claim4"]),
     ("check-claim4-s1.3", ["check", "claim4", "--s", "1.3"]),
@@ -62,6 +64,9 @@ _FORMATTED = (
      ["table", "cyclotomic-height", "--n", "3..4", "--tol", "1e-3", "--depth", "7",
       "--eps", "1e-2"]),
     ("usage-claim2_3-probe-tol-inf", ["check", "claim2_3", "--mode", "probe", "--tol", "inf"]),
+    ("usage-claim2_3-numeric-tol-negative",
+     ["check", "claim2_3", "--mode", "numeric", "--tol", "-1"]),
+    ("usage-radical-s-below-one", ["table", "radical", "--s", "0.5"]),
 )
 
 INVOCATIONS = tuple(
