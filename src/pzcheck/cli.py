@@ -41,10 +41,18 @@ def _r(v: float) -> float:
     return float(f"{v:.15g}")
 
 
-def _finite(v: float) -> float:
-    if not math.isfinite(v):
-        raise ValueError(f"must be finite, got {v}")
-    return _r(v)
+def _finite_above(low: float):
+    # converter to a finite float above low, rounded as reported
+    def convert(v: float) -> float:
+        if not math.isfinite(v):
+            raise ValueError(f"must be finite, got {v}")
+        if not _r(v) > low:
+            raise ValueError(f"must be > {low:g}, got {v}")
+        return _r(v)
+    return convert
+
+
+_POSITIVE, _ABOVE_ONE = _finite_above(0.0), _finite_above(1.0)
 
 
 def _count(n: int) -> int:
@@ -64,6 +72,8 @@ def _used_options(label: str, defaults: dict, options: dict, converters: dict) -
         if key in defaults:
             try:
                 used[key] = convert(defaults[key] if options.get(key) is None else options[key])
+            except UsageError:
+                raise
             except ValueError as exc:
                 raise UsageError(f"--{key.replace('_', '-')} {exc}") from exc
     return used
@@ -403,7 +413,7 @@ def _migotti(params: dict) -> tuple[str, list]:
 
 
 # every option a check can use, in report order, with its converter
-_CHECK_OPTIONS = {"s": _finite, "max_n": _count, "tol": _finite, "depth": int}
+_CHECK_OPTIONS = {"s": _ABOVE_ONE, "max_n": _count, "tol": _POSITIVE, "depth": int}
 
 # claim -> mode -> (pipeline, the options it uses with their defaults);
 # the first mode listed is the claim's default
@@ -461,9 +471,10 @@ def cmd_check(claim_id: str, mode: str | None, options: dict) -> ClaimReport:
 
 # ---------------------------------------------------------------- table
 #
-# A table takes the options it reads, defaults filled in, parses their
-# strings back into that dict and returns (columns, rows, summary): rows
-# are dicts of raw values, summary a closing line or None; cmd_table renders them.
+# A table takes the options it reads, defaults filled in and --s already
+# a list, parses the --n and --eps strings back into that dict and returns
+# (columns, rows, summary): rows are dicts of raw values, summary a
+# closing line or None; cmd_table renders them.
 
 
 def _parse_list(spec: str, flag: str, kind=float) -> list:
@@ -505,10 +516,8 @@ def _parse_eps_range(spec: str) -> list[float]:
 
 
 def _value_table(evaluate, params: dict):
-    s_values = _parse_list(params["s"], "--s")
-    params["s"] = [_r(s) for s in s_values]
     rows = []
-    for s in s_values:
+    for s in params["s"]:
         ev = evaluate(s, params["tol"])
         rows.append({"s": s, "value": ev.value, "error_bound": ev.error_bound})
     return ["s", "value", "error_bound"], rows, None
@@ -533,13 +542,12 @@ def _probe_table(params: dict):
 
 
 def _radical_table(params: dict):
-    s_values = _parse_list(params["s"], "--s")
-    if len(s_values) != 1:
+    if len(params["s"]) != 1:
         raise UsageError("radical table takes exactly one --s value")
-    params["s"] = _r(s_values[0])
+    params["s"] = params["s"][0]
     columns = ["n", "zero_tail_gap", "one_tail_gap"]
     try:
-        report = radical.convergence_report(s_values[0], params["depth"])
+        report = radical.convergence_report(params["s"], params["depth"])
     except radical.NegativeRadicandError as exc:
         # no reference value, so no gaps; as in check claim4, where the
         # fold leaves the reals is the finding
@@ -551,12 +559,7 @@ def _radical_table(params: dict):
 
 
 def _radical_domain_table(params: dict):
-    s_values = _parse_list(params["s"], "--s")
-    params["s"] = [_r(s) for s in s_values]
-    for s in s_values:
-        if not s > 1.0:
-            raise UsageError(f"radical-domain needs s > 1, got {s}")
-    scan = radical.domain_scan(s_values, params["depth"], radical.TailMode.ONE_TAIL)
+    scan = radical.domain_scan(params["s"], params["depth"], radical.TailMode.ONE_TAIL)
     columns = ["s", "all_radicands_positive", "failing_level"]
     valid = [s for s, ok, _ in scan if ok]
     summary = (
@@ -568,7 +571,9 @@ def _radical_domain_table(params: dict):
 
 
 # every option a table can read, in report order, with its converter
-_TABLE_OPTIONS = {"tol": _finite, "s": str, "n": str, "eps": str, "depth": int}
+_TABLE_OPTIONS = {"tol": _POSITIVE,
+                  "s": lambda spec: [_ABOVE_ONE(s) for s in _parse_list(spec, "--s")],
+                  "n": str, "eps": str, "depth": int}
 
 # selector -> (table, the options it reads with their defaults); the zeta
 # functions are looked up at each call, so a rebinding of them is seen too

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .arith import factorize, mobius, sieve
+from .arith import factorize, sieve
 
 _MAX_N = 10**4
 
@@ -91,34 +91,33 @@ def _table():
     return sieve(_MAX_N)
 
 
-def _divisors(n: int) -> list[int]:
-    divs = [1]
-    for p, e in factorize(n, _table()).factors:
-        divs = [d * p**i for d in divs for i in range(e + 1)]
-    return sorted(divs)
-
-
 @lru_cache(maxsize=512)
 def cyclotomic(n: int) -> IntPolynomial:
     """Phi_n as an exact IntPolynomial, for 1 <= n <= 10^4.
 
-    Post-conditions checked on every construction: remainder-free
-    divisions, degree phi(n), and leading coefficient 1.
+    mu(n/d) is nonzero only at d = n/e with e a squarefree product of
+    n's primes, where it is (-1)^omega(e), so one factorization of n
+    gives every factor; they are applied in ascending d.  Post-conditions
+    checked on every construction: remainder-free divisions, degree
+    phi(n), and leading coefficient 1.
     """
     if not 1 <= n <= _MAX_N:
         raise ValueError(f"cyclotomic index must be in [1, {_MAX_N}], got {n}")
+    factored = factorize(n, _table())
+    signed = [(1, 1)]  # (squarefree e | n, mu(e))
+    for p, _ in factored.factors:
+        signed += [(e * p, -mu) for e, mu in signed]
     coeffs = [1]
     deflations = []
-    for d in _divisors(n):
-        mu = mobius(factorize(n // d, _table()))
+    for d, mu in sorted((n // e, mu) for e, mu in signed):
         if mu == 1:
             coeffs = _mul_xd_minus_1(coeffs, d)
-        elif mu == -1:
+        else:
             deflations.append(d)
     for d in deflations:
         coeffs = _divexact_xd_minus_1(coeffs, d)
     poly = IntPolynomial(coeffs)
-    totient = factorize(n, _table()).totient
+    totient = factored.totient
     if poly.degree != totient or poly.coeffs[-1] != 1:
         raise ArithmeticError(
             f"Phi_{n} failed invariants: degree {poly.degree} (want {totient}), "
@@ -129,4 +128,4 @@ def cyclotomic(n: int) -> IntPolynomial:
 
 def height(n: int) -> int:
     """Largest absolute coefficient of Phi_n."""
-    return max(abs(c) for c in cyclotomic(n).coeffs)
+    return max(map(abs, cyclotomic(n).coeffs))

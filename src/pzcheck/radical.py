@@ -183,7 +183,7 @@ def claim4_check(s: float, depth: int, tol: float = 1e-12) -> Claim4Result:
     propagated zeta errors, so a gap exceeding the combined bounds is
     not a truncation artifact.  (The exact-series cross-check that
     squaring the radical identity reproduces the claimed identity's
-    structure lives in the dirichlet module and is wired up by the CLI.)
+    structure is written out in cli._claim4 with dirichlet's operations.)
     """
     trace = eval_nested(s, depth, TailMode.ONE_TAIL)
     deeper = eval_nested(s, min(depth + 5, _MAX_DEPTH), TailMode.ONE_TAIL)

@@ -51,10 +51,6 @@ _MAX_M = 20_000_000
 # Smallest tolerance the public zeta_real will accept.
 MIN_TOL = 1e-14
 
-# Reject s at or below this in claim evaluations; the singularity probe
-# owns the near-pole region.
-_POLE_GUARD = 1.0 + 1e-8
-
 _TWO_PI = 2.0 * math.pi
 
 
@@ -105,8 +101,9 @@ def _em_remainder_bound(s: float, m: int) -> float:
 def _euler_maclaurin(s: float) -> EvalResult:
     """zeta(s) for real s > 1 at cutoff M = max(20, ceil(10/(s-1))).
 
-    Internal path shared by the public wrapper, prime_zeta, the claim
-    sides, the singularity probe and the radical fold; no pole guard.
+    Shared by every zeta caller and the one place that decides the
+    pole: s <= 1 is a ValueError, a cutoff beyond _MAX_M a PrecisionError.
+
     The 10/(s-1) floor makes M grow like 1/eps at s = 1 + eps.  At that
     M the remainder bound is at most 1.3e-23 for every s > 1 (largest
     near s = 1.5), below every tolerance the callers accept, so the
@@ -133,15 +130,11 @@ def _euler_maclaurin(s: float) -> EvalResult:
 
 
 def zeta_real(s: float, tol: float = 1e-12) -> EvalResult:
-    """zeta(s) for real s > 1 + 1e-8 with truncation error <= tol.
+    """zeta(s) for real s > 1 with truncation error <= tol.
 
-    The pole region s <= 1 + 1e-8 is rejected here; singularity_probe
-    owns it (same summation core, adaptive M, per-row error reporting).
+    Only the tolerance is checked here; the summation core rejects
+    s <= 1 (ValueError) and s - 1 < 5e-7 (PrecisionError).
     """
-    if not s > _POLE_GUARD:
-        raise ValueError(
-            f"zeta_real needs s > {_POLE_GUARD}; use singularity_probe near the pole"
-        )
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     if tol < MIN_TOL:
@@ -237,26 +230,11 @@ def prime_zeta_direct(s: float, prime_limit: int) -> EvalResult:
     )
 
 
-def _lhs_unguarded(s: float) -> EvalResult:
+def claim_lhs(s: float) -> EvalResult:
+    """Left side of the identity under test: 2/zeta(s)."""
     z = _euler_maclaurin(s)
     bound = 2.0 * z.error_bound / (z.value * (z.value - z.error_bound))
     return EvalResult(value=2.0 / z.value, error_bound=bound)
-
-
-def _rhs_unguarded(s: float, tol: float) -> EvalResult:
-    p1 = prime_zeta(s, tol / 8.0)
-    p2 = prime_zeta(2.0 * s, tol / 8.0)
-    value = 2.0 - 2.0 * p1.value + p1.value * p1.value - p2.value
-    bound = (2.0 + 2.0 * abs(p1.value) + p1.error_bound) * p1.error_bound
-    bound += p2.error_bound
-    return EvalResult(value=value, error_bound=bound)
-
-
-def claim_lhs(s: float) -> EvalResult:
-    """Left side of the identity under test: 2/zeta(s)."""
-    if not s > _POLE_GUARD:
-        raise ValueError(f"claim_lhs needs s > {_POLE_GUARD}")
-    return _lhs_unguarded(s)
 
 
 def claim_rhs(s: float, tol: float = 1e-12) -> EvalResult:
@@ -265,9 +243,12 @@ def claim_rhs(s: float, tol: float = 1e-12) -> EvalResult:
     First-order error propagation: the P(s)^2 term contributes
     (2|P| + e) * e, the linear terms 2e, the dilated term its own bound.
     """
-    if not s > _POLE_GUARD:
-        raise ValueError(f"claim_rhs needs s > {_POLE_GUARD}")
-    return _rhs_unguarded(s, tol)
+    p1 = prime_zeta(s, tol / 8.0)
+    p2 = prime_zeta(2.0 * s, tol / 8.0)
+    value = 2.0 - 2.0 * p1.value + p1.value * p1.value - p2.value
+    bound = (2.0 + 2.0 * abs(p1.value) + p1.error_bound) * p1.error_bound
+    bound += p2.error_bound
+    return EvalResult(value=value, error_bound=bound)
 
 
 class ProbeRow(NamedTuple):
@@ -287,9 +268,10 @@ class ProbeRow(NamedTuple):
 def singularity_probe(epsilons: list[float], tol: float = 1e-12) -> list[ProbeRow]:
     """Evaluate both sides at s = 1 + eps along a descending eps grid.
 
-    The zeta core scales its cutoff M like 1/eps automatically; rows
-    whose eps is too small for working precision come back with a note
-    instead of raising, so one bad row does not spoil the table.
+    Each row calls claim_lhs and claim_rhs, whose zeta core scales its
+    cutoff M like 1/eps; a row whose eps is below 5e-7 gets that core's
+    PrecisionError as its note instead of raising, so one bad row does
+    not spoil the table.
     Expected behavior (asserted by callers, not here): lhs ~ 2*eps
     decreases to 0, rhs grows like a quadratic in log(eps).
     """
@@ -306,8 +288,8 @@ def singularity_probe(epsilons: list[float], tol: float = 1e-12) -> list[ProbeRo
     for eps in eps_list:
         s = 1.0 + eps
         try:
-            lhs = _lhs_unguarded(s)
-            rhs = _rhs_unguarded(s, tol)
+            lhs = claim_lhs(s)
+            rhs = claim_rhs(s, tol)
         except PrecisionError as exc:
             rows.append(ProbeRow(eps=eps, lhs=None, rhs=None, note=str(exc)))
             continue

@@ -174,6 +174,31 @@ def test_non_finite_options_are_usage_errors():
             cmd_table(selector, options)
 
 
+_OUT_OF_DOMAIN = {"s": (1.0, 0.5, -3.0), "tol": (0.0, -1.0)}
+
+
+@pytest.mark.parametrize("command,target,mode,key,value", [
+    (command, target, mode, key, value)
+    for command, entries in (
+        ("check", [(claim, mode, defaults) for claim, modes in cli._PIPELINES.items()
+                   for mode, (_, defaults) in modes.items()]),
+        ("table", [(selector, None, defaults) for selector, (_, defaults) in cli._TABLES.items()]),
+    )
+    for target, mode, defaults in entries
+    for key, values in _OUT_OF_DOMAIN.items() if key in defaults
+    for value in values
+])
+def test_out_of_domain_s_and_tol_name_the_flag(command, target, mode, key, value):
+    # s <= 1 or tol <= 0 is refused once, by the option converter, on
+    # every check and table that reads the flag
+    with pytest.raises(UsageError) as info:
+        if command == "check":
+            cmd_check(target, mode, {key: value})
+        else:
+            cmd_table(target, {key: str(value) if key == "s" else value})
+    assert str(info.value).startswith(f"--{key} ")
+
+
 def test_mismatch_scan_flag_needs_exactly_the_paper_set():
     # the flag holds only when the mismatches are precisely the
     # squarefree n <= N with at least three distinct primes

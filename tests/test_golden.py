@@ -5,9 +5,10 @@ through main(), once per --format value where the flag applies: exit
 status, standard output and standard error, byte for byte.  The set
 covers every claim/mode pair, every table selector, a failing probe
 row, a radical table with non-existent truncations, a radical table
-whose reference fold leaves the reals, the radical-domain summary,
-usage errors (options a check or a table does not read, and a
-non-finite tolerance, among them) and the two subcommand help pages.
+whose reference fold leaves the reals, the radical-domain summary, a
+numeric check too close to the pole, usage errors (options a check or
+a table does not read, a non-finite or negative tolerance and an s
+below 1 among them) and the two subcommand help pages.
 test_golden_set_covers_every_selector_and_pipeline checks the first two
 against the registries in cli.
 
