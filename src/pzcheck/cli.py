@@ -72,7 +72,7 @@ def _used_options(label: str, defaults: dict, options: dict, converters: dict) -
         if key in defaults:
             try:
                 used[key] = convert(defaults[key] if options.get(key) is None else options[key])
-            except UsageError:
+            except UsageError:  # a list parser's message names its flag already
                 raise
             except ValueError as exc:
                 raise UsageError(f"--{key.replace('_', '-')} {exc}") from exc

@@ -101,7 +101,7 @@ def _em_remainder_bound(s: float, m: int) -> float:
 def _euler_maclaurin(s: float) -> EvalResult:
     """zeta(s) for real s > 1 at cutoff M = max(20, ceil(10/(s-1))).
 
-    Shared by every zeta caller and the one place that decides the
+    Every zeta evaluation runs through here, so this alone decides the
     pole: s <= 1 is a ValueError, a cutoff beyond _MAX_M a PrecisionError.
 
     The 10/(s-1) floor makes M grow like 1/eps at s = 1 + eps.  At that
