@@ -48,6 +48,7 @@ _FORMATTED = (
     ("check-claim4-s1.3", ["check", "claim4", "--s", "1.3"]),
     ("check-migotti_remark", ["check", "migotti_remark"]),
     ("table-zeta", ["table", "zeta"]),
+    ("table-zeta-near-pole", ["table", "zeta", "--s", "2,1.0000001"]),
     ("table-prime-zeta", ["table", "prime-zeta", "--s", "1.5,2,3"]),
     ("table-cyclotomic-height", ["table", "cyclotomic-height", "--n", "100..110"]),
     ("table-probe", ["table", "probe"]),
@@ -68,6 +69,7 @@ _FORMATTED = (
     ("usage-claim2_3-numeric-tol-negative",
      ["check", "claim2_3", "--mode", "numeric", "--tol", "-1"]),
     ("usage-radical-s-below-one", ["table", "radical", "--s", "0.5"]),
+    ("usage-claim4-depth-zero", ["check", "claim4", "--depth", "0"]),
 )
 
 INVOCATIONS = tuple(
