@@ -21,7 +21,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 
-from . import arith, dirichlet, radical, zeta
+from . import arith, cyclotomic, dirichlet, radical, zeta
 from .cyclotomic import cyclotomic as cyclotomic_poly
 from .cyclotomic import height as cyclotomic_height
 
@@ -59,6 +59,12 @@ def _count(n: int) -> int:
     if int(n) < 1:
         raise ValueError(f"must be >= 1, got {n}")
     return int(n)
+
+
+def _depth(depth: int) -> int:
+    if not 1 <= depth <= radical._MAX_DEPTH:
+        raise ValueError(f"must be in [1, {radical._MAX_DEPTH}], got {depth}")
+    return depth
 
 
 def _used_options(label: str, defaults: dict, options: dict, converters: dict) -> dict:
@@ -379,8 +385,8 @@ def _claim4(params: dict) -> tuple[str, list]:
 
 def _migotti(params: dict) -> tuple[str, list]:
     limit = params["max_n"]
-    if limit > 10**4:
-        raise UsageError("migotti scan limit capped at 10^4 (cyclotomic domain)")
+    if limit > cyclotomic._MAX_N:
+        raise UsageError(f"migotti scan limit capped at {cyclotomic._MAX_N} (cyclotomic domain)")
     phi105 = cyclotomic_poly(105)
     c7, c41 = phi105.coefficient(7), phi105.coefficient(41)
     table = arith.sieve(max(limit, 2))
@@ -413,7 +419,7 @@ def _migotti(params: dict) -> tuple[str, list]:
 
 
 # every option a check can use, in report order, with its converter
-_CHECK_OPTIONS = {"s": _ABOVE_ONE, "max_n": _count, "tol": _POSITIVE, "depth": int}
+_CHECK_OPTIONS = {"s": _ABOVE_ONE, "max_n": _count, "tol": _POSITIVE, "depth": _depth}
 
 # claim -> mode -> (pipeline, the options it uses with their defaults);
 # the first mode listed is the claim's default
@@ -516,15 +522,22 @@ def _parse_eps_range(spec: str) -> list[float]:
 
 
 def _value_table(evaluate, params: dict):
+    # a precision shortfall at one s fails that row only, as in table probe
     rows = []
     for s in params["s"]:
-        ev = evaluate(s, params["tol"])
-        rows.append({"s": s, "value": ev.value, "error_bound": ev.error_bound})
-    return ["s", "value", "error_bound"], rows, None
+        try:
+            ev = evaluate(s, params["tol"])
+            rows.append({"s": s, "value": ev.value, "error_bound": ev.error_bound})
+        except zeta.PrecisionError as exc:
+            rows.append({"s": s, "error": str(exc)})
+    reasons = dict.fromkeys(row["error"] for row in rows if "error" in row)
+    return ["s", "value", "error_bound"], rows, "\n".join(reasons) or None
 
 
 def _cyclotomic_table(params: dict):
     n_values = _parse_int_range(params["n"], "--n")
+    if min(n_values) < 1 or max(n_values) > cyclotomic._MAX_N:
+        raise UsageError(f"--n must lie in [1, {cyclotomic._MAX_N}], got {params['n']}")
     contiguous = n_values == list(range(n_values[0], n_values[-1] + 1))
     params["n"] = [n_values[0], n_values[-1]] if contiguous else n_values
     rows = [
@@ -537,7 +550,10 @@ def _cyclotomic_table(params: dict):
 def _probe_table(params: dict):
     eps_grid = _parse_eps_range(params["eps"])
     params["eps"] = [_r(e) for e in eps_grid]
-    rows = [_probe_dict(row) for row in zeta.singularity_probe(eps_grid, params["tol"])]
+    try:
+        rows = list(map(_probe_dict, zeta.singularity_probe(eps_grid, params["tol"])))
+    except ValueError as exc:  # its grid check; a row's PrecisionError becomes its note
+        raise UsageError(f"--eps {exc}") from exc
     return ["eps", "lhs", "lhs_error_bound", "rhs", "rhs_error_bound", "note"], rows, None
 
 
@@ -573,7 +589,7 @@ def _radical_domain_table(params: dict):
 # every option a table can read, in report order, with its converter
 _TABLE_OPTIONS = {"tol": _POSITIVE,
                   "s": lambda spec: [_ABOVE_ONE(s) for s in _parse_list(spec, "--s")],
-                  "n": str, "eps": str, "depth": int}
+                  "n": str, "eps": str, "depth": _depth}
 
 # selector -> (table, the options it reads with their defaults); the zeta
 # functions are looked up at each call, so a rebinding of them is seen too

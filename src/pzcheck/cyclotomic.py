@@ -1,11 +1,14 @@
-"""Exact cyclotomic polynomials via the Mobius product formula.
+"""Exact cyclotomic polynomials as one truncated power series.
 
-Phi_n(x) = prod_{d | n} (x^d - 1)^{mu(n/d)}: multiply out the mu = +1
-factors, then divide out the mu = -1 factors with exact synthetic
-division.  Both steps exploit the x^d - 1 shape (shift-and-subtract),
-so nothing here is a general polynomial multiply.  Coefficients stay
-arbitrary-precision integers throughout; heights grow without bound in
-general and no small-coefficient assumption is made.
+For n > 1, Phi_n(x) = prod_{d | n} (1 - x^d)^{mu(n/d)} has degree
+phi(n), so the product is carried modulo x^(phi(n) + 2), one slot past
+the degree (Arnold & Monagan, Math. Comp. 80 (2011)).  Multiplying by
+1 - x^d is one downward pass, dividing by it one upward pass; Phi_1 =
+x - 1 is the one sign flip.  A wrong product shows in the four checked
+post-conditions: a nonzero slot past phi(n), a leading coefficient not
+1, a Phi_n (n > 1) that is not palindromic, or a wrong Phi_n(1).
+Coefficients are arbitrary-precision integers; no height bound is
+assumed.
 """
 
 from __future__ import annotations
@@ -60,32 +63,6 @@ class IntPolynomial:
         return f"IntPolynomial({list(self.coeffs)!r})"
 
 
-def _mul_xd_minus_1(coeffs: list[int], d: int) -> list[int]:
-    # multiply by x^d - 1: shift up by d, subtract in place
-    out = [0] * (len(coeffs) + d)
-    for i, v in enumerate(coeffs):
-        out[i + d] += v
-        out[i] -= v
-    return out
-
-
-def _divexact_xd_minus_1(coeffs: list[int], d: int) -> list[int]:
-    # exact synthetic division by x^d - 1, top down; the low d entries
-    # are the remainder and must vanish
-    work = list(coeffs)
-    quotient = [0] * (len(work) - d)
-    for i in range(len(work) - 1, d - 1, -1):
-        v = work[i]
-        if v:
-            quotient[i - d] = v
-            work[i - d] += v
-    if any(work[:d]):
-        raise ArithmeticError(
-            f"nonzero remainder dividing by x^{d} - 1; cyclotomic product is broken"
-        )
-    return quotient
-
-
 @lru_cache(maxsize=1)
 def _table():
     return sieve(_MAX_N)
@@ -97,9 +74,10 @@ def cyclotomic(n: int) -> IntPolynomial:
 
     mu(n/d) is nonzero only at d = n/e with e a squarefree product of
     n's primes, where it is (-1)^omega(e), so one factorization of n
-    gives every factor; they are applied in ascending d.  Post-conditions
-    checked on every construction: remainder-free divisions, degree
-    phi(n), and leading coefficient 1.
+    gives every factor.  Four post-conditions are checked on every
+    construction: the slot past phi(n) is 0, so the series stops; the
+    leading coefficient is 1; Phi_n is palindromic for n > 1; and
+    Phi_n(1) is 0 at n = 1, p at n = p^k and 1 otherwise.
     """
     if not 1 <= n <= _MAX_N:
         raise ValueError(f"cyclotomic index must be in [1, {_MAX_N}], got {n}")
@@ -107,23 +85,27 @@ def cyclotomic(n: int) -> IntPolynomial:
     signed = [(1, 1)]  # (squarefree e | n, mu(e))
     for p, _ in factored.factors:
         signed += [(e * p, -mu) for e, mu in signed]
-    coeffs = [1]
-    deflations = []
-    for d, mu in sorted((n // e, mu) for e, mu in signed):
-        if mu == 1:
-            coeffs = _mul_xd_minus_1(coeffs, d)
-        else:
-            deflations.append(d)
-    for d in deflations:
-        coeffs = _divexact_xd_minus_1(coeffs, d)
-    poly = IntPolynomial(coeffs)
-    totient = factored.totient
-    if poly.degree != totient or poly.coeffs[-1] != 1:
+    top = factored.totient + 1
+    coeffs = [1] + [0] * top  # Phi_n modulo x^(top + 1)
+    for e, mu in signed:
+        d = n // e
+        if mu == 1:  # times 1 - x^d
+            for i in range(top, d - 1, -1):
+                coeffs[i] -= coeffs[i - d]
+        else:  # over 1 - x^d
+            for i in range(d, top + 1):
+                coeffs[i] += coeffs[i - d]
+    if n == 1:  # x - 1 = -(1 - x)
+        coeffs = [-c for c in coeffs]
+    factors = factored.factors
+    at_one = 0 if n == 1 else factors[0][0] if len(factors) == 1 else 1
+    palindromic = n == 1 or coeffs[:-1] == coeffs[-2::-1]
+    if coeffs[-2:] != [1, 0] or sum(coeffs) != at_one or not palindromic:
         raise ArithmeticError(
-            f"Phi_{n} failed invariants: degree {poly.degree} (want {totient}), "
-            f"leading {poly.coeffs[-1] if poly.coeffs else None}"
+            f"Phi_{n} failed invariants: top coefficients {coeffs[-2:]} (want [1, 0]), "
+            f"Phi_n(1) = {sum(coeffs)} (want {at_one}), palindromic {palindromic}"
         )
-    return poly
+    return IntPolynomial(coeffs)
 
 
 def height(n: int) -> int:

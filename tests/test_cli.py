@@ -174,7 +174,8 @@ def test_non_finite_options_are_usage_errors():
             cmd_table(selector, options)
 
 
-_OUT_OF_DOMAIN = {"s": (1.0, 0.5, -3.0), "tol": (0.0, -1.0)}
+_OUT_OF_DOMAIN = {"s": (1.0, 0.5, -3.0), "tol": (0.0, -1.0), "depth": (0, 65),
+                  "n": ("0..3", "9999..10001"), "eps": ("0.9", "1e-3,1e-2")}
 
 
 @pytest.mark.parametrize("command,target,mode,key,value", [
@@ -189,8 +190,9 @@ _OUT_OF_DOMAIN = {"s": (1.0, 0.5, -3.0), "tol": (0.0, -1.0)}
     for value in values
 ])
 def test_out_of_domain_s_and_tol_name_the_flag(command, target, mode, key, value):
-    # s <= 1 or tol <= 0 is refused once, by the option converter, on
-    # every check and table that reads the flag
+    # s <= 1, tol <= 0, a depth or an n outside the library's range and
+    # an eps grid the probe refuses are usage errors that name the flag,
+    # on every check and table that reads it
     with pytest.raises(UsageError) as info:
         if command == "check":
             cmd_check(target, mode, {key: value})

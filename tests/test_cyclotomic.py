@@ -9,8 +9,10 @@ import random
 
 import pytest
 
-from conftest import naive_totient
+from conftest import naive_mobius, naive_totient
 from pzcheck import IntPolynomial, height
+from pzcheck import cyclotomic as cyclotomic_module
+from pzcheck.arith import FactoredInteger
 from pzcheck.cyclotomic import cyclotomic
 
 
@@ -171,6 +173,37 @@ def test_random_larger_indices_satisfy_invariants():
         assert phi.coefficient(phi.degree) == 1
         # constant term of Phi_n is 1 for every n > 1
         assert phi.coefficient(0) == 1
+
+
+def test_integer_point_identity_above_2000():
+    # Phi_n(2) prod_{mu(n/d) = -1} (2^d - 1) = prod_{mu(n/d) = +1} (2^d - 1),
+    # exact, with divisors and mu by trial division
+    rng = random.Random(11)
+    for n in rng.sample(range(2001, 10**4 + 1), 60):
+        num = den = 1
+        for d in range(1, n + 1):
+            if n % d == 0:
+                mu = naive_mobius(n // d)
+                if mu == 1:
+                    num *= 2**d - 1
+                elif mu == -1:
+                    den *= 2**d - 1
+        assert cyclotomic(n)(2) * den == num, n
+
+
+@pytest.mark.parametrize("n", (12, 105, 2310))
+def test_dropping_a_prime_breaks_a_post_condition(monkeypatch, n):
+    # a factorization missing any one prime builds a wrong product,
+    # which the post-conditions must refuse rather than return
+    real = cyclotomic_module.factorize
+    for dropped in range(len(real(n, cyclotomic_module._table()).factors)):
+        def short(m, table, dropped=dropped):
+            factors = list(real(m, table).factors)
+            del factors[dropped]
+            return FactoredInteger(n=m, factors=tuple(factors))
+        monkeypatch.setattr(cyclotomic_module, "factorize", short)
+        with pytest.raises(ArithmeticError):
+            cyclotomic.__wrapped__(n)
 
 
 def test_domain_errors():

@@ -4,11 +4,12 @@ Each file under tests/golden/ holds the runs of one pzcheck command line
 through main(), once per --format value where the flag applies: exit
 status, standard output and standard error, byte for byte.  The set
 covers every claim/mode pair, every table selector, a failing probe
-row, a radical table with non-existent truncations, a radical table
-whose reference fold leaves the reals, the radical-domain summary, a
-numeric check too close to the pole, usage errors (options a check or
-a table does not read, a non-finite or negative tolerance and an s
-below 1 among them) and the two subcommand help pages.
+row, a zeta table with one row too close to the pole, a radical table
+with non-existent truncations, a radical table whose reference fold
+leaves the reals, the radical-domain summary, a numeric check too close
+to the pole, usage errors (options a check or a table does not read, a
+non-finite or negative tolerance, an s below 1 and a radical depth of 0
+among them) and the two subcommand help pages.
 test_golden_set_covers_every_selector_and_pipeline checks the first two
 against the registries in cli.
 
