@@ -3,13 +3,15 @@
 Each file under tests/golden/ holds the runs of one pzcheck command line
 through main(), once per --format value where the flag applies: exit
 status, standard output and standard error, byte for byte.  The set
-covers every claim/mode pair, every table selector, a failing probe
-row, a zeta table with one row too close to the pole, a radical table
+covers every claim/mode pair, every table selector, a Migotti scan to
+3000 and a height table over 2000..2200 (pinning the cyclotomic heights
+past the small defaults), a failing probe row, a zeta table with one
+row too close to the pole, a radical table
 with non-existent truncations, a radical table whose reference fold
 leaves the reals, the radical-domain summary, a numeric check too close
 to the pole, usage errors (options a check or a table does not read, a
-non-finite or negative tolerance, an s below 1 and a radical depth of 0
-among them) and the two subcommand help pages.
+non-finite or negative tolerance, an s below 1, a radical depth of 0
+and both --max-n caps among them) and the two subcommand help pages.
 test_golden_set_covers_every_selector_and_pipeline checks the first two
 against the registries in cli.
 
@@ -48,10 +50,13 @@ _FORMATTED = (
     ("check-claim4", ["check", "claim4"]),
     ("check-claim4-s1.3", ["check", "claim4", "--s", "1.3"]),
     ("check-migotti_remark", ["check", "migotti_remark"]),
+    ("check-migotti_remark-3000", ["check", "migotti_remark", "--max-n", "3000"]),
     ("table-zeta", ["table", "zeta"]),
     ("table-zeta-near-pole", ["table", "zeta", "--s", "2,1.0000001"]),
     ("table-prime-zeta", ["table", "prime-zeta", "--s", "1.5,2,3"]),
     ("table-cyclotomic-height", ["table", "cyclotomic-height", "--n", "100..110"]),
+    ("table-cyclotomic-height-2000-2200",
+     ["table", "cyclotomic-height", "--n", "2000..2200"]),
     ("table-probe", ["table", "probe"]),
     ("table-probe-failing-row", ["table", "probe", "--eps", "1e-6,1e-8"]),
     ("table-radical", ["table", "radical", "--s", "2", "--depth", "12"]),
@@ -60,6 +65,7 @@ _FORMATTED = (
     ("usage-claim4-symbolic", ["check", "claim4", "--mode", "symbolic"]),
     ("usage-radical-two-s", ["table", "radical", "--s", "2,3"]),
     ("usage-claim2_3-over-cap", ["check", "claim2_3", "--max-n", "1000001"]),
+    ("usage-migotti-over-cap", ["check", "migotti_remark", "--max-n", "10001"]),
     ("usage-claim2_3-numeric-max-n",
      ["check", "claim2_3", "--mode", "numeric", "--max-n", "5000000"]),
     ("usage-unknown-claim", ["check", "claim9"]),
