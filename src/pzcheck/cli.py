@@ -271,7 +271,7 @@ def _mismatch_scan(lhs: dirichlet.DirichletSeries, rhs: dirichlet.DirichletSerie
 def _claim23_symbolic(params: dict) -> tuple[str, list]:
     n = params["max_n"]
     if n > _SERIES_MAX_N:
-        raise UsageError("claim2_3 series truncation capped at 10^6 (exact series work)")
+        raise UsageError(f"--max-n must be <= {_SERIES_MAX_N} (exact series work), got {n}")
     table = arith.sieve(max(n, 2))
     lhs = dirichlet.claim_lhs_series(n)
     rhs = dirichlet.claim_rhs_series(n, table)
@@ -386,9 +386,10 @@ def _claim4(params: dict) -> tuple[str, list]:
 def _migotti(params: dict) -> tuple[str, list]:
     limit = params["max_n"]
     if limit > cyclotomic._MAX_N:
-        raise UsageError(f"migotti scan limit capped at {cyclotomic._MAX_N} (cyclotomic domain)")
+        raise UsageError(f"--max-n must be <= {cyclotomic._MAX_N} (cyclotomic domain), got {limit}")
     phi105 = cyclotomic_poly(105)
     c7, c41 = phi105.coefficient(7), phi105.coefficient(41)
+    h105 = cyclotomic_height(105)  # while Phi_105 is still in the cache
     table = arith.sieve(max(limit, 2))
     eligible = [
         n
@@ -401,7 +402,7 @@ def _migotti(params: dict) -> tuple[str, list]:
             "name": "phi_105_coefficients",
             "degree_7": c7,
             "degree_41": c41,
-            "height": cyclotomic_height(105),
+            "height": h105,
             "exact": True,
         },
         {
@@ -495,16 +496,22 @@ def _parse_list(spec: str, flag: str, kind=float) -> list:
     return values
 
 
-def _parse_int_range(spec: str, flag: str) -> list[int]:
+def _parse_int_range(spec: str, flag: str, least: int, most: int) -> list[int]:
+    # the bounds are checked before a range is expanded into a list
     if ".." not in spec:
-        return _parse_list(spec, flag, int)
-    try:
-        lo, hi = map(int, spec.split("..", 1))
-    except ValueError as exc:
-        raise UsageError(f"bad {flag} range {spec!r}") from exc
-    if hi < lo:
-        raise UsageError(f"{flag} range {spec!r} is reversed")
-    return list(range(lo, hi + 1))
+        values = _parse_list(spec, flag, int)
+        lo, hi = min(values), max(values)
+    else:
+        try:
+            lo, hi = map(int, spec.split("..", 1))
+        except ValueError as exc:
+            raise UsageError(f"bad {flag} range {spec!r}") from exc
+        if hi < lo:
+            raise UsageError(f"{flag} range {spec!r} is reversed")
+        values = range(lo, hi + 1)
+    if lo < least or hi > most:
+        raise UsageError(f"{flag} must lie in [{least}, {most}], got {spec}")
+    return list(values)
 
 
 def _parse_eps_range(spec: str) -> list[float]:
@@ -535,13 +542,14 @@ def _value_table(evaluate, params: dict):
 
 
 def _cyclotomic_table(params: dict):
-    n_values = _parse_int_range(params["n"], "--n")
-    if min(n_values) < 1 or max(n_values) > cyclotomic._MAX_N:
-        raise UsageError(f"--n must lie in [1, {cyclotomic._MAX_N}], got {params['n']}")
+    n_values = _parse_int_range(params["n"], "--n", 1, cyclotomic._MAX_N)
     contiguous = n_values == list(range(n_values[0], n_values[-1] + 1))
     params["n"] = [n_values[0], n_values[-1]] if contiguous else n_values
+    table = arith.sieve(max(*n_values, 2))
+    # deg Phi_n = phi(n); the height comes from n's odd squarefree kernel,
+    # so no row builds a Phi_n of full degree
     rows = [
-        {"n": n, "degree": cyclotomic_poly(n).degree, "height": cyclotomic_height(n)}
+        {"n": n, "degree": arith.factorize(n, table).totient, "height": cyclotomic_height(n)}
         for n in n_values
     ]
     return ["n", "degree", "height"], rows, None

@@ -2,18 +2,30 @@
 
 For n > 1, Phi_n(x) = prod_{d | n} (1 - x^d)^{mu(n/d)} has degree
 phi(n), so the product is carried modulo x^(phi(n) + 2), one slot past
-the degree (Arnold & Monagan, Math. Comp. 80 (2011)).  Multiplying by
-1 - x^d is one downward pass, dividing by it one upward pass; Phi_1 =
-x - 1 is the one sign flip.  A wrong product shows in the four checked
-post-conditions: a nonzero slot past phi(n), a leading coefficient not
-1, a Phi_n (n > 1) that is not palindromic, or a wrong Phi_n(1).
-Coefficients are arbitrary-precision integers; no height bound is
-assumed.
+the degree (Arnold & Monagan, Math. Comp. 80 (2011)).  Each factor is
+applied by list-slice passes, not a loop over coefficients: multiplying
+by 1 - x^d subtracts the list shifted by d in one pass, and dividing by
+it is a running sum along each residue class mod d when d^2 <= phi(n)
+and a block-by-block add of d coefficients otherwise, so about
+sqrt(phi(n)) slice operations either way.  Phi_1 = x - 1 is the one
+sign flip.  A wrong product shows in the four checked post-conditions:
+a nonzero slot past phi(n), a leading coefficient not 1, a Phi_n
+(n > 1) that is not palindromic, or a wrong Phi_n(1).  Coefficients are
+arbitrary-precision integers; no height bound is assumed.
+
+height(n) builds no Phi_n of full degree: Phi_n(x) = Phi_r(x^(n/r))
+with r = rad(n), and Phi_2m(x) = Phi_m(-x) for odd m > 1, so Phi_n has
+the coefficients of Phi_k up to sign and spacing, where k, the product
+of n's odd primes, is n's odd squarefree kernel.  Heights are memoised
+per kernel as ints; polynomials stay in cyclotomic()'s bounded cache.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
+from math import prod
+from operator import add, sub
 
 from .arith import factorize, sieve
 
@@ -89,12 +101,14 @@ def cyclotomic(n: int) -> IntPolynomial:
     coeffs = [1] + [0] * top  # Phi_n modulo x^(top + 1)
     for e, mu in signed:
         d = n // e
-        if mu == 1:  # times 1 - x^d
-            for i in range(top, d - 1, -1):
-                coeffs[i] -= coeffs[i - d]
-        else:  # over 1 - x^d
-            for i in range(d, top + 1):
-                coeffs[i] += coeffs[i - d]
+        if mu == 1:  # times 1 - x^d: c[i] -= c[i - d], all from the old list
+            coeffs[d:] = map(sub, coeffs[d:], coeffs)
+        elif d * d <= top:  # over 1 - x^d: a running sum along each class mod d
+            for r in range(d):
+                coeffs[r::d] = accumulate(coeffs[r::d])
+        else:  # the same sums, adding each block of d to the updated one below
+            for i in range(d, top + 1, d):
+                coeffs[i:i + d] = map(add, coeffs[i:i + d], coeffs[i - d:i])
     if n == 1:  # x - 1 = -(1 - x)
         coeffs = [-c for c in coeffs]
     factors = factored.factors
@@ -109,5 +123,17 @@ def cyclotomic(n: int) -> IntPolynomial:
 
 
 def height(n: int) -> int:
-    """Largest absolute coefficient of Phi_n."""
-    return max(map(abs, cyclotomic(n).coeffs))
+    """Largest absolute coefficient of Phi_n, for 1 <= n <= 10^4.
+
+    Read off Phi_k for n's odd squarefree kernel k (see the module
+    docstring), so every n with the same odd primes shares one
+    construction.
+    """
+    if not 1 <= n <= _MAX_N:
+        raise ValueError(f"cyclotomic index must be in [1, {_MAX_N}], got {n}")
+    return _kernel_height(prod(p for p, _ in factorize(n, _table()).factors if p != 2))
+
+
+@lru_cache(maxsize=None)  # one int per odd squarefree k <= 10^4
+def _kernel_height(k: int) -> int:
+    return max(map(abs, cyclotomic(k).coeffs))

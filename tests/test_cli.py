@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -143,11 +144,11 @@ def test_check_rejects_bad_combinations():
         cmd_check("migotti_remark", "numeric", {})
     with pytest.raises(UsageError):
         cmd_check("claim9", None, {})
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match=r"^--max-n must be <= 10000 \(cyclotomic domain\)"):
         cmd_check("migotti_remark", None, {"max_n": 10**5})
     with pytest.raises(UsageError, match="^--max-n must be >= 1, got 0$"):
         cmd_check("claim2_3", "symbolic", {"max_n": 0})
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match=r"^--max-n must be <= 1000000 \(exact series work\)"):
         cmd_check("claim2_3", "symbolic", {"max_n": 10**6 + 1})
     with pytest.raises(UsageError):
         cmd_check("claim2_3", "numeric", {"s": 1.0})
@@ -420,6 +421,23 @@ def test_table_usage_errors():
     for n in (",", ", ,"):
         with pytest.raises(UsageError, match="^empty --n list$"):
             cmd_table("cyclotomic-height", {"n": n})
+
+
+def test_out_of_domain_n_range_is_refused_before_it_is_expanded(capsys):
+    # a 2 * 10^6 element list of ints would take about 70 MB; the check
+    # on the range's ends must refuse it with nothing of that size built
+    tracemalloc.start()
+    try:
+        rc = main(["table", "cyclotomic-height", "--n", "1..2000000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert capsys.readouterr().err == "error: --n must lie in [1, 10000], got 1..2000000\n"
+    assert peak < 2_000_000
+    for spec in ("0..5", "3,0", "9999..10001", "10001"):
+        with pytest.raises(UsageError, match=r"^--n must lie in \[1, 10000\]"):
+            cmd_table("cyclotomic-height", {"n": spec})
 
 
 # the options each table reads, in report order

@@ -2,17 +2,19 @@
 
 Oracles: the defining product prod_{d|n} Phi_d(x) = x^n - 1 checked with
 an independent schoolbook polynomial multiply, integer-point evaluation
-of the Mobius product identity, and trial-division totients.
+of the Mobius product identity, trial-division totients, and the Mobius
+product by per-coefficient loops (the construction before slice passes).
 """
 
 import random
 
 import pytest
 
-from conftest import naive_mobius, naive_totient
+from conftest import naive_factor, naive_mobius, naive_totient
 from pzcheck import IntPolynomial, height
 from pzcheck import cyclotomic as cyclotomic_module
 from pzcheck.arith import FactoredInteger
+from pzcheck.cli import cmd_check
 from pzcheck.cyclotomic import cyclotomic
 
 
@@ -22,6 +24,35 @@ def _poly_mul(a, b):
         for j, y in enumerate(b):
             out[i + j] += x * y
     return out
+
+
+def _loop_cyclotomic(n):
+    # prod_{d|n} (1 - x^d)^{mu(n/d)} modulo x^(phi(n) + 2), one coefficient
+    # at a time, with divisors and mu by trial division
+    top = naive_totient(n) + 1
+    coeffs = [1] + [0] * top
+    for d in range(1, n + 1):
+        if n % d == 0 and naive_mobius(n // d) == 1:
+            for i in range(top, d - 1, -1):
+                coeffs[i] -= coeffs[i - d]
+        elif n % d == 0 and naive_mobius(n // d) == -1:
+            for i in range(d, top + 1):
+                coeffs[i] += coeffs[i - d]
+    if n == 1:
+        coeffs = [-c for c in coeffs]
+    assert coeffs[-1] == 0
+    return tuple(coeffs[:-1])
+
+
+def _odd_kernel(n):
+    out = 1
+    for p, _ in naive_factor(n):
+        if p != 2:
+            out *= p
+    return out
+
+
+_SAMPLE_TO_1E4 = random.Random(23).sample(range(2001, 10**4 + 1), 40)
 
 
 # -- IntPolynomial container --------------------------------------------
@@ -164,6 +195,27 @@ def test_height_classification_to_200():
             assert height(n) >= 2, n
 
 
+def test_height_matches_the_full_polynomial():
+    # height reads Phi of the odd squarefree kernel; Phi_n itself must agree
+    for n in list(range(1, 1501)) + _SAMPLE_TO_1E4:
+        assert height(n) == max(abs(c) for c in cyclotomic.__wrapped__(n).coeffs), n
+
+
+def test_height_domain_errors():
+    for n in (0, 10**4 + 1):
+        with pytest.raises(ValueError, match=r"^cyclotomic index must be in \[1, 10000\]"):
+            height(n)
+
+
+def test_migotti_scan_builds_each_odd_squarefree_kernel_once():
+    cyclotomic.cache_clear()
+    cyclotomic_module._kernel_height.cache_clear()
+    cmd_check("migotti_remark", None, {"max_n": 2000})
+    kernels = {_odd_kernel(n) for n in range(1, 2001) if len(naive_factor(_odd_kernel(n))) <= 2}
+    # one miss per kernel, plus Phi_105 for the coefficient check
+    assert cyclotomic.cache_info().misses <= len(kernels) + 1
+
+
 def test_random_larger_indices_satisfy_invariants():
     rng = random.Random(5)
     for _ in range(15):
@@ -189,6 +241,11 @@ def test_integer_point_identity_above_2000():
                 elif mu == -1:
                     den *= 2**d - 1
         assert cyclotomic(n)(2) * den == num, n
+
+
+def test_slice_passes_match_the_per_coefficient_loops():
+    for n in list(range(1, 2001)) + _SAMPLE_TO_1E4:
+        assert cyclotomic.__wrapped__(n).coeffs == _loop_cyclotomic(n), n
 
 
 @pytest.mark.parametrize("n", (12, 105, 2310))
