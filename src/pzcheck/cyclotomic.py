@@ -5,7 +5,7 @@ phi(n), so the product is carried modulo x^(phi(n) + 2), one slot past
 the degree (Arnold & Monagan, Math. Comp. 80 (2011)).  Each factor is
 applied by list-slice passes, not a loop over coefficients: multiplying
 by 1 - x^d subtracts the list shifted by d in one pass, and dividing by
-it is a running sum along each residue class mod d when d^2 <= phi(n)
+it is a running sum along each residue class mod d when d^2 <= phi(n) + 1
 and a block-by-block add of d coefficients otherwise, so about
 sqrt(phi(n)) slice operations either way.  Phi_1 = x - 1 is the one
 sign flip.  A wrong product shows in the four checked post-conditions:

@@ -32,10 +32,11 @@ def _loop_cyclotomic(n):
     top = naive_totient(n) + 1
     coeffs = [1] + [0] * top
     for d in range(1, n + 1):
-        if n % d == 0 and naive_mobius(n // d) == 1:
+        mu = naive_mobius(n // d) if n % d == 0 else 0
+        if mu == 1:
             for i in range(top, d - 1, -1):
                 coeffs[i] -= coeffs[i - d]
-        elif n % d == 0 and naive_mobius(n // d) == -1:
+        elif mu == -1:
             for i in range(d, top + 1):
                 coeffs[i] += coeffs[i - d]
     if n == 1:
