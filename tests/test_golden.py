@@ -46,13 +46,17 @@ _FORMATTED = (
      ["check", "claim2_3", "--mode", "numeric", "--tol", "1e-16"]),
     ("check-claim2_3-numeric-near-pole",
      ["check", "claim2_3", "--mode", "numeric", "--s", "1.000000001"]),
+    ("check-claim2_3-numeric-s1e20",
+     ["check", "claim2_3", "--mode", "numeric", "--s", "1e20"]),
     ("check-claim2_3-probe", ["check", "claim2_3", "--mode", "probe"]),
     ("check-claim4", ["check", "claim4"]),
     ("check-claim4-s1.3", ["check", "claim4", "--s", "1.3"]),
+    ("check-claim4-s1e300", ["check", "claim4", "--s", "1e300"]),
     ("check-migotti_remark", ["check", "migotti_remark"]),
     ("check-migotti_remark-3000", ["check", "migotti_remark", "--max-n", "3000"]),
     ("table-zeta", ["table", "zeta"]),
     ("table-zeta-near-pole", ["table", "zeta", "--s", "2,1.0000001"]),
+    ("table-zeta-s1e300", ["table", "zeta", "--s", "2,1e300"]),
     ("table-prime-zeta", ["table", "prime-zeta", "--s", "1.5,2,3"]),
     ("table-cyclotomic-height", ["table", "cyclotomic-height", "--n", "100..110"]),
     ("table-cyclotomic-height-2000-2200",
