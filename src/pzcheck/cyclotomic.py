@@ -17,7 +17,7 @@ height(n) builds no Phi_n of full degree: Phi_n(x) = Phi_r(x^(n/r))
 with r = rad(n), and Phi_2m(x) = Phi_m(-x) for odd m > 1, so Phi_n has
 the coefficients of Phi_k up to sign and spacing, where k, the product
 of n's odd primes, is n's odd squarefree kernel.  Heights are memoised
-per kernel as ints; polynomials stay in cyclotomic()'s bounded cache.
+per kernel as ints; cyclotomic() keeps only the last polynomial it built.
 """
 
 from __future__ import annotations
@@ -80,7 +80,8 @@ def _table():
     return sieve(_MAX_N)
 
 
-@lru_cache(maxsize=512)
+# One entry: heights are memoised per kernel; only cli._migotti reads a Phi twice.
+@lru_cache(maxsize=1)
 def cyclotomic(n: int) -> IntPolynomial:
     """Phi_n as an exact IntPolynomial, for 1 <= n <= 10^4.
 

@@ -16,9 +16,8 @@ Evaluation is a single right-to-left fold.  values[m-1] of the
 resulting trace is the partial value after m fold steps, so values[-1]
 is the full depth-n evaluation.  Each level's zeta comes from the
 zeta module's Euler-Maclaurin core, cached there by argument alone, so
-repeated folds at one s sum each zeta once.  zeta arguments beyond
-exponent 1000 are clamped to exactly 1.0 with the clamp's own bound,
-zeta(x) - 1 < 2^(1-x), folded into the trace error bounds.
+repeated folds at one s sum each zeta once; zeta.two_over turns each
+level's zeta, clamped to 1.0 there past 1000, into 2/zeta with its bound.
 """
 
 from __future__ import annotations
@@ -28,11 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .zeta import EvalResult, _euler_maclaurin, prime_zeta
-
-# zeta(x) for x past this is exactly 1.0 at working precision; the
-# clamp keeps 2^n * s out of the summation machinery entirely.
-_CLAMP_EXPONENT = 1000.0
+from .zeta import EvalResult, _euler_maclaurin, prime_zeta, two_over
 
 _MAX_DEPTH = 64
 
@@ -62,7 +57,7 @@ class RadicalTrace:
 
     values[m-1] is the partial after m fold steps (so the innermost
     radical first, the full depth-n value last); error_bounds tracks the
-    propagated zeta truncation + clamp error for each partial.
+    propagated zeta error bounds for each partial.
     """
 
     s: float
@@ -70,13 +65,6 @@ class RadicalTrace:
     tail_mode: TailMode
     values: tuple[float, ...]
     error_bounds: tuple[float, ...]
-
-
-def _zeta_level(x: float) -> tuple[float, float]:
-    if x > _CLAMP_EXPONENT:
-        return 1.0, (2.0 ** (1.0 - x) if x < 1074.0 else 0.0)
-    ev = _euler_maclaurin(x)
-    return ev.value, ev.error_bound
 
 
 def eval_nested(s: float, depth: int, tail_mode: TailMode) -> RadicalTrace:
@@ -98,11 +86,9 @@ def eval_nested(s: float, depth: int, tail_mode: TailMode) -> RadicalTrace:
     partial = 1.0 if tail_mode is TailMode.ONE_TAIL else 0.0
     partial_err = 0.0
     for level in range(depth, 0, -1):
-        z, ez = _zeta_level(s * 2.0 ** (level - 1))
-        term = 2.0 / z
-        term_err = 2.0 * ez / (z * (z - ez))
-        radicand = term - partial
-        radicand_err = term_err + partial_err
+        term = two_over(_euler_maclaurin(s * 2.0 ** (level - 1)))
+        radicand = term.value - partial
+        radicand_err = term.error_bound + partial_err
         if radicand < 0.0:
             raise NegativeRadicandError(level, radicand)
         partial = math.sqrt(radicand)

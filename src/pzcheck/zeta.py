@@ -12,7 +12,8 @@ the remainder satisfies |R| <= |B_{2J+2}/(2J+2)!| * (s)_{2J+1} *
 M^{-s-2J-1} (first omitted term), which is the bound we report.  Note
 the sign of the M^{-s}/2 term: with the sum running through n = M the
 correction is subtracted; folding it into a sum through M-1 flips it
-to the + form some references print.
+to the + form some references print.  Past s = 1000 the rising factorial
+overflows; there zeta(s) is 1.0 with the bound zeta(s) - 1 < 2^(1-s).
 
 P(s) uses the Mobius-weighted log-zeta series
 
@@ -48,8 +49,10 @@ _EM_ORDER = 8
 # s - 1 >= 5e-7; closer approaches to the pole are a precision error.
 _MAX_M = 20_000_000
 
-# Smallest tolerance the public zeta_real will accept.
-MIN_TOL = 1e-14
+_CLAMP_EXPONENT = 1000.0  # past it zeta(s) is 1.0 at working precision
+
+# Smallest tolerance zeta_real and prime_zeta accept.
+MIN_TOL = 1e-15
 
 _TWO_PI = 2.0 * math.pi
 
@@ -102,7 +105,8 @@ def _euler_maclaurin(s: float) -> EvalResult:
     """zeta(s) for real s > 1 at cutoff M = max(20, ceil(10/(s-1))).
 
     Every zeta evaluation runs through here, so this alone decides the
-    pole: s <= 1 is a ValueError, a cutoff beyond _MAX_M a PrecisionError.
+    domain: s <= 1 is a ValueError, a cutoff beyond _MAX_M a
+    PrecisionError, s past _CLAMP_EXPONENT 1.0 with bound 2^(1-s).
 
     The 10/(s-1) floor makes M grow like 1/eps at s = 1 + eps.  At that
     M the remainder bound is at most 1.3e-23 for every s > 1 (largest
@@ -111,6 +115,8 @@ def _euler_maclaurin(s: float) -> EvalResult:
     """
     if not s > 1.0:
         raise ValueError(f"zeta evaluation needs s > 1, got {s}")
+    if s > _CLAMP_EXPONENT:
+        return EvalResult(value=1.0, error_bound=2.0 ** (1.0 - s) if s < 1074.0 else 0.0)
     m = max(20, math.ceil(10.0 / (s - 1.0)))
     if m > _MAX_M:
         raise PrecisionError(
@@ -135,11 +141,15 @@ def zeta_real(s: float, tol: float = 1e-12) -> EvalResult:
     Only the tolerance is checked here; the summation core rejects
     s <= 1 (ValueError) and s - 1 < 5e-7 (PrecisionError).
     """
+    _check_tol(tol)
+    return _euler_maclaurin(s)
+
+
+def _check_tol(tol: float, floor: float = MIN_TOL) -> None:
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    if tol < MIN_TOL:
-        raise PrecisionError(f"tol {tol} below working-precision floor {MIN_TOL}")
-    return _euler_maclaurin(s)
+    if tol < floor:
+        raise PrecisionError(f"tol {tol} below working-precision floor {floor}")
 
 
 def euler_even_zeta(k: int) -> EvalResult:
@@ -182,10 +192,7 @@ def prime_zeta(s: float, tol: float = 1e-12) -> EvalResult:
     """
     if not s > 1.0:
         raise ValueError(f"prime_zeta needs s > 1, got {s}")
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    if tol < 1e-15:
-        raise PrecisionError(f"tol {tol} below working-precision floor 1e-15")
+    _check_tol(tol)
 
     k_stop = 1
     while (k_stop + 1) * s <= 60.0 and _pz_tail_bound(k_stop, s) > tol / 2.0:
@@ -230,11 +237,15 @@ def prime_zeta_direct(s: float, prime_limit: int) -> EvalResult:
     )
 
 
-def claim_lhs(s: float) -> EvalResult:
-    """Left side of the identity under test: 2/zeta(s)."""
-    z = _euler_maclaurin(s)
+def two_over(z: EvalResult) -> EvalResult:
+    """2/z for a zeta value z > 1, with bound 2e/(z(z-e)) from z's bound e."""
     bound = 2.0 * z.error_bound / (z.value * (z.value - z.error_bound))
     return EvalResult(value=2.0 / z.value, error_bound=bound)
+
+
+def claim_lhs(s: float) -> EvalResult:
+    """Left side of the identity under test: 2/zeta(s)."""
+    return two_over(_euler_maclaurin(s))
 
 
 def claim_rhs(s: float, tol: float = 1e-12) -> EvalResult:
@@ -243,6 +254,7 @@ def claim_rhs(s: float, tol: float = 1e-12) -> EvalResult:
     First-order error propagation: the P(s)^2 term contributes
     (2|P| + e) * e, the linear terms 2e, the dilated term its own bound.
     """
+    _check_tol(tol, 8.0 * MIN_TOL)
     p1 = prime_zeta(s, tol / 8.0)
     p2 = prime_zeta(2.0 * s, tol / 8.0)
     value = 2.0 - 2.0 * p1.value + p1.value * p1.value - p2.value

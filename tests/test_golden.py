@@ -9,7 +9,8 @@ past the small defaults), a failing probe row, a zeta table with one
 row too close to the pole, a radical table
 with non-existent truncations, a radical table whose reference fold
 leaves the reals, the radical-domain summary, a numeric check too close
-to the pole, usage errors (options a check or a table does not read, a
+to the pole, three runs far past zeta's clamp at s = 1000 (a numeric
+check at s = 1e20, claim4 and a zeta table at s = 1e300), usage errors (options a check or a table does not read, a
 non-finite or negative tolerance, an s below 1, a radical depth of 0
 and both --max-n caps among them) and the two subcommand help pages.
 test_golden_set_covers_every_selector_and_pipeline checks the first two

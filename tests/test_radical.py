@@ -9,6 +9,8 @@ import math
 
 import pytest
 
+from pzcheck.zeta import _euler_maclaurin
+
 from pzcheck import (
     NegativeRadicandError,
     TailMode,
@@ -71,6 +73,51 @@ def test_deep_levels_collapse_to_exact_one():
     assert deep.values[0] == 1.0
     shallow = eval_nested(2.0, 12, TailMode.ONE_TAIL)
     assert deep.values[-1] == shallow.values[-1]
+
+
+def _reference_fold(s, depth, tail_mode):
+    """The fold with its own zeta clamp past 1000 and 2/z written inline.
+
+    Returns (values, error_bounds), or the 1-based level whose radicand
+    went negative.
+    """
+    values, bounds = [], []
+    partial = 1.0 if tail_mode is TailMode.ONE_TAIL else 0.0
+    partial_err = 0.0
+    for level in range(depth, 0, -1):
+        x = s * 2.0 ** (level - 1)
+        if x > 1000.0:
+            z, ez = 1.0, (2.0 ** (1.0 - x) if x < 1074.0 else 0.0)
+        else:
+            ev = _euler_maclaurin(x)
+            z, ez = ev.value, ev.error_bound
+        radicand = 2.0 / z - partial
+        radicand_err = 2.0 * ez / (z * (z - ez)) + partial_err
+        if radicand < 0.0:
+            return level
+        partial = math.sqrt(radicand)
+        if radicand_err < radicand:
+            partial_err = radicand_err / (partial + math.sqrt(radicand - radicand_err))
+        else:
+            partial_err = math.sqrt(radicand_err)
+        values.append(partial)
+        bounds.append(partial_err)
+    return tuple(values), tuple(bounds)
+
+
+@pytest.mark.parametrize("tail_mode", list(TailMode))
+@pytest.mark.parametrize("s", [1.6, 2.0, 3.0, 6.0])
+def test_fold_matches_reference_at_every_depth(s, tail_mode):
+    # levels past zeta's clamp (every s here reaches it by depth 10)
+    # must fold exactly as a clamp and a 2/z of the fold's own would
+    for depth in range(1, 65):
+        want = _reference_fold(s, depth, tail_mode)
+        try:
+            trace = eval_nested(s, depth, tail_mode)
+        except NegativeRadicandError as exc:
+            assert exc.level == want, (s, depth)
+            continue
+        assert (trace.values, trace.error_bounds) == want, (s, depth)
 
 
 # -- convergence of the two tail choices --------------------------------

@@ -84,6 +84,35 @@ def test_zeta_rejects_bad_tolerances():
         zeta_real(2.0, -1e-12)
 
 
+def test_zeta_and_prime_zeta_share_one_tolerance_floor():
+    for f in (zeta_real, prime_zeta):
+        assert f(2.0, 1e-15).error_bound <= 1e-15
+        with pytest.raises(PrecisionError, match=r"below working-precision floor 1e-15$"):
+            f(2.0, 9e-16)
+
+
+@pytest.mark.parametrize("s", [1000.5, 1073.9, 1074.0, 1e18, 1e300])
+def test_every_route_is_finite_past_the_clamp(s):
+    # the rising factorial in the Euler-Maclaurin terms overflows for
+    # huge s; past 1000 zeta is 1.0 with bound 2^(1-s) instead
+    results = [_euler_maclaurin(s), zeta_real(s), prime_zeta(s), claim_lhs(s), claim_rhs(s)]
+    for r in results:
+        assert math.isfinite(r.value) and math.isfinite(r.error_bound), (s, r)
+    assert results[0] == EvalResult(1.0, 2.0 ** (1.0 - s) if s < 1074.0 else 0.0)
+    assert claim_lhs(s).value == claim_rhs(s).value == 2.0
+
+
+def test_euler_maclaurin_at_infinity_is_one():
+    assert _euler_maclaurin(math.inf) == EvalResult(1.0, 0.0)
+
+
+def test_claim_rhs_precision_error_names_the_callers_tol():
+    # each P(s) gets tol/8; the error must still quote the tol passed in
+    with pytest.raises(PrecisionError, match=r"^tol 1e-16 below working-precision floor 8e-15$"):
+        claim_rhs(2.0, 1e-16)
+    assert claim_rhs(2.0, 8e-15).error_bound <= 8e-15
+
+
 def test_zeta_precision_error_close_to_pole():
     # inside the public domain but the cutoff would exceed the cap
     with pytest.raises(PrecisionError):
