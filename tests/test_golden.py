@@ -6,13 +6,16 @@ status, standard output and standard error, byte for byte.  The set
 covers every claim/mode pair, every table selector, a Migotti scan to
 3000 and a height table over 2000..2200 (pinning the cyclotomic heights
 past the small defaults), a failing probe row, a zeta table with one
-row too close to the pole, a radical table
-with non-existent truncations, a radical table whose reference fold
-leaves the reals, the radical-domain summary, a numeric check too close
-to the pole, three runs far past zeta's clamp at s = 1000 (a numeric
-check at s = 1e20, claim4 and a zeta table at s = 1e300), usage errors (options a check or a table does not read, a
-non-finite or negative tolerance, an s below 1, a radical depth of 0
-and both --max-n caps among them) and the two subcommand help pages.
+row too close to the pole, a radical table with non-existent
+truncations, a radical table whose reference fold leaves the reals, the
+radical-domain summary, a radical table and a radical-domain scan with
+an s too close to the pole (table-radical-near-pole and
+table-radical-domain-near-pole), a numeric check too close to the pole,
+three runs far past zeta's clamp at s = 1000 (a numeric check at
+s = 1e20, claim4 and a zeta table at s = 1e300), usage errors (options a
+check or a table does not read, a non-finite or negative tolerance, an
+s below 1, a radical depth of 0 and both --max-n caps among them) and
+the two subcommand help pages.
 test_golden_set_covers_every_selector_and_pipeline checks the first two
 against the registries in cli.
 
@@ -67,6 +70,9 @@ _FORMATTED = (
     ("table-radical", ["table", "radical", "--s", "2", "--depth", "12"]),
     ("table-radical-negative-radicand", ["table", "radical", "--s", "1.2"]),
     ("table-radical-domain", ["table", "radical-domain"]),
+    ("table-radical-near-pole", ["table", "radical", "--s", "1.0000001"]),
+    ("table-radical-domain-near-pole",
+     ["table", "radical-domain", "--s", "1.0000001,2"]),
     ("usage-claim4-symbolic", ["check", "claim4", "--mode", "symbolic"]),
     ("usage-radical-two-s", ["table", "radical", "--s", "2,3"]),
     ("usage-claim2_3-over-cap", ["check", "claim2_3", "--max-n", "1000001"]),
