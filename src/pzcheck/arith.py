@@ -7,9 +7,9 @@ arithmetic in this module is exact; nothing here touches floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt
+from typing import NamedTuple
 
 # Exact rational scalar used throughout the package.  Fraction already
 # guarantees lowest terms and a positive denominator, which is all the
@@ -22,8 +22,7 @@ Rational = Fraction
 BERNOULLI_MAX = 64
 
 
-@dataclass(frozen=True)
-class PrimeTable:
+class PrimeTable(NamedTuple):
     """Primes and least prime factors up to a fixed limit.
 
     smallest_factor[n] is the least prime factor of n for 2 <= n <= limit;
@@ -40,8 +39,7 @@ class PrimeTable:
         return self.smallest_factor[n] == n
 
 
-@dataclass(frozen=True)
-class FactoredInteger:
+class FactoredInteger(NamedTuple):
     """An integer together with its full prime factorization.
 
     factors is sorted by prime, exponents >= 1, and the product of

@@ -19,7 +19,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import arith, cyclotomic, dirichlet, radical, zeta
 from .cyclotomic import cyclotomic as cyclotomic_poly
@@ -112,8 +112,15 @@ def _refutes(fact: dict) -> bool:
     )
 
 
-@dataclass
-class ClaimReport:
+class _ReportFields(NamedTuple):
+    claim_id: str
+    mode: str
+    verdict: str
+    parameters: dict
+    evidence: list
+
+
+class ClaimReport(_ReportFields):
     """Structured verdict: claim, mode, verdict, evidence, parameters.
 
     A REFUTED verdict must be carried by at least one evidence fact
@@ -124,11 +131,14 @@ class ClaimReport:
     anything is emitted.
     """
 
-    claim_id: str
-    mode: str
-    verdict: str
-    parameters: dict = field(default_factory=dict)
-    evidence: list = field(default_factory=list)
+    __slots__ = ()
+
+    def __new__(cls, claim_id: str, mode: str, verdict: str,
+                parameters: dict | None = None, evidence: list | None = None):
+        # each report gets its own empty parameters and evidence
+        return super().__new__(cls, claim_id, mode, verdict,
+                               {} if parameters is None else parameters,
+                               [] if evidence is None else evidence)
 
     def validate(self) -> "ClaimReport":
         if self.claim_id not in CLAIM_IDS:
@@ -150,29 +160,14 @@ class ClaimReport:
             )
         return self
 
-    def to_dict(self) -> dict:
-        return {
-            "claim_id": self.claim_id,
-            "mode": self.mode,
-            "verdict": self.verdict,
-            "parameters": self.parameters,
-            "evidence": self.evidence,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "ClaimReport":
-        return cls(
-            claim_id=d["claim_id"],
-            mode=d["mode"],
-            verdict=d["verdict"],
-            parameters=d["parameters"],
-            evidence=d["evidence"],
-        ).validate()
+        return cls(*(d[key] for key in cls._fields)).validate()
 
 
 def emit_report(report: ClaimReport, fmt: str) -> str:
     if fmt == "structured":
-        return json.dumps(report.to_dict(), indent=2)
+        return json.dumps(report._asdict(), indent=2)
     lines = [
         f"claim   : {report.claim_id} [{report.mode}]",
         f"verdict : {report.verdict}",

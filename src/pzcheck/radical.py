@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .zeta import EvalResult, _euler_maclaurin, prime_zeta, two_over
@@ -51,8 +50,7 @@ class NegativeRadicandError(ValueError):
         super().__init__(f"negative radicand {radicand!r} at level {level}")
 
 
-@dataclass(frozen=True)
-class RadicalTrace:
+class RadicalTrace(NamedTuple):
     """Partial values of one right-to-left nested-radical evaluation.
 
     values[m-1] is the partial after m fold steps (so the innermost

@@ -33,7 +33,6 @@ sit many orders of magnitude above it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import fsum, log
@@ -61,22 +60,26 @@ class PrecisionError(ValueError):
     """Requested accuracy is not achievable at working precision."""
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class _EvalFields(NamedTuple):
+    value: float
+    error_bound: float
+
+
+class EvalResult(_EvalFields):
     """A numeric value plus an upper bound on its truncation error.
 
     error_bound is derived from the tail estimate of whichever series
     was truncated; it does not include double-precision rounding.
     """
 
-    value: float
-    error_bound: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not math.isfinite(self.value):
-            raise ValueError(f"non-finite value {self.value!r}")
-        if not (math.isfinite(self.error_bound) and self.error_bound >= 0.0):
-            raise ValueError(f"bad error bound {self.error_bound!r}")
+    def __new__(cls, value: float, error_bound: float):
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite value {value!r}")
+        if not (math.isfinite(error_bound) and error_bound >= 0.0):
+            raise ValueError(f"bad error bound {error_bound!r}")
+        return super().__new__(cls, value, error_bound)
 
 
 @lru_cache(maxsize=1)

@@ -231,7 +231,7 @@ def test_structured_report_round_trips():
     report = cmd_check("claim2_3", "numeric", {})
     text = emit_report(report, "structured")
     again = parse_report(text)
-    assert again.to_dict() == report.to_dict()
+    assert again._asdict() == report._asdict()
     # structured output is valid JSON with stable top-level keys
     payload = json.loads(text)
     assert list(payload) == ["claim_id", "mode", "verdict", "parameters", "evidence"]

@@ -8,7 +8,6 @@ Oracles used here, independent of the implementation under test:
   Mobius/log series route of prime_zeta.
 """
 
-import dataclasses
 import math
 import subprocess
 import sys
@@ -18,15 +17,20 @@ import pytest
 from pzcheck import (
     EvalResult,
     PrecisionError,
+    TailMode,
     claim_lhs,
     claim_rhs,
     euler_even_zeta,
+    eval_nested,
+    factorize,
     fit_log_quadratic,
     prime_zeta,
     prime_zeta_direct,
+    sieve,
     singularity_probe,
     zeta_real,
 )
+from pzcheck.cli import ClaimReport
 from pzcheck.zeta import MIN_TOL, ProbeRow, _euler_maclaurin
 
 
@@ -340,10 +344,12 @@ def test_fit_through_three_points_has_zero_residual():
     assert fit_log_quadratic(rows).rel_residual == 0.0
 
 
-def test_import_leaves_numpy_unloaded():
+@pytest.mark.parametrize("module", ["numpy", "dataclasses", "inspect"])
+def test_import_leaves_numpy_unloaded(module):
+    # each costs start-up time on every invocation and none is needed
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, pzcheck.cli; print('numpy' in sys.modules)"],
+         f"import sys, pzcheck.cli; print({module!r} in sys.modules)"],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -374,5 +380,16 @@ def test_eval_result_rejects_garbage():
 
 def test_eval_result_is_frozen():
     r = EvalResult(value=1.0, error_bound=0.0)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         r.value = 2.0
+    # as do the package's other records that carry methods, and the report
+    table = sieve(12)
+    others = [
+        (table, "limit"),
+        (factorize(12, table), "n"),
+        (eval_nested(2.0, 3, TailMode.ONE_TAIL), "depth"),
+        (ClaimReport("CLAIM2_3", "NUMERIC", "CONSISTENT"), "verdict"),
+    ]
+    for record, field in others:
+        with pytest.raises(AttributeError):
+            setattr(record, field, 2)
