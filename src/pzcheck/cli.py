@@ -574,19 +574,29 @@ def _radical_table(params: dict):
             f"no gaps: the depth-{params['depth']} ONE_TAIL reference fold leaves "
             f"the reals at level {exc.level} (radicand {exc.radicand:.15g})"
         )
+    except zeta.PrecisionError as exc:  # the reference fold cannot be evaluated
+        return columns, [], f"no gaps: {exc}"
     return columns, [dict(zip(columns, row)) for row in report], None
 
 
 def _radical_domain_table(params: dict):
-    scan = radical.domain_scan(params["s"], params["depth"], radical.TailMode.ONE_TAIL)
+    # a precision shortfall at one s fails that row only, as in _value_table
     columns = ["s", "all_radicands_positive", "failing_level"]
-    valid = [s for s, ok, _ in scan if ok]
+    rows = []
+    for s in params["s"]:
+        try:
+            (row,) = radical.domain_scan([s], params["depth"], radical.TailMode.ONE_TAIL)
+            rows.append(dict(zip(columns, row)))
+        except zeta.PrecisionError as exc:
+            rows.append({"s": s, "error": str(exc)})
+    valid = [row["s"] for row in rows if row.get("all_radicands_positive")]
     summary = (
         f"smallest grid s with all ONE_TAIL radicands positive: {min(valid):.15g}"
         if valid
         else "no grid s kept all ONE_TAIL radicands positive"
     )
-    return columns, [dict(zip(columns, row)) for row in scan], summary
+    reasons = dict.fromkeys(row["error"] for row in rows if "error" in row)
+    return columns, rows, "\n".join([summary, *reasons])
 
 
 # every option a table can read, in report order, with its converter

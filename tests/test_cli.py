@@ -405,6 +405,19 @@ def test_radical_domain_table_and_summary():
     assert by_s[2.0]["failing_level"] is None
 
 
+def test_radical_tables_fail_only_what_the_pole_makes_unreachable():
+    payload = json.loads(cmd_table("radical-domain",
+                                   {"s": "1.0000001,2", "depth": 20, "format": "structured"}))
+    near, far = payload["rows"]
+    assert list(near) == ["s", "error"] and "pole" in near["error"]
+    assert far == {"s": 2.0, "all_radicands_positive": True, "failing_level": None}
+    assert payload["summary"].splitlines() == [
+        "smallest grid s with all ONE_TAIL radicands positive: 2", near["error"]]
+    payload = json.loads(cmd_table("radical", {"s": "1.0000001", "format": "structured"}))
+    assert payload["rows"] == []
+    assert payload["summary"] == "no gaps: " + near["error"]
+
+
 def test_table_usage_errors():
     with pytest.raises(UsageError):
         cmd_table("nope", {})
