@@ -1,4 +1,5 @@
-"""pyproject.toml: the test extra installs every package the suite imports."""
+"""pyproject.toml: the package needs nothing outside the standard library,
+and the test extra installs every package the suite imports."""
 
 import ast
 import re
@@ -34,3 +35,11 @@ def test_test_extra_covers_the_suites_third_party_imports():
     third_party = _imported_packages(files) - local - set(sys.stdlib_module_names)
     assert "pytest" in third_party  # the scan sees the suite's imports at all
     assert third_party <= extra, sorted(third_party - extra)
+
+
+def test_package_imports_only_the_standard_library():
+    # backs the empty dependencies list asserted above
+    files = list((ROOT / "src").rglob("*.py"))
+    outside = _imported_packages(files) - set(sys.stdlib_module_names)
+    assert "sys" in _imported_packages(files)  # the scan sees the package's imports at all
+    assert not outside, sorted(outside)
