@@ -81,6 +81,10 @@ class EvalResult(_EvalFields):
             raise ValueError(f"bad error bound {error_bound!r}")
         return super().__new__(cls, value, error_bound)
 
+    @classmethod
+    def _make(cls, iterable):  # so _replace runs the checks too
+        return cls(*iterable)
+
 
 @lru_cache(maxsize=1)
 def _em_coefficients() -> tuple[float, ...]:

@@ -378,6 +378,15 @@ def test_eval_result_rejects_garbage():
         EvalResult(value=1.0, error_bound=math.inf)
 
 
+def test_eval_result_replace_checks_its_fields():
+    r = EvalResult(value=1.0, error_bound=0.0)
+    assert r._replace(error_bound=0.5) == EvalResult(1.0, 0.5)
+    with pytest.raises(ValueError):
+        r._replace(value=math.nan)
+    with pytest.raises(ValueError):
+        EvalResult._make([1.0, -1.0])
+
+
 def test_eval_result_is_frozen():
     r = EvalResult(value=1.0, error_bound=0.0)
     with pytest.raises(AttributeError):
