@@ -39,7 +39,7 @@ def test_test_extra_covers_the_suites_third_party_imports():
 
 def test_package_imports_only_the_standard_library():
     # backs the empty dependencies list asserted above
-    files = list((ROOT / "src").rglob("*.py"))
-    outside = _imported_packages(files) - set(sys.stdlib_module_names)
-    assert "sys" in _imported_packages(files)  # the scan sees the package's imports at all
+    imported = _imported_packages((ROOT / "src").rglob("*.py"))
+    outside = imported - set(sys.stdlib_module_names)
+    assert "sys" in imported  # the scan sees the package's imports at all
     assert not outside, sorted(outside)
