@@ -10,12 +10,15 @@ row too close to the pole, a radical table with non-existent
 truncations, a radical table whose reference fold leaves the reals, the
 radical-domain summary, a radical table and a radical-domain scan with
 an s too close to the pole (table-radical-near-pole and
-table-radical-domain-near-pole), a numeric check too close to the pole,
-three runs far past zeta's clamp at s = 1000 (a numeric check at
-s = 1e20, claim4 and a zeta table at s = 1e300), usage errors (options a
-check or a table does not read, a non-finite or negative tolerance, an
-s below 1, a radical depth of 0 and both --max-n caps among them) and
-the two subcommand help pages.
+table-radical-domain-near-pole), a radical-domain scan with every s
+too close to the pole, a numeric check too close to the pole, the
+near-pole inputs the benchmark times (a probe table to eps = 1e-6, a
+zeta table at s - 1 = 1e-6, 1e-5 and 1e-4 and a numeric check at
+s = 1.000001), three runs far past zeta's clamp at s = 1000 (a numeric
+check at s = 1e20, claim4 and a zeta table at s = 1e300), usage
+errors (options a check or a table does not read, a non-finite or
+negative tolerance, an s below 1, a radical depth of 0 and both --max-n
+caps among them) and the two subcommand help pages.
 test_golden_set_covers_every_selector_and_pipeline checks the first two
 against the registries in cli.
 
@@ -50,6 +53,8 @@ _FORMATTED = (
      ["check", "claim2_3", "--mode", "numeric", "--tol", "1e-16"]),
     ("check-claim2_3-numeric-near-pole",
      ["check", "claim2_3", "--mode", "numeric", "--s", "1.000000001"]),
+    ("check-claim2_3-numeric-s1.000001",
+     ["check", "claim2_3", "--mode", "numeric", "--s", "1.000001"]),
     ("check-claim2_3-numeric-s1e20",
      ["check", "claim2_3", "--mode", "numeric", "--s", "1e20"]),
     ("check-claim2_3-probe", ["check", "claim2_3", "--mode", "probe"]),
@@ -60,6 +65,7 @@ _FORMATTED = (
     ("check-migotti_remark-3000", ["check", "migotti_remark", "--max-n", "3000"]),
     ("table-zeta", ["table", "zeta"]),
     ("table-zeta-near-pole", ["table", "zeta", "--s", "2,1.0000001"]),
+    ("table-zeta-near-pole-grid", ["table", "zeta", "--s", "1.000001,1.00001,1.0001"]),
     ("table-zeta-s1e300", ["table", "zeta", "--s", "2,1e300"]),
     ("table-prime-zeta", ["table", "prime-zeta", "--s", "1.5,2,3"]),
     ("table-cyclotomic-height", ["table", "cyclotomic-height", "--n", "100..110"]),
@@ -67,12 +73,15 @@ _FORMATTED = (
      ["table", "cyclotomic-height", "--n", "2000..2200"]),
     ("table-probe", ["table", "probe"]),
     ("table-probe-failing-row", ["table", "probe", "--eps", "1e-6,1e-8"]),
+    ("table-probe-to-1e-6", ["table", "probe", "--eps", "1e-1..1e-6"]),
     ("table-radical", ["table", "radical", "--s", "2", "--depth", "12"]),
     ("table-radical-negative-radicand", ["table", "radical", "--s", "1.2"]),
     ("table-radical-domain", ["table", "radical-domain"]),
     ("table-radical-near-pole", ["table", "radical", "--s", "1.0000001"]),
     ("table-radical-domain-near-pole",
      ["table", "radical-domain", "--s", "1.0000001,2"]),
+    ("table-radical-domain-all-near-pole",
+     ["table", "radical-domain", "--s", "1.0000001,1.00000001"]),
     ("usage-claim4-symbolic", ["check", "claim4", "--mode", "symbolic"]),
     ("usage-radical-two-s", ["table", "radical", "--s", "2,3"]),
     ("usage-claim2_3-over-cap", ["check", "claim2_3", "--max-n", "1000001"]),
