@@ -2,14 +2,16 @@
 and both sides of the identity under test, with explicit truncation
 error bounds.
 
-zeta values come from Euler-Maclaurin summation at cutoff M:
+zeta values come from Euler-Maclaurin summation at M = 20, J = 8:
 
     zeta(s) = sum_{n=1}^{M} n^{-s} + M^{1-s}/(s-1) - M^{-s}/2
             + sum_{j=1}^{J} B_{2j}/(2j)! * (s)_{2j-1} * M^{-s-2j+1} + R
 
 where (s)_m is the rising factorial s(s+1)...(s+m-1).  For real s > 1
 the remainder satisfies |R| <= |B_{2J+2}/(2J+2)!| * (s)_{2J+1} *
-M^{-s-2J-1} (first omitted term), which is the bound we report.  Note
+M^{-s-2J-1} (first omitted term), which is the bound we report.  M and
+J are sized together from it (Johansson, Numer. Algorithms 69 (2015)):
+it is at most 1.3e-23 for every s > 1, so M need not grow near s = 1.  Note
 the sign of the M^{-s}/2 term: with the sum running through n = M the
 correction is subtracted; folding it into a sum through M-1 flips it
 to the + form some references print.  Past s = 1000 the rising factorial
@@ -40,13 +42,12 @@ from typing import NamedTuple
 
 from .arith import bernoulli, factorize, mobius, primes_upto, sieve
 
-# Euler-Maclaurin correction order J.  With M >= 20 the first omitted
-# term is already below 1e-20 for every s >= 1.01.
+# Euler-Maclaurin correction order J and cutoff M.  Together they keep
+# the first omitted term at most 1.3e-23 for every s > 1, under MIN_TOL.
 _EM_ORDER = 8
+_EM_CUTOFF = 20
 
-# Hard ceiling on the cutoff M.  M grows like 10/(s-1), so this admits
-# s - 1 >= 5e-7; closer approaches to the pole are a precision error.
-_MAX_M = 20_000_000
+_MIN_POLE_GAP = 5e-7  # s - 1 below it is refused until bounds carry rounding
 
 _CLAMP_EXPONENT = 1000.0  # past it zeta(s) is 1.0 at working precision
 
@@ -100,38 +101,36 @@ def _em_remainder_coefficient() -> float:
     return abs(float(bernoulli(2 * _EM_ORDER + 2) / math.factorial(2 * _EM_ORDER + 2)))
 
 
-def _em_remainder_bound(s: float, m: int) -> float:
+def _em_remainder_bound(s: float) -> float:
     rising = 1.0
     for i in range(2 * _EM_ORDER + 1):
         rising *= s + i
-    return _em_remainder_coefficient() * rising * float(m) ** (-s - 2 * _EM_ORDER - 1)
+    return _em_remainder_coefficient() * rising * float(_EM_CUTOFF) ** (-s - 2 * _EM_ORDER - 1)
 
 
 @lru_cache(maxsize=4096)
 def _euler_maclaurin(s: float) -> EvalResult:
-    """zeta(s) for real s > 1 at cutoff M = max(20, ceil(10/(s-1))).
+    """zeta(s) for real s > 1 at the fixed cutoff M = 20, order J = 8.
 
     Every zeta evaluation runs through here, so this alone decides the
-    domain: s <= 1 is a ValueError, a cutoff beyond _MAX_M a
+    domain: s <= 1 is a ValueError, s - 1 below _MIN_POLE_GAP a
     PrecisionError, s past _CLAMP_EXPONENT 1.0 with bound 2^(1-s).
 
-    The 10/(s-1) floor makes M grow like 1/eps at s = 1 + eps.  At that
-    M the remainder bound is at most 1.3e-23 for every s > 1 (largest
-    near s = 1.5), below every tolerance the callers accept, so the
-    result depends on s alone and one cache entry serves every caller.
+    The remainder bound is at most 1.3e-23 for every s > 1, below every
+    tolerance the callers accept, so the result depends on s alone and
+    one cache entry serves every caller.
     """
     if not s > 1.0:
         raise ValueError(f"zeta evaluation needs s > 1, got {s}")
+    if s - 1.0 < _MIN_POLE_GAP:
+        raise PrecisionError(
+            f"s={s} lies within {_MIN_POLE_GAP:g} of the pole at s = 1; "
+            "too close for working precision"
+        )
     if s > _CLAMP_EXPONENT:
         return EvalResult(value=1.0, error_bound=2.0 ** (1.0 - s) if s < 1074.0 else 0.0)
-    m = max(20, math.ceil(10.0 / (s - 1.0)))
-    if m > _MAX_M:
-        raise PrecisionError(
-            f"Euler-Maclaurin cutoff beyond {_MAX_M} terms at s={s}; "
-            "too close to the pole for working precision"
-        )
-    value = fsum(n ** -s for n in range(1, m + 1))
-    mf = float(m)
+    value = fsum(n ** -s for n in range(1, _EM_CUTOFF + 1))
+    mf = float(_EM_CUTOFF)
     value += mf ** (1.0 - s) / (s - 1.0) - 0.5 * mf ** -s
     power = mf ** (-s - 1.0)  # M^{-s-2j+1} at j=1
     rising = s  # (s)_{2j-1} at j=1
@@ -139,14 +138,14 @@ def _euler_maclaurin(s: float) -> EvalResult:
         value += coeff * rising * power
         power /= mf * mf
         rising *= (s + 2 * t + 1) * (s + 2 * t + 2)
-    return EvalResult(value=value, error_bound=_em_remainder_bound(s, m))
+    return EvalResult(value=value, error_bound=_em_remainder_bound(s))
 
 
 def zeta_real(s: float, tol: float = 1e-12) -> EvalResult:
     """zeta(s) for real s > 1 with truncation error <= tol.
 
     Only the tolerance is checked here; the summation core rejects
-    s <= 1 (ValueError) and s - 1 < 5e-7 (PrecisionError).
+    s <= 1 (ValueError) and s within 5e-7 of the pole (PrecisionError).
     """
     _check_tol(tol)
     return _euler_maclaurin(s)
@@ -287,10 +286,10 @@ class ProbeRow(NamedTuple):
 def singularity_probe(epsilons: list[float], tol: float = 1e-12) -> list[ProbeRow]:
     """Evaluate both sides at s = 1 + eps along a descending eps grid.
 
-    Each row calls claim_lhs and claim_rhs, whose zeta core scales its
-    cutoff M like 1/eps; a row whose eps is below 5e-7 gets that core's
-    PrecisionError as its note instead of raising, so one bad row does
-    not spoil the table.
+    Each row calls claim_lhs and claim_rhs, whose zeta core sums the
+    same 20 terms at every eps; a row whose eps is below 5e-7 gets that
+    core's PrecisionError as its note instead of raising, so one bad row
+    does not spoil the table.
     Expected behavior (asserted by callers, not here): lhs ~ 2*eps
     decreases to 0, rhs grows like a quadratic in log(eps).
     """

@@ -5,7 +5,8 @@ Oracles used here, independent of the implementation under test:
 * partial sum + integral-test bracket for zeta(s),
 * math.pi closed forms for zeta(2) and zeta(4),
 * prime_zeta_direct (plain summation over a sieve) against the
-  Mobius/log series route of prime_zeta.
+  Mobius/log series route of prime_zeta,
+* mpmath.zeta at 30 digits (test-only) for the Euler-Maclaurin core.
 """
 
 import math
@@ -118,25 +119,47 @@ def test_claim_rhs_precision_error_names_the_callers_tol():
 
 
 def test_zeta_precision_error_close_to_pole():
-    # inside the public domain but the cutoff would exceed the cap
+    # inside the public domain but within 5e-7 of the pole, which the
+    # summation core refuses
     with pytest.raises(PrecisionError):
         zeta_real(1.0 + 2e-8)
 
 
 def test_euler_maclaurin_cutoff_meets_every_accepted_tolerance():
-    # M = max(20, ceil(10/(s-1))) alone keeps the remainder bound under
-    # 1.3e-23 (worst near s = 1.5), far below MIN_TOL, which is why the
-    # summation core needs no tolerance argument
-    grid = [1.0 + 10.0 ** (k / 20.0) for k in range(-80, 60)] + [1.5, 1000.0]
+    # the fixed M = 20 at J = 8 keeps the remainder bound under 1.3e-23
+    # (worst near s = 1.5) from s - 1 = 5.1e-7 up, far below MIN_TOL,
+    # which is why the summation core needs no tolerance argument
+    grid = [1.0 + 10.0 ** (k / 20.0) for k in range(-125, 60)] + [1.0 + 5.1e-7, 1.5, 1000.0]
     for s in grid:
         bound = _euler_maclaurin(s).error_bound
         assert bound <= 1.3e-23 < MIN_TOL, s
         assert zeta_real(s, MIN_TOL).error_bound <= MIN_TOL, s
 
 
+@pytest.mark.parametrize(
+    "gap", [5.1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 1.0, 2.0, 6.5, 49.0]
+)
+def test_euler_maclaurin_within_four_ulps_of_mpmath(gap):
+    import mpmath  # test-only oracle
+
+    s = 1.0 + gap
+    with mpmath.workdps(30):
+        truth = mpmath.zeta(mpmath.mpf(s))
+        error = abs(mpmath.mpf(_euler_maclaurin(s).value) - truth)
+    assert error <= 4 * math.ulp(float(truth)), (s, error)
+
+
+def test_pole_guard_names_the_gap_not_a_term_count():
+    with pytest.raises(PrecisionError) as refused:
+        zeta_real(1.0 + 4.9e-7)
+    assert "5e-07 of the pole" in str(refused.value)
+    assert "term" not in str(refused.value)
+    assert zeta_real(1.0 + 5.1e-7).value > 1.9e6
+
+
 def test_claim_sides_share_one_zeta_summation():
     # P(s) inside claim_rhs needs zeta(s) too; claim_lhs's sum of the
-    # same zeta(s) (10^5 terms here) must be the same cache entry
+    # same zeta(s) must be the same cache entry
     s = 1.0 + 1e-4
     _euler_maclaurin.cache_clear()
     claim_rhs(s)
