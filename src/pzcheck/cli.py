@@ -385,14 +385,13 @@ def _migotti(params: dict) -> tuple[str, list]:
     phi105 = cyclotomic_poly(105)
     c7, c41 = phi105.coefficient(7), phi105.coefficient(41)
     h105 = cyclotomic_height(105)  # while Phi_105 is still in the cache
-    # odd_omega[m] counts m's distinct odd primes, read off the sieve's
-    # smallest_factor in one pass; only cyclotomic_height factors n
+    # odd_omega[m], m's distinct odd primes, from m / spf[m] in one pass
+    # over the sieve, so that only cyclotomic_height factors n
     spf = arith.sieve(max(limit, 2)).smallest_factor
-    odd_omega = [0] * (limit + 1)
+    odd_omega = [0, 0]
     for m in range(2, limit + 1):
-        p = spf[m]
-        rest = m // p
-        odd_omega[m] = odd_omega[rest] + (p != 2 and spf[rest] != p)
+        p, rest = spf[m], m // spf[m]
+        odd_omega.append(odd_omega[rest] + (p != 2 and spf[rest] != p))
     eligible = [n for n in range(1, limit + 1) if odd_omega[n] <= 2]
     violations = [n for n in eligible if cyclotomic_height(n) != 1]
     evidence = [
@@ -543,16 +542,14 @@ def _cyclotomic_table(params: dict):
     n_values = _parse_int_range(params["n"], "--n", 1, cyclotomic._MAX_N)
     contiguous = n_values == list(range(n_values[0], n_values[-1] + 1))
     params["n"] = [n_values[0], n_values[-1]] if contiguous else n_values
-    # deg Phi_n = phi(n), read off the sieve's smallest_factor in one pass
+    # deg Phi_n = phi(n), from phi(m / spf[m]) in one pass over the sieve
     # as in _migotti; the height comes from n's odd squarefree kernel, so
     # no row builds a Phi_n of full degree
-    top = max(n_values)
-    spf = arith.sieve(max(top, 2)).smallest_factor
-    totient = [1] * (top + 1)
-    for m in range(2, top + 1):
-        p = spf[m]
-        rest = m // p
-        totient[m] = totient[rest] * (p if spf[rest] == p else p - 1)
+    spf = arith.sieve(max(*n_values, 2)).smallest_factor
+    totient = [0, 1]
+    for m in range(2, max(n_values) + 1):
+        p, rest = spf[m], m // spf[m]
+        totient.append(totient[rest] * (p if spf[rest] == p else p - 1))
     rows = [{"n": n, "degree": totient[n], "height": cyclotomic_height(n)} for n in n_values]
     return ["n", "degree", "height"], rows, None
 
@@ -596,16 +593,16 @@ def _radical_domain_table(params: dict):
             rows.append(dict(zip(columns, row)))
         except zeta.PrecisionError as exc:
             rows.append({"s": s, "error": str(exc)})
-    evaluated = [row for row in rows if "error" not in row]
-    valid = [row["s"] for row in evaluated if row["all_radicands_positive"]]
-    # with no row evaluated there is no domain finding, only the reasons
-    finding = [
+    valid = [row["s"] for row in rows if row.get("all_radicands_positive")]
+    summary = (
         f"smallest grid s with all ONE_TAIL radicands positive: {min(valid):.15g}"
         if valid
         else "no grid s kept all ONE_TAIL radicands positive"
-    ] if evaluated else []
+    )
     reasons = dict.fromkeys(row["error"] for row in rows if "error" in row)
-    return columns, rows, "\n".join([*finding, *reasons])
+    # with no row evaluated there is no domain finding, only the reasons
+    evaluated = any("error" not in row for row in rows)
+    return columns, rows, "\n".join([summary, *reasons] if evaluated else reasons)
 
 
 # every option a table can read, in report order, with its converter
