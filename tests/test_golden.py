@@ -3,11 +3,13 @@
 Each file under tests/golden/ holds the runs of one pzcheck command line
 through main(), once per --format value where the flag applies: exit
 status, standard output and standard error, byte for byte.  The set
-covers every claim/mode pair, every table selector, a Migotti scan to
-3000 and a height table over 2000..2200 (pinning the cyclotomic heights
-past the small defaults), a failing probe row, a zeta table with one
-row too close to the pole, a radical table with non-existent
-truncations, a radical table whose reference fold leaves the reals, the
+covers every claim/mode pair, every table selector, Migotti scans to
+3000 and to 10^4 (check-migotti_remark-10000), a height table over
+2000..2200 and one at the four-prime kernels 1155, 5005, 6545 and 7293
+(table-cyclotomic-height-four-primes: both digit widths of the packed
+height and the largest kernel height to 10^4, 9 at 6545), a failing
+probe row, a zeta table with one row too close to the pole, a radical
+table with non-existent truncations, a radical table whose reference fold leaves the reals, the
 radical-domain summary, a radical table and a radical-domain scan with
 an s too close to the pole (table-radical-near-pole and
 table-radical-domain-near-pole), a radical-domain scan with every s
@@ -63,6 +65,7 @@ _FORMATTED = (
     ("check-claim4-s1e300", ["check", "claim4", "--s", "1e300"]),
     ("check-migotti_remark", ["check", "migotti_remark"]),
     ("check-migotti_remark-3000", ["check", "migotti_remark", "--max-n", "3000"]),
+    ("check-migotti_remark-10000", ["check", "migotti_remark", "--max-n", "10000"]),
     ("table-zeta", ["table", "zeta"]),
     ("table-zeta-near-pole", ["table", "zeta", "--s", "2,1.0000001"]),
     ("table-zeta-near-pole-grid", ["table", "zeta", "--s", "1.000001,1.00001,1.0001"]),
@@ -71,6 +74,8 @@ _FORMATTED = (
     ("table-cyclotomic-height", ["table", "cyclotomic-height", "--n", "100..110"]),
     ("table-cyclotomic-height-2000-2200",
      ["table", "cyclotomic-height", "--n", "2000..2200"]),
+    ("table-cyclotomic-height-four-primes",
+     ["table", "cyclotomic-height", "--n", "1155,5005,6545,7293"]),
     ("table-probe", ["table", "probe"]),
     ("table-probe-failing-row", ["table", "probe", "--eps", "1e-6,1e-8"]),
     ("table-probe-to-1e-6", ["table", "probe", "--eps", "1e-1..1e-6"]),
