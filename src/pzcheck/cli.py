@@ -384,7 +384,11 @@ def _migotti(params: dict) -> tuple[str, list]:
         raise UsageError(f"--max-n must be <= {cyclotomic._MAX_N} (cyclotomic domain), got {limit}")
     phi105 = cyclotomic_poly(105)
     c7, c41 = phi105.coefficient(7), phi105.coefficient(41)
-    h105 = cyclotomic_height(105)  # while Phi_105 is still in the cache
+    # cross-check the packed height against the slice-built Phi_105, read
+    # back from cyclotomic's one-entry cache
+    h105 = cyclotomic_height(105)
+    if h105 != max(map(abs, cyclotomic_poly(105).coeffs)):
+        raise ArithmeticError(f"packed height {h105} of Phi_105 disagrees with its coefficients")
     # odd_omega[m], m's distinct odd primes, from m / spf[m] in one pass
     # over the sieve, so that only cyclotomic_height factors n
     spf = arith.sieve(max(limit, 2)).smallest_factor
@@ -543,8 +547,8 @@ def _cyclotomic_table(params: dict):
     contiguous = n_values == list(range(n_values[0], n_values[-1] + 1))
     params["n"] = [n_values[0], n_values[-1]] if contiguous else n_values
     # deg Phi_n = phi(n), from phi(m / spf[m]) in one pass over the sieve
-    # as in _migotti; the height comes from n's odd squarefree kernel, so
-    # no row builds a Phi_n of full degree
+    # as in _migotti; the height is read off the packed Phi of n's odd
+    # squarefree kernel, so no row builds a Phi_n as a list
     spf = arith.sieve(max(*n_values, 2)).smallest_factor
     totient = [0, 1]
     for m in range(2, max(n_values) + 1):

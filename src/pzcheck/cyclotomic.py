@@ -10,18 +10,25 @@ and a block-by-block add of d coefficients otherwise, so about
 sqrt(phi(n)) slice operations either way.  Phi_1 = x - 1 is the one
 sign flip.  A wrong product shows in the four checked post-conditions:
 a nonzero slot past phi(n), a leading coefficient not 1, a Phi_n
-(n > 1) that is not palindromic, or a wrong Phi_n(1).  Coefficients are
-arbitrary-precision integers; no height bound is assumed.
+(n > 1) that is not palindromic, or a wrong Phi_n(1).  cyclotomic()
+assumes no height bound: its coefficients are arbitrary-precision ints.
 
 height(n) builds no Phi_n of full degree: Phi_n(x) = Phi_r(x^(n/r))
 with r = rad(n), and Phi_2m(x) = Phi_m(-x) for odd m > 1, so Phi_n has
 the coefficients of Phi_k up to sign and spacing, where k, the product
-of n's odd primes, is n's odd squarefree kernel.  Heights are memoised
-per kernel as ints; cyclotomic() keeps only the last polynomial it built.
+of n's odd primes, is n's odd squarefree kernel.  Phi_k is not built as
+a list either: the same truncated product is Kronecker-packed into one
+int, with each coefficient a digit of b bits, b = 8 or 16 from a proved
+height bound (never from Migotti's theorem, which the scan tests), and
+the same four post-conditions are checked on the decoded digits.
+Heights are memoised per kernel as ints; cyclotomic() keeps only the
+last polynomial it built.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from functools import lru_cache
 from itertools import accumulate
 from math import prod
@@ -80,7 +87,8 @@ def _table():
     return sieve(_MAX_N)
 
 
-# One entry: heights are memoised per kernel; only cli._migotti reads a Phi twice.
+# One entry: heights come from the packed product, so only cli._migotti's
+# Phi_105 cross-check reads a polynomial twice.
 @lru_cache(maxsize=1)
 def cyclotomic(n: int) -> IntPolynomial:
     """Phi_n as an exact IntPolynomial, for 1 <= n <= 10^4.
@@ -95,13 +103,10 @@ def cyclotomic(n: int) -> IntPolynomial:
     if not 1 <= n <= _MAX_N:
         raise ValueError(f"cyclotomic index must be in [1, {_MAX_N}], got {n}")
     factored = factorize(n, _table())
-    signed = [(1, 1)]  # (squarefree e | n, mu(e))
-    for p, _ in factored.factors:
-        signed += [(e * p, -mu) for e, mu in signed]
+    primes = [p for p, _ in factored.factors]
     top = factored.totient + 1
     coeffs = [1] + [0] * top  # Phi_n modulo x^(top + 1)
-    for e, mu in signed:
-        d = n // e
+    for d, mu in _mobius_factors(n, primes):
         if mu == 1:  # times 1 - x^d: c[i] -= c[i - d], all from the old list
             coeffs[d:] = map(sub, coeffs[d:], coeffs)
         elif d * d <= top:  # over 1 - x^d: a running sum along each class mod d
@@ -112,15 +117,26 @@ def cyclotomic(n: int) -> IntPolynomial:
                 coeffs[i:i + d] = map(add, coeffs[i:i + d], coeffs[i - d:i])
     if n == 1:  # x - 1 = -(1 - x)
         coeffs = [-c for c in coeffs]
-    factors = factored.factors
-    at_one = 0 if n == 1 else factors[0][0] if len(factors) == 1 else 1
-    palindromic = n == 1 or coeffs[:-1] == coeffs[-2::-1]
-    if coeffs[-2:] != [1, 0] or sum(coeffs) != at_one or not palindromic:
-        raise ArithmeticError(
-            f"Phi_{n} failed invariants: top coefficients {coeffs[-2:]} (want [1, 0]), "
-            f"Phi_n(1) = {sum(coeffs)} (want {at_one}), palindromic {palindromic}"
-        )
+    _check(n, primes, coeffs[-2:], sum(coeffs), n == 1 or coeffs[:-1] == coeffs[-2::-1])
     return IntPolynomial(coeffs)
+
+
+def _mobius_factors(n: int, primes: list[int]) -> list[tuple[int, int]]:
+    """(d, mu(n/d)) for every d | n with mu(n/d) != 0, given n's primes."""
+    signed = [(1, 1)]  # (squarefree e | n, mu(e))
+    for p in primes:
+        signed += [(e * p, -mu) for e, mu in signed]
+    return [(n // e, mu) for e, mu in signed]
+
+
+def _check(n: int, primes: list[int], top: list[int], at_one: int, palindromic: bool) -> None:
+    """Refuse a Phi_n whose top two slots, value at 1 or symmetry is wrong."""
+    want = 0 if n == 1 else primes[0] if len(primes) == 1 else 1
+    if top != [1, 0] or at_one != want or not palindromic:
+        raise ArithmeticError(
+            f"Phi_{n} failed invariants: top coefficients {top} (want [1, 0]), "
+            f"Phi_n(1) = {at_one} (want {want}), palindromic {palindromic}"
+        )
 
 
 def height(n: int) -> int:
@@ -135,6 +151,76 @@ def height(n: int) -> int:
     return _kernel_height(prod(p for p, _ in factorize(n, _table()).factors if p != 2))
 
 
+def _height_bound(primes: list[int]) -> int:
+    """A proved bound on the height of Phi_k, k the product of primes (ascending).
+
+    Phi_1 and Phi_p have coefficients in {-1, 0, 1}.  Modulo
+    x^(phi(pq) + 2), which stops below x^pq, 1/((1 - x^p)(1 - x^q)) has
+    0/1 coefficients and Phi_pq is that series times 1 - x, so |c| <= 2
+    for one or two primes.  Bang (1895) gives p - 1 for three and Bloom
+    (1968) p(p - 1)(pq - 1) for four.  No kernel <= 10^4 has five
+    (3*5*7*11*13 = 15015).
+    """
+    if len(primes) <= 2:
+        return 2
+    if len(primes) == 3:
+        return primes[0] - 1
+    if len(primes) == 4:
+        p, q = primes[:2]
+        return p * (p - 1) * (p * q - 1)
+    raise ValueError(f"no proved height bound for {len(primes)} primes")
+
+
+def _digit_bits(bound: int) -> int:
+    """Bits per packed coefficient: a signed digit must hold +-bound."""
+    return 8 if bound < 1 << 7 else 16
+
+
 @lru_cache(maxsize=None)  # one int per odd squarefree k <= 10^4
 def _kernel_height(k: int) -> int:
-    return max(map(abs, cyclotomic(k).coeffs))
+    """Height of Phi_k for odd squarefree k, from one Kronecker-packed int.
+
+    The truncated product is evaluated at x = 2^b modulo 2^(b(phi(k) + 2)),
+    a ring homomorphism from Z[x]/(x^(phi(k) + 2)), so no intermediate
+    product needs a bound: only Phi_k's own coefficients must fit signed
+    b-bit digits, and b comes from _height_bound.  Times 1 - x^d is one
+    shifted subtraction; over 1 - x^d, the product of 1 + x^(2^j d), is
+    one shifted addition per doubling.  Adding 2^(b - 1) to every digit
+    makes each digit c + 2^(b - 1), and the height and Phi_k(1) are read
+    by counting the digits at each distance from that offset.
+    """
+    primes = [p for p, _ in factorize(k, _table()).factors]
+    bound = _height_bound(primes)
+    bits = _digit_bits(bound)
+    slots = prod(p - 1 for p in primes) + 2  # Phi_k modulo x^slots
+    width = bits * slots
+    mask = (1 << width) - 1
+    packed = 1
+    for d, mu in _mobius_factors(k, primes):
+        shift = bits * d
+        if mu == 1:
+            packed = (packed - (packed << shift)) & mask
+        else:
+            while shift < width:
+                packed = (packed + (packed << shift)) & mask
+                shift <<= 1
+    if k == 1:  # x - 1 = -(1 - x)
+        packed = -packed & mask
+    zero = 1 << (bits - 1)
+    offset = int.from_bytes(zero.to_bytes(bits // 8, "little") * slots, "little")
+    raw = ((packed + offset) & mask).to_bytes(width // 8, "little")
+    digits = raw if bits == 8 else array("H", raw)
+    if bits > 8 and sys.byteorder == "big":
+        digits.byteswap()
+    left = slots - digits.count(zero)
+    at_one = distance = 0
+    while left and distance < bound:
+        distance += 1
+        up, down = digits.count(zero + distance), digits.count(zero - distance)
+        left -= up + down
+        at_one += distance * (up - down)
+    if left:
+        raise ArithmeticError(f"Phi_{k} has {left} coefficients past its proved bound {bound}")
+    top = [digits[-2] - zero, digits[-1] - zero]
+    _check(k, primes, top, at_one, k == 1 or digits[:-1] == digits[-2::-1])
+    return distance

@@ -213,8 +213,10 @@ def test_migotti_scan_builds_each_odd_squarefree_kernel_once():
     cyclotomic_module._kernel_height.cache_clear()
     cmd_check("migotti_remark", None, {"max_n": 2000})
     kernels = {_odd_kernel(n) for n in range(1, 2001) if len(naive_factor(_odd_kernel(n))) <= 2}
-    # one miss per kernel, plus Phi_105 for the coefficient check
-    assert cyclotomic.cache_info().misses <= len(kernels) + 1
+    # one packed height per kernel, plus 105 for the coefficient check,
+    # and Phi_105 the only polynomial built
+    assert cyclotomic_module._kernel_height.cache_info().misses == len(kernels | {105})
+    assert cyclotomic.cache_info().misses <= 1
 
 
 def test_random_larger_indices_satisfy_invariants():
@@ -249,8 +251,7 @@ def test_slice_passes_match_the_per_coefficient_loops():
         assert cyclotomic.__wrapped__(n).coeffs == _loop_cyclotomic(n), n
 
 
-@pytest.mark.parametrize("n", (12, 105, 2310))
-def test_dropping_a_prime_breaks_a_post_condition(monkeypatch, n):
+def _refuses_each_dropped_prime(monkeypatch, build, n):
     # a factorization missing any one prime builds a wrong product,
     # which the post-conditions must refuse rather than return
     real = cyclotomic_module.factorize
@@ -261,7 +262,42 @@ def test_dropping_a_prime_breaks_a_post_condition(monkeypatch, n):
             return FactoredInteger(n=m, factors=tuple(factors))
         monkeypatch.setattr(cyclotomic_module, "factorize", short)
         with pytest.raises(ArithmeticError):
-            cyclotomic.__wrapped__(n)
+            build(n)
+
+
+@pytest.mark.parametrize("n", (12, 105, 2310))
+def test_dropping_a_prime_breaks_a_post_condition(monkeypatch, n):
+    _refuses_each_dropped_prime(monkeypatch, cyclotomic.__wrapped__, n)
+
+
+@pytest.mark.parametrize("k", (15, 105, 1155, 5005))
+def test_dropping_a_prime_breaks_a_packed_post_condition(monkeypatch, k):
+    _refuses_each_dropped_prime(monkeypatch, cyclotomic_module._kernel_height.__wrapped__, k)
+
+
+def _kernel_primes(k):
+    return [p for p, _ in naive_factor(k)]
+
+
+def test_packed_heights_match_the_slice_path_within_a_proved_bound():
+    # every odd squarefree kernel <= 10^4: the packed height is the
+    # slice-built one, and the digit width holds the proved bound
+    packed = cyclotomic_module._kernel_height.__wrapped__
+    kernels = [k for k in range(1, 10**4 + 1, 2) if all(e == 1 for _, e in naive_factor(k))]
+    assert len(kernels) == 4056
+    for k in kernels:
+        want = max(map(abs, cyclotomic.__wrapped__(k).coeffs))
+        assert packed(k) == want, k
+        bound = cyclotomic_module._height_bound(_kernel_primes(k))
+        assert want <= bound < 2 ** (cyclotomic_module._digit_bits(bound) - 1), k
+
+
+def test_digit_width_follows_the_proved_bound():
+    # Bloom's bound passes 127 at 5 * 7 * 11 * 13 and 3 * 11 * 13 * 17,
+    # not at 3 * 5 * 7 * 11 or 3 * 7 * 11 * 13 (bound 120)
+    bits = {k: cyclotomic_module._digit_bits(cyclotomic_module._height_bound(_kernel_primes(k)))
+            for k in (1155, 3003, 5005, 7293)}
+    assert bits == {1155: 8, 3003: 8, 5005: 16, 7293: 16}
 
 
 def test_domain_errors():
