@@ -28,7 +28,6 @@ last polynomial it built.
 from __future__ import annotations
 
 import sys
-from array import array
 from functools import lru_cache
 from itertools import accumulate
 from math import prod
@@ -209,9 +208,14 @@ def _kernel_height(k: int) -> int:
     zero = 1 << (bits - 1)
     offset = int.from_bytes(zero.to_bytes(bits // 8, "little") * slots, "little")
     raw = ((packed + offset) & mask).to_bytes(width // 8, "little")
-    digits = raw if bits == 8 else array("H", raw)
-    if bits > 8 and sys.byteorder == "big":
-        digits.byteswap()
+    if bits == 8:
+        digits = raw
+    else:  # imported here, off the start-up path: no kernel below 5005 takes 16 bits
+        from array import array
+
+        digits = array("H", raw)
+        if sys.byteorder == "big":
+            digits.byteswap()
     left = slots - digits.count(zero)
     at_one = distance = 0
     while left and distance < bound:

@@ -298,6 +298,8 @@ def test_digit_width_follows_the_proved_bound():
     bits = {k: cyclotomic_module._digit_bits(cyclotomic_module._height_bound(_kernel_primes(k)))
             for k in (1155, 3003, 5005, 7293)}
     assert bits == {1155: 8, 3003: 8, 5005: 16, 7293: 16}
+    with pytest.raises(ValueError, match="5 primes"):
+        cyclotomic_module._height_bound([3, 5, 7, 11, 13])
 
 
 def test_domain_errors():
