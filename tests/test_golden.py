@@ -8,7 +8,8 @@ covers every claim/mode pair, every table selector, Migotti scans to
 2000..2200 and one at the four-prime kernels 1155, 5005, 6545 and 7293
 (table-cyclotomic-height-four-primes: both digit widths of the packed
 height and the largest kernel height to 10^4, 9 at 6545), a failing
-probe row, a zeta table with one row too close to the pole, a radical
+probe row, a probe check whose every row fails on precision
+(check-claim2_3-probe-tol1e-16), a zeta table with one row too close to the pole, a radical
 table with non-existent truncations, a radical table whose reference fold leaves the reals, the
 radical-domain summary, a radical table and a radical-domain scan with
 an s too close to the pole (table-radical-near-pole and
@@ -60,6 +61,8 @@ _FORMATTED = (
     ("check-claim2_3-numeric-s1e20",
      ["check", "claim2_3", "--mode", "numeric", "--s", "1e20"]),
     ("check-claim2_3-probe", ["check", "claim2_3", "--mode", "probe"]),
+    ("check-claim2_3-probe-tol1e-16",
+     ["check", "claim2_3", "--mode", "probe", "--tol", "1e-16"]),
     ("check-claim4", ["check", "claim4"]),
     ("check-claim4-s1.3", ["check", "claim4", "--s", "1.3"]),
     ("check-claim4-s1e300", ["check", "claim4", "--s", "1e300"]),
