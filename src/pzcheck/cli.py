@@ -44,11 +44,12 @@ def _r(v: float) -> float:
 def _finite_above(low: float):
     # converter to a finite float above low, rounded as reported
     def convert(v: float) -> float:
-        if not math.isfinite(v):
+        rounded = _r(v)  # rounding can carry the largest doubles to infinity
+        if not math.isfinite(rounded):
             raise ValueError(f"must be finite, got {v}")
-        if not _r(v) > low:
+        if not rounded > low:
             raise ValueError(f"must be > {low:g}, got {v}")
-        return _r(v)
+        return rounded
     return convert
 
 
@@ -529,17 +530,22 @@ def _parse_eps_range(spec: str) -> list[float]:
     return [10.0**k for k in range(hi, lo - 1, -1)]
 
 
-def _value_table(evaluate, params: dict):
-    # a precision shortfall at one s fails that row only, as in table probe
+def _rows_by_s(s_values: list[float], columns: list[str], row_at) -> tuple[list, list]:
+    # one row per s, columns zipped with row_at(s), and the distinct failure
+    # reasons: a precision shortfall at one s fails that row only, as in table probe
     rows = []
-    for s in params["s"]:
+    for s in s_values:
         try:
-            ev = evaluate(s, params["tol"])
-            rows.append({"s": s, "value": ev.value, "error_bound": ev.error_bound})
+            rows.append(dict(zip(columns, row_at(s))))
         except zeta.PrecisionError as exc:
             rows.append({"s": s, "error": str(exc)})
-    reasons = dict.fromkeys(row["error"] for row in rows if "error" in row)
-    return ["s", "value", "error_bound"], rows, "\n".join(reasons) or None
+    return rows, list(dict.fromkeys(row["error"] for row in rows if "error" in row))
+
+
+def _value_table(evaluate, params: dict):
+    columns = ["s", "value", "error_bound"]
+    rows, reasons = _rows_by_s(params["s"], columns, lambda s: (s, *evaluate(s, params["tol"])))
+    return columns, rows, "\n".join(reasons) or None
 
 
 def _cyclotomic_table(params: dict):
@@ -547,8 +553,8 @@ def _cyclotomic_table(params: dict):
     contiguous = n_values == list(range(n_values[0], n_values[-1] + 1))
     params["n"] = [n_values[0], n_values[-1]] if contiguous else n_values
     # deg Phi_n = phi(n), from phi(m / spf[m]) in one pass over the sieve
-    # as in _migotti; the height is read off the packed Phi of n's odd
-    # squarefree kernel, so no row builds a Phi_n as a list
+    # as in _migotti; the height comes from the Phi of n's odd squarefree
+    # kernel, one construction shared by every n with the same odd primes
     spf = arith.sieve(max(*n_values, 2)).smallest_factor
     totient = [0, 1]
     for m in range(2, max(n_values) + 1):
@@ -588,22 +594,15 @@ def _radical_table(params: dict):
 
 
 def _radical_domain_table(params: dict):
-    # a precision shortfall at one s fails that row only, as in _value_table
     columns = ["s", "all_radicands_positive", "failing_level"]
-    rows = []
-    for s in params["s"]:
-        try:
-            (row,) = radical.domain_scan([s], params["depth"], radical.TailMode.ONE_TAIL)
-            rows.append(dict(zip(columns, row)))
-        except zeta.PrecisionError as exc:
-            rows.append({"s": s, "error": str(exc)})
+    rows, reasons = _rows_by_s(params["s"], columns, lambda s: radical.domain_scan(
+        [s], params["depth"], radical.TailMode.ONE_TAIL)[0])
     valid = [row["s"] for row in rows if row.get("all_radicands_positive")]
     summary = (
         f"smallest grid s with all ONE_TAIL radicands positive: {min(valid):.15g}"
         if valid
         else "no grid s kept all ONE_TAIL radicands positive"
     )
-    reasons = dict.fromkeys(row["error"] for row in rows if "error" in row)
     # with no row evaluated there is no domain finding, only the reasons
     evaluated = any("error" not in row for row in rows)
     return columns, rows, "\n".join([summary, *reasons] if evaluated else reasons)

@@ -18,16 +18,16 @@ with r = rad(n), and Phi_2m(x) = Phi_m(-x) for odd m > 1, so Phi_n has
 the coefficients of Phi_k up to sign and spacing, where k, the product
 of n's odd primes, is n's odd squarefree kernel.  Phi_k is not built as
 a list either: the same truncated product is Kronecker-packed into one
-int, with each coefficient a digit of b bits, b = 8 or 16 from a proved
-height bound (never from Migotti's theorem, which the scan tests), and
-the same four post-conditions are checked on the decoded digits.
-Heights are memoised per kernel as ints; cyclotomic() keeps only the
-last polynomial it built.
+int, with each coefficient a signed byte, and the same four
+post-conditions are checked on the decoded bytes.  A proved height
+bound (never Migotti's theorem, which the scan tests) shows that a byte
+is wide enough; for the nine four-prime kernels <= 10^4 where it cannot,
+the height is read off cyclotomic(k).  Heights are memoised per kernel
+as ints; cyclotomic() keeps only the last polynomial it built.
 """
 
 from __future__ import annotations
 
-import sys
 from functools import lru_cache
 from itertools import accumulate
 from math import prod
@@ -86,8 +86,8 @@ def _table():
     return sieve(_MAX_N)
 
 
-# One entry: heights come from the packed product, so only cli._migotti's
-# Phi_105 cross-check reads a polynomial twice.
+# One entry: heights come from the packed product or, at nine kernels, from
+# one build each, so only cli._migotti's Phi_105 cross-check reads one twice.
 @lru_cache(maxsize=1)
 def cyclotomic(n: int) -> IntPolynomial:
     """Phi_n as an exact IntPolynomial, for 1 <= n <= 10^4.
@@ -170,33 +170,30 @@ def _height_bound(primes: list[int]) -> int:
     raise ValueError(f"no proved height bound for {len(primes)} primes")
 
 
-def _digit_bits(bound: int) -> int:
-    """Bits per packed coefficient: a signed digit must hold +-bound."""
-    return 8 if bound < 1 << 7 else 16
-
-
 @lru_cache(maxsize=None)  # one int per odd squarefree k <= 10^4
 def _kernel_height(k: int) -> int:
     """Height of Phi_k for odd squarefree k, from one Kronecker-packed int.
 
-    The truncated product is evaluated at x = 2^b modulo 2^(b(phi(k) + 2)),
+    The truncated product is evaluated at x = 2^8 modulo 2^(8(phi(k) + 2)),
     a ring homomorphism from Z[x]/(x^(phi(k) + 2)), so no intermediate
     product needs a bound: only Phi_k's own coefficients must fit signed
-    b-bit digits, and b comes from _height_bound.  Times 1 - x^d is one
-    shifted subtraction; over 1 - x^d, the product of 1 + x^(2^j d), is
-    one shifted addition per doubling.  Adding 2^(b - 1) to every digit
-    makes each digit c + 2^(b - 1), and the height and Phi_k(1) are read
-    by counting the digits at each distance from that offset.
+    bytes, which _height_bound proves for every kernel <= 10^4 but nine
+    four-prime ones from 5005 to 9867, read off cyclotomic(k) instead.
+    Times 1 - x^d is one shifted subtraction; over 1 - x^d, the product
+    of 1 + x^(2^j d), is one shifted addition per doubling.  Adding 128
+    to every digit makes each byte c + 128, and the height and Phi_k(1)
+    are read by counting the bytes at each distance from that offset.
     """
     primes = [p for p, _ in factorize(k, _table()).factors]
     bound = _height_bound(primes)
-    bits = _digit_bits(bound)
+    if bound > 127:  # a byte cannot hold the proved bound: the slice reference
+        return max(map(abs, cyclotomic(k).coeffs))
     slots = prod(p - 1 for p in primes) + 2  # Phi_k modulo x^slots
-    width = bits * slots
+    width = 8 * slots
     mask = (1 << width) - 1
     packed = 1
     for d, mu in _mobius_factors(k, primes):
-        shift = bits * d
+        shift = 8 * d
         if mu == 1:
             packed = (packed - (packed << shift)) & mask
         else:
@@ -205,17 +202,9 @@ def _kernel_height(k: int) -> int:
                 shift <<= 1
     if k == 1:  # x - 1 = -(1 - x)
         packed = -packed & mask
-    zero = 1 << (bits - 1)
-    offset = int.from_bytes(zero.to_bytes(bits // 8, "little") * slots, "little")
-    raw = ((packed + offset) & mask).to_bytes(width // 8, "little")
-    if bits == 8:
-        digits = raw
-    else:  # imported here, off the start-up path: no kernel below 5005 takes 16 bits
-        from array import array
-
-        digits = array("H", raw)
-        if sys.byteorder == "big":
-            digits.byteswap()
+    zero = 128
+    offset = int.from_bytes(bytes([zero]) * slots, "little")
+    digits = ((packed + offset) & mask).to_bytes(slots, "little")
     left = slots - digits.count(zero)
     at_one = distance = 0
     while left and distance < bound:

@@ -89,23 +89,19 @@ class EvalResult(_EvalFields):
 
 @lru_cache(maxsize=1)
 def _em_coefficients() -> tuple[float, ...]:
-    # B_{2j}/(2j)! for j = 1..J, exact rationals rounded once.
+    # B_{2j}/(2j)! for j = 1..J + 1, exact rationals rounded once; the
+    # last one only bounds the remainder.
     return tuple(
         float(bernoulli(2 * j) / math.factorial(2 * j))
-        for j in range(1, _EM_ORDER + 1)
+        for j in range(1, _EM_ORDER + 2)
     )
-
-
-@lru_cache(maxsize=1)
-def _em_remainder_coefficient() -> float:
-    return abs(float(bernoulli(2 * _EM_ORDER + 2) / math.factorial(2 * _EM_ORDER + 2)))
 
 
 def _em_remainder_bound(s: float) -> float:
     rising = 1.0
     for i in range(2 * _EM_ORDER + 1):
         rising *= s + i
-    return _em_remainder_coefficient() * rising * float(_EM_CUTOFF) ** (-s - 2 * _EM_ORDER - 1)
+    return abs(_em_coefficients()[-1]) * rising * float(_EM_CUTOFF) ** (-s - 2 * _EM_ORDER - 1)
 
 
 @lru_cache(maxsize=4096)
@@ -134,7 +130,7 @@ def _euler_maclaurin(s: float) -> EvalResult:
     value += mf ** (1.0 - s) / (s - 1.0) - 0.5 * mf ** -s
     power = mf ** (-s - 1.0)  # M^{-s-2j+1} at j=1
     rising = s  # (s)_{2j-1} at j=1
-    for t, coeff in enumerate(_em_coefficients()):
+    for t, coeff in enumerate(_em_coefficients()[:-1]):
         value += coeff * rising * power
         power /= mf * mf
         rising *= (s + 2 * t + 1) * (s + 2 * t + 2)

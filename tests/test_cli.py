@@ -124,6 +124,19 @@ def test_migotti_check_pipeline():
     assert bound["all_heights_one"] is True
 
 
+def test_migotti_counterexample_refutes(monkeypatch):
+    # a height above 1 at one eligible n refutes the remark, naming that n
+    real = cli.cyclotomic_height
+    monkeypatch.setattr(cli, "cyclotomic_height", lambda n: 2 if n == 15 else real(n))
+    report = cmd_check("migotti_remark", None, {})
+    assert report.verdict == "REFUTED"
+    (bound,) = _facts(report, "migotti_bound")
+    assert bound["all_heights_one"] is False
+    (violations,) = _facts(report, "violations")
+    assert violations["indices"] == [15]
+    assert parse_report(emit_report(report, "structured")) == report
+
+
 def test_negative_radicand_is_an_inconclusive_finding(capsys):
     report = cmd_check("claim4", None, {"s": 1.3})
     assert report.verdict == "INCONCLUSIVE"
@@ -163,14 +176,19 @@ def test_check_rejects_bad_combinations():
 
 
 def test_non_finite_options_are_usage_errors():
+    # the largest double is finite, but rounded to 15 digits as reported it is not
+    big = 1.7976931348623157e308
     for claim, mode, options in (("claim2_3", "probe", {"tol": math.inf}),
                                  ("claim2_3", "numeric", {"s": math.inf}),
-                                 ("claim4", None, {"tol": math.nan})):
-        with pytest.raises(UsageError, match="must be finite"):
+                                 ("claim4", None, {"tol": math.nan}),
+                                 ("claim2_3", "numeric", {"s": big}),
+                                 ("claim2_3", "numeric", {"tol": big}),
+                                 ("claim4", None, {"s": big})):
+        with pytest.raises(UsageError, match="^--(s|tol) must be finite"):
             cmd_check(claim, mode, options)
     for selector, options in (("zeta", {"tol": math.inf}), ("probe", {"tol": -math.inf}),
                               ("prime-zeta", {"s": "2,inf"}), ("radical-domain", {"s": "nan"}),
-                              ("probe", {"eps": "inf..1e-5"})):
+                              ("probe", {"eps": "inf..1e-5"}), ("zeta", {"s": f"2,{big!r}"})):
         with pytest.raises(UsageError, match="finite|bad --eps range"):
             cmd_table(selector, options)
 
@@ -310,6 +328,10 @@ def test_parse_report_recomputes_exceeds_bound():
         parse_report(json.dumps(payload))
     payload["evidence"][0]["exceeds_bound"] = True
     assert parse_report(json.dumps(payload)).verdict == "INCONCLUSIVE"
+    # a bound that is not a number cannot be compared with the gap
+    payload["evidence"][0]["combined_error_bound"] = "1.0"
+    with pytest.raises(ValueError):
+        parse_report(json.dumps(payload))
 
 
 def test_report_validation_rejects_unknown_fields():
@@ -431,6 +453,8 @@ def test_table_usage_errors():
         cmd_table("probe", {"eps": "1e-5..1e-2"})
     with pytest.raises(UsageError, match="is reversed"):
         cmd_table("cyclotomic-height", {"n": "5..1"})
+    with pytest.raises(UsageError, match="^bad --n range '1..x'$"):
+        cmd_table("cyclotomic-height", {"n": "1..x"})
     for n in (",", ", ,"):
         with pytest.raises(UsageError, match="^empty --n list$"):
             cmd_table("cyclotomic-height", {"n": n})

@@ -280,24 +280,32 @@ def _kernel_primes(k):
 
 
 def test_packed_heights_match_the_slice_path_within_a_proved_bound():
-    # every odd squarefree kernel <= 10^4: the packed height is the
-    # slice-built one, and the digit width holds the proved bound
-    packed = cyclotomic_module._kernel_height.__wrapped__
+    # every odd squarefree kernel <= 10^4: the height is the slice-built
+    # one, within the proved bound, and that bound passes a signed byte
+    # at exactly nine four-prime kernels
+    height_of = cyclotomic_module._kernel_height.__wrapped__
     kernels = [k for k in range(1, 10**4 + 1, 2) if all(e == 1 for _, e in naive_factor(k))]
     assert len(kernels) == 4056
+    wide = []
     for k in kernels:
         want = max(map(abs, cyclotomic.__wrapped__(k).coeffs))
-        assert packed(k) == want, k
+        assert height_of(k) == want, k
         bound = cyclotomic_module._height_bound(_kernel_primes(k))
-        assert want <= bound < 2 ** (cyclotomic_module._digit_bits(bound) - 1), k
+        assert want <= bound, k
+        if bound > 127:
+            wide.append(k)
+    assert wide == [5005, 6545, 7293, 7315, 7735, 8151, 8645, 8855, 9867]
 
 
-def test_digit_width_follows_the_proved_bound():
+def test_digit_width_follows_the_proved_bound(monkeypatch):
     # Bloom's bound passes 127 at 5 * 7 * 11 * 13 and 3 * 11 * 13 * 17,
     # not at 3 * 5 * 7 * 11 or 3 * 7 * 11 * 13 (bound 120)
-    bits = {k: cyclotomic_module._digit_bits(cyclotomic_module._height_bound(_kernel_primes(k)))
-            for k in (1155, 3003, 5005, 7293)}
-    assert bits == {1155: 8, 3003: 8, 5005: 16, 7293: 16}
+    built = []
+    real = cyclotomic_module.cyclotomic.__wrapped__
+    monkeypatch.setattr(cyclotomic_module, "cyclotomic", lambda n: built.append(n) or real(n))
+    heights = {k: cyclotomic_module._kernel_height.__wrapped__(k) for k in (1155, 3003, 5005, 7293)}
+    assert built == [5005, 7293]
+    assert heights == {k: max(map(abs, real(k).coeffs)) for k in heights}
     with pytest.raises(ValueError, match="5 primes"):
         cyclotomic_module._height_bound([3, 5, 7, 11, 13])
 

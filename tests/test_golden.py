@@ -6,11 +6,13 @@ status, standard output and standard error, byte for byte.  The set
 covers every claim/mode pair, every table selector, Migotti scans to
 3000 and to 10^4 (check-migotti_remark-10000), a height table over
 2000..2200 and one at the four-prime kernels 1155, 5005, 6545 and 7293
-(table-cyclotomic-height-four-primes: both digit widths of the packed
-height and the largest kernel height to 10^4, 9 at 6545), a failing
-probe row, a probe check whose every row fails on precision
-(check-claim2_3-probe-tol1e-16), a zeta table with one row too close to the pole, a radical
-table with non-existent truncations, a radical table whose reference fold leaves the reals, the
+(table-cyclotomic-height-four-primes: the packed height at 1155, the
+slice path at the wide-bound kernels 5005, 6545 and 7293, and the
+largest kernel height to 10^4, 9 at 6545), a failing probe row, a
+probe check whose every row fails on precision
+(check-claim2_3-probe-tol1e-16), a zeta table with one row too close
+to the pole, a radical table with non-existent truncations, a radical
+table whose reference fold leaves the reals, the
 radical-domain summary, a radical table and a radical-domain scan with
 an s too close to the pole (table-radical-near-pole and
 table-radical-domain-near-pole), a radical-domain scan with every s
@@ -23,7 +25,9 @@ errors (options a check or a table does not read, a non-finite or
 negative tolerance, an s below 1, a radical depth of 0 and both --max-n
 caps among them) and the two subcommand help pages.
 test_golden_set_covers_every_selector_and_pipeline checks the first two
-against the registries in cli.
+against the registries in cli, and
+test_structured_goldens_are_strict_json that every structured stdout
+parses as JSON without NaN or Infinity.
 
 Re-record after an intended output change with
 
@@ -34,6 +38,7 @@ and review the diff of tests/golden/ before committing it.
 
 import contextlib
 import io
+import json
 import os
 import sys
 from pathlib import Path
@@ -163,6 +168,22 @@ def test_golden_set_covers_every_selector_and_pipeline():
 def test_golden_set_has_no_stale_files():
     recorded = {path.stem for path in GOLDEN.glob("*.txt")}
     assert recorded == {name for name, _ in INVOCATIONS}
+
+
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_structured_goldens_are_strict_json():
+    parsed = 0
+    for path in sorted(GOLDEN.glob("*.txt")):
+        for run_text in path.read_text(encoding="utf-8").split("$ pzcheck ")[1:]:
+            command, _, rest = run_text.partition("\n")
+            stdout = rest.split("--- stdout\n", 1)[1].split("--- stderr\n", 1)[0]
+            if command.endswith("--format structured") and stdout:
+                json.loads(stdout, parse_constant=_refuse_constant)
+                parsed += 1
+    assert parsed == sum(not stem.startswith("usage-") for stem, _ in _FORMATTED)
 
 
 def _record() -> None:
