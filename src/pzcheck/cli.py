@@ -209,8 +209,11 @@ def _eval_fact(name: str, ev: zeta.EvalResult, **extra) -> dict:
     return fact
 
 
-def _discrepancy(name: str, gap: float, bound: float, key: str = "value", **extra) -> dict:
-    gap, bound = _r(gap), _r(bound)
+def _discrepancy(name: str, a: zeta.EvalResult, b: zeta.EvalResult, key: str = "value",
+                 **extra) -> dict:
+    # the one place two bounded values are compared: their gap against
+    # the sum of their error bounds
+    gap, bound = _r(abs(a.value - b.value)), _r(a.error_bound + b.error_bound)
     return {"name": name, **extra, key: gap, "combined_error_bound": bound,
             "exceeds_bound": gap > bound}
 
@@ -282,9 +285,7 @@ def _claim23_symbolic(params: dict) -> tuple[str, list]:
 def _claim23_numeric(params: dict) -> tuple[str, list]:
     lhs = zeta.claim_lhs(params["s"])
     rhs = zeta.claim_rhs(params["s"], params["tol"])
-    diff = _discrepancy(
-        "difference", abs(lhs.value - rhs.value), lhs.error_bound + rhs.error_bound
-    )
+    diff = _discrepancy("difference", lhs, rhs)
     evidence = [_eval_fact("lhs", lhs), _eval_fact("rhs", rhs), diff]
     return _by_bound(diff, evidence, "difference within combined error bounds at this s")
 
@@ -307,13 +308,8 @@ def _claim23_probe(params: dict) -> tuple[str, list]:
     rhs_increasing = all(a < b for a, b in zip(rhs_vals, rhs_vals[1:]))
     fit = zeta.fit_log_quadratic(rows)
     last = good[-1]
-    divergence = _discrepancy(
-        "divergence",
-        abs(last.lhs.value - last.rhs.value),
-        last.lhs.error_bound + last.rhs.error_bound,
-        key="difference",
-        eps=_r(last.eps),
-    )
+    divergence = _discrepancy("divergence", last.lhs, last.rhs, key="difference",
+                              eps=_r(last.eps))
     evidence += [
         {
             "name": "monotonicity",
@@ -346,11 +342,7 @@ def _claim23_probe(params: dict) -> tuple[str, list]:
 def _claim4(params: dict) -> tuple[str, list]:
     depth = params["depth"]
     result = radical.claim4_check(params["s"], depth, params["tol"])
-    gap = _discrepancy(
-        "gap",
-        result.gap,
-        result.radical_value.error_bound + result.prime_zeta_value.error_bound,
-    )
+    gap = _discrepancy("gap", result.radical_value, result.prime_zeta_value)
 
     # exact-series leg: squaring the radical identity must land on the
     # claimed identity's coefficient structure, sharing its mismatch
@@ -480,10 +472,9 @@ def cmd_check(claim_id: str, mode: str | None, options: dict) -> ClaimReport:
 
 # ---------------------------------------------------------------- table
 #
-# A table takes the options it reads, defaults filled in and --s already
-# a list, parses the --n and --eps strings back into that dict and returns
-# (columns, rows, summary): rows are dicts of raw values, summary a
-# closing line or None; cmd_table renders them.
+# A table takes the options it reads, defaults filled in and every list
+# option already parsed, and returns (columns, rows, summary): rows are
+# dicts of raw values, summary a closing line or None; cmd_table renders them.
 
 
 def _parse_list(spec: str, flag: str, kind=float) -> list:
@@ -549,7 +540,7 @@ def _value_table(evaluate, params: dict):
 
 
 def _cyclotomic_table(params: dict):
-    n_values = _parse_int_range(params["n"], "--n", 1, cyclotomic._MAX_N)
+    n_values = params["n"]
     contiguous = n_values == list(range(n_values[0], n_values[-1] + 1))
     params["n"] = [n_values[0], n_values[-1]] if contiguous else n_values
     # deg Phi_n = phi(n), from phi(m / spf[m]) in one pass over the sieve
@@ -565,10 +556,8 @@ def _cyclotomic_table(params: dict):
 
 
 def _probe_table(params: dict):
-    eps_grid = _parse_eps_range(params["eps"])
-    params["eps"] = [_r(e) for e in eps_grid]
     try:
-        rows = list(map(_probe_dict, zeta.singularity_probe(eps_grid, params["tol"])))
+        rows = list(map(_probe_dict, zeta.singularity_probe(params["eps"], params["tol"])))
     except ValueError as exc:  # its grid check; a row's PrecisionError becomes its note
         raise UsageError(f"--eps {exc}") from exc
     return ["eps", "lhs", "lhs_error_bound", "rhs", "rhs_error_bound", "note"], rows, None
@@ -611,7 +600,9 @@ def _radical_domain_table(params: dict):
 # every option a table can read, in report order, with its converter
 _TABLE_OPTIONS = {"tol": _POSITIVE,
                   "s": lambda spec: [_ABOVE_ONE(s) for s in _parse_list(spec, "--s")],
-                  "n": str, "eps": str, "depth": _depth}
+                  "n": lambda spec: _parse_int_range(spec, "--n", 1, cyclotomic._MAX_N),
+                  "eps": lambda spec: [_r(e) for e in _parse_eps_range(spec)],
+                  "depth": _depth}
 
 # selector -> (table, the options it reads with their defaults); the zeta
 # functions are looked up at each call, so a rebinding of them is seen too
