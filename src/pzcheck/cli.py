@@ -541,8 +541,6 @@ def _value_table(evaluate, params: dict):
 
 def _cyclotomic_table(params: dict):
     n_values = params["n"]
-    contiguous = n_values == list(range(n_values[0], n_values[-1] + 1))
-    params["n"] = [n_values[0], n_values[-1]] if contiguous else n_values
     # deg Phi_n = phi(n), from phi(m / spf[m]) in one pass over the sieve
     # as in _migotti; the height comes from the Phi of n's odd squarefree
     # kernel, one construction shared by every n with the same odd primes

@@ -371,7 +371,7 @@ def test_zeta_table_text_alignment():
 def test_cyclotomic_height_table():
     out = cmd_table("cyclotomic-height", {"n": "1..120", "format": "structured"})
     payload = json.loads(out)
-    assert payload["parameters"] == {"n": [1, 120]}
+    assert payload["parameters"] == {"n": list(range(1, 121))}
     rows = payload["rows"]
     assert len(rows) == 120
     by_n = {row["n"]: row for row in rows}
@@ -383,7 +383,7 @@ def test_cyclotomic_height_table():
 def test_cyclotomic_height_table_comma_list():
     out = cmd_table("cyclotomic-height", {"n": "3,5,105", "format": "structured"})
     payload = json.loads(out)
-    # the echo names the rows: a list that is not a range is echoed whole
+    # the echo names the rows, as for a range
     assert payload["parameters"] == {"n": [3, 5, 105]}
     assert [row["n"] for row in payload["rows"]] == [3, 5, 105]
 

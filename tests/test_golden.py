@@ -174,16 +174,36 @@ def _refuse_constant(name: str):
     raise ValueError(f"{name} is not JSON")
 
 
-def test_structured_goldens_are_strict_json():
-    parsed = 0
+def _structured_stdouts():
+    # (command, stdout) of every recorded structured run that printed
     for path in sorted(GOLDEN.glob("*.txt")):
         for run_text in path.read_text(encoding="utf-8").split("$ pzcheck ")[1:]:
             command, _, rest = run_text.partition("\n")
             stdout = rest.split("--- stdout\n", 1)[1].split("--- stderr\n", 1)[0]
             if command.endswith("--format structured") and stdout:
-                json.loads(stdout, parse_constant=_refuse_constant)
-                parsed += 1
+                yield command, stdout
+
+
+def test_structured_goldens_are_strict_json():
+    parsed = 0
+    for _, stdout in _structured_stdouts():
+        json.loads(stdout, parse_constant=_refuse_constant)
+        parsed += 1
     assert parsed == sum(not stem.startswith("usage-") for stem, _ in _FORMATTED)
+
+
+def test_table_list_parameters_name_their_rows():
+    # a list option is echoed as the values that ran: one row per value, in order
+    checked = 0
+    for command, stdout in _structured_stdouts():
+        payload = json.loads(stdout)
+        for key in ("s", "n", "eps"):
+            if "table" in payload and isinstance(payload["parameters"].get(key), list):
+                assert [row[key] for row in payload["rows"]] == payload["parameters"][key], command
+                checked += 1
+    # every table but radical, whose --s is one value, reads a list option
+    assert checked == sum(stem.startswith("table-") and argv[1] != "radical"
+                          for stem, argv in _FORMATTED)
 
 
 def _record() -> None:
