@@ -46,7 +46,8 @@ def _finite_above(low: float):
     def convert(v: float) -> float:
         rounded = _r(v)  # rounding can carry the largest doubles to infinity
         if not math.isfinite(rounded):
-            raise ValueError(f"must be finite, got {v}")
+            raise ValueError(f"rounds to infinity at 15 significant digits, got {v}"
+                             if math.isfinite(v) else f"must be finite, got {v}")
         if not rounded > low:
             raise ValueError(f"must be > {low:g}, got {v}")
         return rounded
@@ -211,8 +212,7 @@ def _eval_fact(name: str, ev: zeta.EvalResult, **extra) -> dict:
 
 def _discrepancy(name: str, a: zeta.EvalResult, b: zeta.EvalResult, key: str = "value",
                  **extra) -> dict:
-    # the one place two bounded values are compared: their gap against
-    # the sum of their error bounds
+    # the one place two bounded values are compared: gap against summed bounds
     gap, bound = _r(abs(a.value - b.value)), _r(a.error_bound + b.error_bound)
     return {"name": name, **extra, key: gap, "combined_error_bound": bound,
             "exceeds_bound": gap > bound}

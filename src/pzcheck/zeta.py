@@ -295,6 +295,9 @@ def singularity_probe(epsilons: list[float], tol: float = 1e-12) -> list[ProbeRo
     for eps in eps_list:
         if not 0.0 < eps <= 0.5:
             raise ValueError(f"probe eps must lie in (0, 0.5], got {eps}")
+        if not 1.0 + eps > 1.0:
+            raise ValueError(f"probe eps {eps} is at most half the double spacing at 1, "
+                             "so 1 + eps rounds to 1")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("probe eps grid must be strictly descending")
 

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import tracemalloc
 
 import pytest
 
-from pzcheck import DirichletSeries, claim_lhs_series, claim_rhs_series, cli, sieve
+from pzcheck import DirichletSeries, claim_lhs_series, claim_rhs_series, cli, sieve, zeta
 from pzcheck.cli import (
     ClaimReport,
     UsageError,
@@ -95,6 +96,18 @@ def test_probe_check_shape():
     assert div["exceeds_bound"] is True
 
 
+def test_probe_check_refuses_a_wrong_fit_shape(monkeypatch):
+    # a fit that does not open upward fails the shape checks, whatever
+    # the divergence says, and the report keeps that divergence
+    monkeypatch.setattr(zeta, "fit_log_quadratic", lambda rows: zeta.FitResult(-1.0, 0.0, 0.0, 0.0))
+    report = cmd_check("claim2_3", "probe", {})
+    assert report.verdict == "INCONCLUSIVE"
+    assert report.evidence[-1] == {"name": "reason", "detail": "probe shape checks failed"}
+    (div,) = _facts(report, "divergence")
+    assert div["exceeds_bound"] is True
+    assert parse_report(emit_report(report, "structured")) == report
+
+
 def test_claim4_check_pipeline():
     report = cmd_check("claim4", None, {"depth": 12})
     assert report.mode == "NUMERIC"
@@ -122,6 +135,13 @@ def test_migotti_check_pipeline():
     assert bound["scan_limit"] == 200
     assert bound["eligible_count"] == 197
     assert bound["all_heights_one"] is True
+
+
+def test_migotti_cross_check_refuses_a_wrong_phi_105_height(monkeypatch):
+    real = cli.cyclotomic_height
+    monkeypatch.setattr(cli, "cyclotomic_height", lambda n: 3 if n == 105 else real(n))
+    with pytest.raises(ArithmeticError, match="packed height 3 of Phi_105"):
+        cmd_check("migotti_remark", None, {})
 
 
 def test_migotti_counterexample_refutes(monkeypatch):
@@ -176,19 +196,24 @@ def test_check_rejects_bad_combinations():
 
 
 def test_non_finite_options_are_usage_errors():
-    # the largest double is finite, but rounded to 15 digits as reported it is not
-    big = 1.7976931348623157e308
     for claim, mode, options in (("claim2_3", "probe", {"tol": math.inf}),
                                  ("claim2_3", "numeric", {"s": math.inf}),
-                                 ("claim4", None, {"tol": math.nan}),
-                                 ("claim2_3", "numeric", {"s": big}),
-                                 ("claim2_3", "numeric", {"tol": big}),
-                                 ("claim4", None, {"s": big})):
+                                 ("claim4", None, {"tol": math.nan})):
         with pytest.raises(UsageError, match="^--(s|tol) must be finite"):
             cmd_check(claim, mode, options)
+    # the largest double is finite, but rounded to 15 digits as reported it is not
+    big = 1.7976931348623157e308
+    rounds = "rounds to infinity at 15 significant digits, got " + re.escape(repr(big)) + "$"
+    for claim, mode, options in (("claim2_3", "numeric", {"s": big}),
+                                 ("claim2_3", "numeric", {"tol": big}),
+                                 ("claim4", None, {"s": big})):
+        with pytest.raises(UsageError, match=f"^--(s|tol) {rounds}"):
+            cmd_check(claim, mode, options)
+    with pytest.raises(UsageError, match=f"^--s {rounds}"):
+        cmd_table("zeta", {"s": f"2,{big!r}"})
     for selector, options in (("zeta", {"tol": math.inf}), ("probe", {"tol": -math.inf}),
                               ("prime-zeta", {"s": "2,inf"}), ("radical-domain", {"s": "nan"}),
-                              ("probe", {"eps": "inf..1e-5"}), ("zeta", {"s": f"2,{big!r}"})):
+                              ("probe", {"eps": "inf..1e-5"})):
         with pytest.raises(UsageError, match="finite|bad --eps range"):
             cmd_table(selector, options)
 
@@ -453,6 +478,11 @@ def test_table_usage_errors():
         cmd_table("probe", {"eps": "1e-5..1e-2"})
     with pytest.raises(UsageError, match="is reversed"):
         cmd_table("cyclotomic-height", {"n": "5..1"})
+    # 1 + eps rounds to 1 from eps = 2^-53 down: refused, naming the eps
+    with pytest.raises(UsageError, match="^--eps probe eps 1e-17 is at most half the double"):
+        cmd_table("probe", {"eps": "1e-17"})
+    with pytest.raises(UsageError, match="^--eps probe eps 1e-16 is at most half the double"):
+        cmd_table("probe", {"eps": "1e-15..1e-17"})
     with pytest.raises(UsageError, match="^bad --n range '1..x'$"):
         cmd_table("cyclotomic-height", {"n": "1..x"})
     for n in (",", ", ,"):

@@ -22,12 +22,16 @@ zeta table at s - 1 = 1e-6, 1e-5 and 1e-4 and a numeric check at
 s = 1.000001), three runs far past zeta's clamp at s = 1000 (a numeric
 check at s = 1e20, claim4 and a zeta table at s = 1e300), usage
 errors (options a check or a table does not read, a non-finite or
-negative tolerance, an s below 1, a radical depth of 0 and both --max-n
-caps among them) and the two subcommand help pages.
+negative tolerance, an s below 1, a radical depth of 0, both --max-n
+caps and a probe eps grid with an eps so small that 1 + eps rounds to 1,
+usage-probe-eps-below-spacing, among them) and the two subcommand help
+pages.
 test_golden_set_covers_every_selector_and_pipeline checks the first two
-against the registries in cli, and
+against the registries in cli,
 test_structured_goldens_are_strict_json that every structured stdout
-parses as JSON without NaN or Infinity.
+parses as JSON without NaN or Infinity, and
+test_table_list_parameters_name_their_rows that every list option a
+structured table echoes names its rows, one per value in order.
 
 Re-record after an intended output change with
 
@@ -110,6 +114,7 @@ _FORMATTED = (
      ["check", "claim2_3", "--mode", "numeric", "--tol", "-1"]),
     ("usage-radical-s-below-one", ["table", "radical", "--s", "0.5"]),
     ("usage-claim4-depth-zero", ["check", "claim4", "--depth", "0"]),
+    ("usage-probe-eps-below-spacing", ["table", "probe", "--eps", "1e-15..1e-17"]),
 )
 
 INVOCATIONS = tuple(

@@ -9,7 +9,7 @@ import math
 
 import pytest
 
-from pzcheck.zeta import _euler_maclaurin
+from pzcheck.zeta import EvalResult, _euler_maclaurin
 
 from pzcheck import (
     NegativeRadicandError,
@@ -19,6 +19,7 @@ from pzcheck import (
     domain_scan,
     eval_nested,
     prime_zeta,
+    radical,
     tail_fixed_point,
 )
 
@@ -103,6 +104,21 @@ def _reference_fold(s, depth, tail_mode):
         values.append(partial)
         bounds.append(partial_err)
     return tuple(values), tuple(bounds)
+
+
+def test_fold_bound_covers_an_interval_reaching_zero(monkeypatch):
+    # a zeta bound of 0.5 makes each 2/zeta bound exceed its radicand, so
+    # every partial's interval reaches 0 and its bound is sqrt(radicand_err)
+    real = _euler_maclaurin
+
+    def wide(x):
+        return EvalResult(real(x).value, 0.5)
+
+    monkeypatch.setattr(radical, "_euler_maclaurin", wide)
+    monkeypatch.setitem(globals(), "_euler_maclaurin", wide)
+    trace = eval_nested(2.0, 5, TailMode.ONE_TAIL)
+    assert (trace.values, trace.error_bounds) == _reference_fold(2.0, 5, TailMode.ONE_TAIL)
+    assert all(b > v for v, b in zip(trace.values, trace.error_bounds))
 
 
 @pytest.mark.parametrize("tail_mode", list(TailMode))

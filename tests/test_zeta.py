@@ -29,6 +29,7 @@ from pzcheck import (
     prime_zeta_direct,
     sieve,
     singularity_probe,
+    zeta,
     zeta_real,
 )
 from pzcheck.cli import ClaimReport
@@ -338,6 +339,17 @@ def test_probe_grid_validation():
         singularity_probe([1e-2, 1e-2])  # not strictly descending
     with pytest.raises(ValueError):
         singularity_probe([1e-2, 0.0])
+    with pytest.raises(ValueError, match="probe eps 1e-16 .* 1 [+] eps rounds to 1"):
+        singularity_probe([1e-2, 1e-16])  # positive, but s = 1 + eps is 1.0
+
+
+def test_probe_notes_a_bound_that_overtakes_its_value(monkeypatch):
+    # the row keeps both sides and says why they cannot be trusted
+    wide = EvalResult(0.01, 0.02)
+    monkeypatch.setattr(zeta, "claim_lhs", lambda s: wide)
+    (row,) = singularity_probe([1e-2])
+    assert row.lhs == wide and row.rhs is not None
+    assert row.note == "error bound exceeds value magnitude"
 
 
 def test_fit_log_quadratic_shape(default_probe):
@@ -386,6 +398,14 @@ def test_fit_needs_three_good_rows():
         ProbeRow(eps=1e-4, lhs=EvalResult(1.0, 0.0), rhs=EvalResult(2.0, 0.0)),
     ]
     with pytest.raises(ValueError):
+        fit_log_quadratic(rows)
+
+
+def test_fit_refuses_a_grid_of_two_distinct_eps():
+    # three rows, but two share an eps: the Gram matrix is singular
+    rows = [ProbeRow(eps=e, lhs=EvalResult(1.0, 0.0), rhs=EvalResult(v, 0.0))
+            for e, v in [(1e-2, 3.0), (1e-3, 5.5), (1e-3, 6.0)]]
+    with pytest.raises(ValueError, match="do not determine a quadratic fit"):
         fit_log_quadratic(rows)
 
 
