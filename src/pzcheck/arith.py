@@ -7,14 +7,11 @@ arithmetic in this module is exact; nothing here touches floats.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb, isqrt
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-# Exact rational scalar used throughout the package.  Fraction already
-# guarantees lowest terms and a positive denominator, which is all the
-# normalization we need.
-Rational = Fraction
+if TYPE_CHECKING:  # fractions loads only where exact rationals run
+    from fractions import Fraction
 
 # Largest index for which bernoulli() will answer.  The recurrence is
 # exact at any size; the cap just keeps accidental huge requests from
@@ -132,7 +129,7 @@ def mobius(f: FactoredInteger) -> int:
     return -1 if f.omega % 2 else 1
 
 
-_bernoulli_cache: list[Fraction] = [Fraction(1)]
+_bernoulli_cache: list[Fraction] = []
 
 
 def bernoulli(m: int) -> Fraction:
@@ -146,6 +143,10 @@ def bernoulli(m: int) -> Fraction:
         raise ValueError(f"bernoulli index must be in [0, {BERNOULLI_MAX}], got {m}")
     if m > 1 and m % 2:
         raise ValueError(f"odd Bernoulli numbers beyond B_1 are zero; rejecting m={m}")
+    from fractions import Fraction
+
+    if not _bernoulli_cache:
+        _bernoulli_cache.append(Fraction(1))
     while len(_bernoulli_cache) <= m:
         r = len(_bernoulli_cache)
         acc = Fraction(0)

@@ -15,7 +15,6 @@ order; identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -169,6 +168,8 @@ class ClaimReport(_ReportFields):
 
 def emit_report(report: ClaimReport, fmt: str) -> str:
     if fmt == "structured":
+        import json  # json loads only for structured output
+
         return json.dumps(report._asdict(), indent=2)
     lines = [
         f"claim   : {report.claim_id} [{report.mode}]",
@@ -187,6 +188,8 @@ def emit_report(report: ClaimReport, fmt: str) -> str:
 
 def parse_report(text: str) -> ClaimReport:
     """Inverse of emit_report(..., "structured")."""
+    import json
+
     return ClaimReport.from_dict(json.loads(text))
 
 
@@ -557,7 +560,7 @@ def _probe_table(params: dict):
     try:
         rows = list(map(_probe_dict, zeta.singularity_probe(params["eps"], params["tol"])))
     except ValueError as exc:  # its grid check; a row's PrecisionError becomes its note
-        raise UsageError(f"--eps {exc}") from exc
+        raise UsageError("--eps " + str(exc).removeprefix("probe eps ")) from exc
     return ["eps", "lhs", "lhs_error_bound", "rhs", "rhs_error_bound", "note"], rows, None
 
 
@@ -655,6 +658,8 @@ def cmd_table(selector: str, options: dict) -> str:
         raise UsageError(str(exc)) from exc
 
     if options.get("format") == "structured":
+        import json
+
         payload = {"table": selector, "parameters": params, "rows": list(map(_json_row, rows))}
         if summary is not None:
             payload["summary"] = summary

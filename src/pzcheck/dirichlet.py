@@ -18,18 +18,23 @@ past the truncation simply do not exist for the object.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .arith import PrimeTable, Rational
+from .arith import PrimeTable
 
-Coefficient = int | Rational
+if TYPE_CHECKING:  # annotations only: fractions loads where a Fraction is made
+    from fractions import Fraction
+
+    Coefficient = int | Fraction
 
 
 def _exact(c) -> Coefficient:
     """c as an int when it is integral, else as a Fraction."""
-    if type(c) is not int:
-        c = Fraction(c)
+    if type(c) is int:
+        return c
+    from fractions import Fraction
+
+    c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
 
 
@@ -134,7 +139,12 @@ def invert(a: DirichletSeries) -> DirichletSeries:
     if a1 == 0:
         raise ValueError("series with a_1 = 0 has no convolution inverse")
     n = a.truncation
-    inv_a1 = a1 if a1 in (1, -1) else Fraction(1, a1)
+    if a1 in (1, -1):
+        inv_a1 = a1
+    else:
+        from fractions import Fraction
+
+        inv_a1 = Fraction(1, a1)
     b = [0, 1] + [0] * (n - 1)
     for d in range(1, n + 1):
         bd = b[d] = b[d] * inv_a1

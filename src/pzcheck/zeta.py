@@ -35,12 +35,14 @@ sit many orders of magnitude above it.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from math import fsum, log
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .arith import bernoulli, factorize, mobius, primes_upto, sieve
+
+if TYPE_CHECKING:  # fractions loads only where exact rationals run
+    from fractions import Fraction
 
 # Euler-Maclaurin correction order J and cutoff M.  Together they keep
 # the first omitted term at most 1.3e-23 for every s > 1, under MIN_TOL.
@@ -87,21 +89,28 @@ class EvalResult(_EvalFields):
         return cls(*iterable)
 
 
-@lru_cache(maxsize=1)
-def _em_coefficients() -> tuple[float, ...]:
-    # B_{2j}/(2j)! for j = 1..J + 1, exact rationals rounded once; the
-    # last one only bounds the remainder.
-    return tuple(
-        float(bernoulli(2 * j) / math.factorial(2 * j))
-        for j in range(1, _EM_ORDER + 2)
-    )
+# B_{2j}/(2j)! for j = 1..J + 1, each the exact rational rounded once
+# and written out, so that evaluating zeta runs no Fraction arithmetic
+# (a test rebuilds them from arith.bernoulli); the last one only bounds
+# the remainder.
+_EM_COEFFICIENTS = (
+    0.08333333333333333,
+    -0.001388888888888889,
+    3.306878306878307e-05,
+    -8.267195767195768e-07,
+    2.08767569878681e-08,
+    -5.284190138687493e-10,
+    1.3382536530684679e-11,
+    -3.3896802963225827e-13,
+    8.586062056277845e-15,
+)
 
 
 def _em_remainder_bound(s: float) -> float:
     rising = 1.0
     for i in range(2 * _EM_ORDER + 1):
         rising *= s + i
-    return abs(_em_coefficients()[-1]) * rising * float(_EM_CUTOFF) ** (-s - 2 * _EM_ORDER - 1)
+    return abs(_EM_COEFFICIENTS[-1]) * rising * float(_EM_CUTOFF) ** (-s - 2 * _EM_ORDER - 1)
 
 
 @lru_cache(maxsize=4096)
@@ -130,7 +139,7 @@ def _euler_maclaurin(s: float) -> EvalResult:
     value += mf ** (1.0 - s) / (s - 1.0) - 0.5 * mf ** -s
     power = mf ** (-s - 1.0)  # M^{-s-2j+1} at j=1
     rising = s  # (s)_{2j-1} at j=1
-    for t, coeff in enumerate(_em_coefficients()[:-1]):
+    for t, coeff in enumerate(_EM_COEFFICIENTS[:-1]):
         value += coeff * rising * power
         power /= mf * mf
         rising *= (s + 2 * t + 1) * (s + 2 * t + 2)
@@ -163,7 +172,7 @@ def euler_even_zeta(k: int) -> EvalResult:
     """
     if not 1 <= k <= 32:
         raise ValueError(f"euler_even_zeta needs 1 <= k <= 32, got {k}")
-    rational = Fraction((-1) ** (k - 1), 2) * bernoulli(2 * k) / math.factorial(2 * k)
+    rational = (-1) ** (k - 1) * bernoulli(2 * k) / (2 * math.factorial(2 * k))
     value = float(rational) * _TWO_PI ** (2 * k)
     return EvalResult(value=value, error_bound=abs(value) * (2 * k + 4) * 2.0 ** -52)
 
@@ -345,6 +354,8 @@ def fit_log_quadratic(rows: list[ProbeRow]) -> FitResult:
     good = [(r.eps, r.rhs.value) for r in rows if r.rhs is not None]
     if len(good) < 3:
         raise ValueError(f"need >= 3 successful probe rows to fit, got {len(good)}")
+    from fractions import Fraction
+
     xs = [Fraction(log(e)) for e, _ in good]
     ys = [Fraction(v) for _, v in good]
     powers = [sum(x**k for x in xs) for k in range(5)]

@@ -19,6 +19,7 @@ from pzcheck import (
     EvalResult,
     PrecisionError,
     TailMode,
+    bernoulli,
     claim_lhs,
     claim_rhs,
     euler_even_zeta,
@@ -33,7 +34,7 @@ from pzcheck import (
     zeta_real,
 )
 from pzcheck.cli import ClaimReport
-from pzcheck.zeta import MIN_TOL, ProbeRow, _euler_maclaurin
+from pzcheck.zeta import _EM_COEFFICIENTS, MIN_TOL, ProbeRow, _euler_maclaurin
 
 
 def _zeta_bracket(s, n):
@@ -148,6 +149,13 @@ def test_euler_maclaurin_within_four_ulps_of_mpmath(gap):
         truth = mpmath.zeta(mpmath.mpf(s))
         error = abs(mpmath.mpf(_euler_maclaurin(s).value) - truth)
     assert error <= 4 * math.ulp(float(truth)), (s, error)
+
+
+def test_euler_maclaurin_literals_are_rounded_bernoulli_ratios():
+    # the float literals stand in for B_{2j}/(2j)!, j = 1..J + 1, rounded once
+    assert len(_EM_COEFFICIENTS) == 9
+    for j, coeff in enumerate(_EM_COEFFICIENTS, 1):
+        assert coeff == float(bernoulli(2 * j) / math.factorial(2 * j)), j
 
 
 def test_pole_guard_names_the_gap_not_a_term_count():
