@@ -5,9 +5,15 @@ home submodule on first use.  A default command imports only what it
 runs, so fractions (with decimal) and json stay out of a text-format
 check or table; each graph is read from sys.modules in a fresh
 interpreter started with -S, so no site hook preloads anything.
+
+The package's eight records share one contract: each is a tuple with
+named fields, no per-instance __dict__, _asdict and pickling, and the
+records that check their fields check them on every path that builds one.
 """
 
 import fractions
+import math
+import pickle
 import subprocess
 import sys
 from importlib import import_module
@@ -16,6 +22,7 @@ from pathlib import Path
 import pytest
 
 import pzcheck
+from pzcheck.cli import ClaimReport
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -101,3 +108,56 @@ def test_unknown_attribute_is_named():
     with pytest.raises(AttributeError, match="'no_such_name'"):
         pzcheck.no_such_name
     assert not hasattr(pzcheck, "cli_main")
+
+
+def _eval(value=1.0, bound=0.5):
+    return pzcheck.EvalResult(value, bound)
+
+
+# record -> (its fields, their defaults, a sample instance)
+_RECORDS = {
+    "PrimeTable": (("limit", "primes", "smallest_factor"), {},
+                   lambda: pzcheck.sieve(12)),
+    "FactoredInteger": (("n", "factors"), {},
+                        lambda: pzcheck.factorize(12, pzcheck.sieve(12))),
+    "EvalResult": (("value", "error_bound"), {}, _eval),
+    "ProbeRow": (("eps", "lhs", "rhs", "note"), {"note": ""},
+                 lambda: pzcheck.ProbeRow(0.1, _eval(), _eval(2.0))),
+    "FitResult": (("leading", "linear", "constant", "rel_residual"), {},
+                  lambda: pzcheck.FitResult(1.0, 2.0, 3.0, 0.0)),
+    "RadicalTrace": (("s", "depth", "tail_mode", "values", "error_bounds"), {},
+                     lambda: pzcheck.eval_nested(2.0, 3, pzcheck.TailMode.ONE_TAIL)),
+    "Claim4Result": (("radical_value", "prime_zeta_value", "gap"), {},
+                     lambda: pzcheck.Claim4Result(_eval(), _eval(0.25), 0.75)),
+    "ClaimReport": (("claim_id", "mode", "verdict", "parameters", "evidence"), {},
+                    lambda: ClaimReport("CLAIM2_3", "NUMERIC", "CONSISTENT", {"s": 2.0})),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RECORDS))
+def test_record_contract(name):
+    fields, defaults, sample = _RECORDS[name]
+    record = sample()
+    cls = type(record)
+    assert cls.__name__ == name
+    assert cls._fields == fields
+    assert cls._field_defaults == defaults
+    assert isinstance(record, tuple) and len(record) == len(fields)
+    assert not hasattr(record, "__dict__")
+    assert list(record._asdict()) == list(fields)
+    assert pickle.loads(pickle.dumps(record)) == record
+
+
+def test_checked_records_check_every_construction_path():
+    with pytest.raises(ValueError, match="non-finite"):
+        _eval()._replace(value=math.nan)
+    with pytest.raises(ValueError, match="bad error bound"):
+        pzcheck.EvalResult._make([1.0, -1.0])
+    # ClaimReport's __new__ gives each report its own parameters and
+    # evidence; _make builds from all five fields and checks their count
+    report = ClaimReport("CLAIM2_3", "NUMERIC", "CONSISTENT")
+    assert report.parameters == {} and report.evidence == []
+    assert report.parameters is not ClaimReport("CLAIM4", "NUMERIC", "CONSISTENT").parameters
+    assert ClaimReport._make(report) == report
+    with pytest.raises(TypeError):
+        ClaimReport._make(report[:3])
