@@ -264,14 +264,29 @@ def claim_rhs(s: float, tol: float = 1e-12) -> EvalResult:
 
     First-order error propagation: the P(s)^2 term contributes
     (2|P| + e) * e, the linear terms 2e, the dilated term its own bound.
+    Both P values first get tol/8.  Near the pole 2|P(s)| can carry that
+    past tol; there both are evaluated again to tol/(4 + 2|P(s)|), which
+    keeps the bound within tol, or PrecisionError if that is under MIN_TOL.
     """
     _check_tol(tol, 8.0 * MIN_TOL)
-    p1 = prime_zeta(s, tol / 8.0)
-    p2 = prime_zeta(2.0 * s, tol / 8.0)
+    rhs, p = _rhs_at(s, tol / 8.0)
+    if rhs.error_bound > tol:
+        split = tol / (4.0 + 2.0 * abs(p))
+        if split < MIN_TOL:
+            raise PrecisionError(f"tol {tol} at s={s} needs P(s) to {split:.3g}, "
+                                 f"below working-precision floor {MIN_TOL}")
+        rhs, _ = _rhs_at(s, split)
+    return rhs
+
+
+def _rhs_at(s: float, split: float) -> tuple[EvalResult, float]:
+    # claim_rhs with both P values evaluated to split; also returns P(s)
+    p1 = prime_zeta(s, split)
+    p2 = prime_zeta(2.0 * s, split)
     value = 2.0 - 2.0 * p1.value + p1.value * p1.value - p2.value
     bound = (2.0 + 2.0 * abs(p1.value) + p1.error_bound) * p1.error_bound
     bound += p2.error_bound
-    return EvalResult(value=value, error_bound=bound)
+    return EvalResult(value=value, error_bound=bound), p1.value
 
 
 class ProbeRow(NamedTuple):

@@ -118,6 +118,15 @@ def test_claim_rhs_precision_error_names_the_callers_tol():
     with pytest.raises(PrecisionError, match=r"^tol 1e-16 below working-precision floor 8e-15$"):
         claim_rhs(2.0, 1e-16)
     assert claim_rhs(2.0, 8e-15).error_bound <= 8e-15
+    # near the pole the P tolerances tighten, and the floor can bind there
+    with pytest.raises(PrecisionError, match=r"^tol 8e-15 at s=1.000001 needs"):
+        claim_rhs(1.000001, 8e-15)
+
+
+@pytest.mark.parametrize("s", [1.0 + 10.0**-k for k in range(1, 7)] + [1.5, 2.0, 4.0, 50.0])
+def test_claim_rhs_bound_stays_within_tol(s):
+    # near the pole 2|P(s)| multiplies P's own error, so tol/8 each is not enough
+    assert claim_rhs(s, 1e-12).error_bound <= 1e-12
 
 
 def test_zeta_precision_error_close_to_pole():
