@@ -7,11 +7,8 @@ arithmetic in this module is exact; nothing here touches floats.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from math import comb, isqrt
-from typing import TYPE_CHECKING, NamedTuple
-
-if TYPE_CHECKING:  # fractions loads only where exact rationals run
-    from fractions import Fraction
 
 # Largest index for which bernoulli() will answer.  The recurrence is
 # exact at any size; the cap just keeps accidental huge requests from
@@ -19,16 +16,15 @@ if TYPE_CHECKING:  # fractions loads only where exact rationals run
 BERNOULLI_MAX = 64
 
 
-class PrimeTable(NamedTuple):
+class PrimeTable(namedtuple("PrimeTable", "limit primes smallest_factor")):
     """Primes and least prime factors up to a fixed limit.
 
-    smallest_factor[n] is the least prime factor of n for 2 <= n <= limit;
-    entries 0 and 1 are 0 (no prime factor).
+    primes is the tuple of primes <= limit; smallest_factor[n] is the
+    least prime factor of n for 2 <= n <= limit, and entries 0 and 1 are
+    0 (no prime factor).
     """
 
-    limit: int
-    primes: tuple[int, ...]
-    smallest_factor: tuple[int, ...]
+    __slots__ = ()
 
     def is_prime(self, n: int) -> bool:
         if not 2 <= n <= self.limit:
@@ -36,15 +32,15 @@ class PrimeTable(NamedTuple):
         return self.smallest_factor[n] == n
 
 
-class FactoredInteger(NamedTuple):
+class FactoredInteger(namedtuple("FactoredInteger", "n factors")):
     """An integer together with its full prime factorization.
 
-    factors is sorted by prime, exponents >= 1, and the product of
-    p**e over all pairs reconstructs n exactly (checked at build time).
+    factors is a tuple of (p, e) pairs sorted by prime, exponents >= 1,
+    and the product of p**e over all pairs reconstructs n exactly
+    (checked at build time).
     """
 
-    n: int
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
     @property
     def omega(self) -> int:

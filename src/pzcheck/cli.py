@@ -18,7 +18,7 @@ import argparse
 import math
 import os
 import sys
-from typing import NamedTuple
+from collections import namedtuple
 
 from . import arith, cyclotomic, dirichlet, radical, zeta
 from .cyclotomic import cyclotomic as cyclotomic_poly
@@ -113,15 +113,7 @@ def _refutes(fact: dict) -> bool:
     )
 
 
-class _ReportFields(NamedTuple):
-    claim_id: str
-    mode: str
-    verdict: str
-    parameters: dict
-    evidence: list
-
-
-class ClaimReport(_ReportFields):
+class ClaimReport(namedtuple("ClaimReport", "claim_id mode verdict parameters evidence")):
     """Structured verdict: claim, mode, verdict, evidence, parameters.
 
     A REFUTED verdict must be carried by at least one evidence fact

@@ -18,17 +18,10 @@ past the truncation simply do not exist for the object.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Sequence
-
 from .arith import PrimeTable
 
-if TYPE_CHECKING:  # annotations only: fractions loads where a Fraction is made
-    from fractions import Fraction
 
-    Coefficient = int | Fraction
-
-
-def _exact(c) -> Coefficient:
+def _exact(c) -> int | Fraction:
     """c as an int when it is integral, else as a Fraction."""
     if type(c) is int:
         return c
@@ -43,7 +36,7 @@ class DirichletSeries:
 
     __slots__ = ("truncation", "_a")
 
-    def __init__(self, coefficients: Sequence[Coefficient]):
+    def __init__(self, coefficients: Sequence[int | Fraction]):
         """Build from the list [a_1, ..., a_N]; N = len(list) >= 1."""
         if len(coefficients) < 1:
             raise ValueError("a Dirichlet series needs at least coefficient a_1")
@@ -58,12 +51,12 @@ class DirichletSeries:
         series.truncation, series._a = len(padded) - 1, padded
         return series
 
-    def __getitem__(self, n: int) -> Coefficient:
+    def __getitem__(self, n: int) -> int | Fraction:
         if not 1 <= n <= self.truncation:
             raise IndexError(f"coefficient index {n} outside [1, {self.truncation}]")
         return self._a[n]
 
-    def coefficients(self) -> list[Coefficient]:
+    def coefficients(self) -> list[int | Fraction]:
         """The list [a_1, ..., a_N]."""
         return self._a[1:]
 
@@ -176,7 +169,7 @@ def dilate(a: DirichletSeries, k: int, truncation: int) -> DirichletSeries:
     return DirichletSeries._adopt(out)
 
 
-def linear_combine(terms: Iterable[tuple[Coefficient, DirichletSeries]]) -> DirichletSeries:
+def linear_combine(terms: Iterable[tuple[int | Fraction, DirichletSeries]]) -> DirichletSeries:
     """Sum of c_i * series_i, truncated to the minimum truncation."""
     terms = list(terms)
     if not terms:
@@ -192,7 +185,7 @@ def linear_combine(terms: Iterable[tuple[Coefficient, DirichletSeries]]) -> Diri
 
 def first_mismatch(
     a: DirichletSeries, b: DirichletSeries
-) -> tuple[int, Coefficient, Coefficient] | None:
+) -> tuple[int, int | Fraction, int | Fraction] | None:
     """Smallest n with a_n != b_n, as (n, a_n, b_n); None if all agree.
 
     Comparing series of different truncations is refused rather than

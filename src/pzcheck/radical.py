@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 from .zeta import EvalResult, _euler_maclaurin, prime_zeta, two_over
 
@@ -50,7 +50,7 @@ class NegativeRadicandError(ValueError):
         super().__init__(f"negative radicand {radicand!r} at level {level}")
 
 
-class RadicalTrace(NamedTuple):
+class RadicalTrace(namedtuple("RadicalTrace", "s depth tail_mode values error_bounds")):
     """Partial values of one right-to-left nested-radical evaluation.
 
     values[m-1] is the partial after m fold steps (so the innermost
@@ -58,11 +58,7 @@ class RadicalTrace(NamedTuple):
     propagated zeta error bounds for each partial.
     """
 
-    s: float
-    depth: int
-    tail_mode: TailMode
-    values: tuple[float, ...]
-    error_bounds: tuple[float, ...]
+    __slots__ = ()
 
 
 def eval_nested(s: float, depth: int, tail_mode: TailMode) -> RadicalTrace:
@@ -151,12 +147,10 @@ def tail_fixed_point(x0: float = 0.5, tol: float = 1e-14) -> float:
     raise ArithmeticError("fixed-point iteration failed to converge")  # pragma: no cover
 
 
-class Claim4Result(NamedTuple):
-    """1 - f_one(depth), P(s), and their absolute gap."""
+class Claim4Result(namedtuple("Claim4Result", "radical_value prime_zeta_value gap")):
+    """1 - f_one(depth) and P(s) as EvalResults, and their absolute gap."""
 
-    radical_value: EvalResult
-    prime_zeta_value: EvalResult
-    gap: float
+    __slots__ = ()
 
 
 def claim4_check(s: float, depth: int, tol: float = 1e-12) -> Claim4Result:

@@ -35,14 +35,11 @@ sit many orders of magnitude above it.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from functools import lru_cache
 from math import fsum, log
-from typing import TYPE_CHECKING, NamedTuple
 
 from .arith import bernoulli, factorize, mobius, primes_upto, sieve
-
-if TYPE_CHECKING:  # fractions loads only where exact rationals run
-    from fractions import Fraction
 
 # Euler-Maclaurin correction order J and cutoff M.  Together they keep
 # the first omitted term at most 1.3e-23 for every s > 1, under MIN_TOL.
@@ -63,12 +60,7 @@ class PrecisionError(ValueError):
     """Requested accuracy is not achievable at working precision."""
 
 
-class _EvalFields(NamedTuple):
-    value: float
-    error_bound: float
-
-
-class EvalResult(_EvalFields):
+class EvalResult(namedtuple("EvalResult", "value error_bound")):
     """A numeric value plus an upper bound on its truncation error.
 
     error_bound is derived from the tail estimate of whichever series
@@ -289,18 +281,15 @@ def _rhs_at(s: float, split: float) -> tuple[EvalResult, float]:
     return EvalResult(value=value, error_bound=bound), p1.value
 
 
-class ProbeRow(NamedTuple):
+class ProbeRow(namedtuple("ProbeRow", "eps lhs rhs note", defaults=("",))):
     """One singularity-probe sample at s = 1 + eps.
 
-    lhs/rhs are None when the row failed (note holds the reason); note
-    is also set, with values kept, when an error bound overtakes the
-    value it bounds.
+    lhs/rhs are EvalResults, or None when the row failed (note holds the
+    reason); note is also set, with values kept, when an error bound
+    overtakes the value it bounds.
     """
 
-    eps: float
-    lhs: EvalResult | None
-    rhs: EvalResult | None
-    note: str = ""
+    __slots__ = ()
 
 
 def singularity_probe(epsilons: list[float], tol: float = 1e-12) -> list[ProbeRow]:
@@ -341,11 +330,10 @@ def singularity_probe(epsilons: list[float], tol: float = 1e-12) -> list[ProbeRo
     return rows
 
 
-class FitResult(NamedTuple):
-    leading: float
-    linear: float
-    constant: float
-    rel_residual: float
+class FitResult(namedtuple("FitResult", "leading linear constant rel_residual")):
+    """rhs ~ leading (log eps)^2 + linear log eps + constant, and the relative residual."""
+
+    __slots__ = ()
 
 
 def _det3(m) -> Fraction:
