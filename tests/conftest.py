@@ -7,9 +7,23 @@ values in the tests come from these, from hand computation, or from
 published reference digits — never from the code under test.
 """
 
+import os
+from pathlib import Path
+
 import pytest
 
 from pzcheck import sieve
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _src_on_child_path():
+    """Interpreters the tests start import pzcheck from this checkout's src."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("PYTHONPATH", path)
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -2,9 +2,11 @@
 
 `import pzcheck` is lazy (PEP 562): every name in __all__ comes from its
 home submodule on first use.  A default command imports only what it
-runs, so fractions (with decimal) and json stay out of a text-format
-check or table; each graph is read from sys.modules in a fresh
-interpreter started with -S, so no site hook preloads anything.
+runs, so fractions (with decimal), json and typing stay out of a
+text-format check or table, which loads nothing beyond a bare argparse
+parse but pzcheck's modules, math, __future__ and importlib's loaders.
+Each graph is read from sys.modules in a fresh interpreter started with
+-S, so no site hook preloads anything.
 
 The package's eight records share one contract: each is a tuple with
 named fields, no per-instance __dict__, _asdict and pickling, and the
@@ -13,21 +15,32 @@ records that check their fields check them on every path that builds one.
 
 import fractions
 import math
+import os
 import pickle
 import subprocess
 import sys
+from functools import lru_cache
 from importlib import import_module
-from pathlib import Path
 
 import pytest
 
 import pzcheck
 from pzcheck.cli import ClaimReport
 
-SRC = Path(__file__).resolve().parent.parent / "src"
-
 # the stdlib modules a default text-format command does not need
-_DEFERRED = {"fractions", "decimal", "json"}
+_DEFERRED = {"fractions", "decimal", "json", "typing"}
+
+# what a default text-format command may load beyond a bare argparse
+# parse, besides pzcheck's own modules
+_BEYOND_ARGPARSE = {"math", "__future__", "importlib", "importlib._bootstrap",
+                    "importlib._bootstrap_external"}
+
+_TEXT_COMMANDS = [
+    ["check", "claim2_3", "--mode", "numeric"],
+    ["check", "claim4"],
+    ["check", "claim2_3", "--max-n", "200"],
+    ["table", "zeta"],
+]
 
 # the modules bench/layers.py's Recorder.install wraps: it patches only
 # the pzcheck modules loaded by `import pzcheck.cli`, so a command that
@@ -40,7 +53,8 @@ def _loaded(code: str, *argv: str) -> set[str]:
     script = code + "\nprint(*sys.modules, file=sys.stderr)"
     proc = subprocess.run(
         [sys.executable, "-S", "-c", script, *argv],
-        capture_output=True, text=True, timeout=120, env={"PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, timeout=120,
+        env={"PYTHONPATH": os.environ["PYTHONPATH"]},
     )
     assert proc.returncode == 0, proc.stderr
     return set(proc.stderr.splitlines()[-1].split())
@@ -57,16 +71,23 @@ def test_import_pzcheck_loads_no_submodule():
     assert not loaded & _DEFERRED
 
 
-@pytest.mark.parametrize("argv", [
-    ["check", "claim2_3", "--mode", "numeric"],
-    ["check", "claim4"],
-    ["check", "claim2_3", "--max-n", "200"],
-    ["table", "zeta"],
-])
+@lru_cache(maxsize=1)
+def _argparse_graph() -> frozenset[str]:
+    return frozenset(_loaded("import sys, argparse\nargparse.ArgumentParser().parse_args([])"))
+
+
+@pytest.mark.parametrize("argv", _TEXT_COMMANDS)
 def test_text_commands_leave_fractions_and_json_unloaded(argv):
     loaded = _run_main(*argv)
     assert "pzcheck.cli" in loaded
     assert not loaded & _DEFERRED, sorted(loaded & _DEFERRED)
+
+
+@pytest.mark.parametrize("argv", _TEXT_COMMANDS)
+def test_text_commands_load_little_beyond_argparse(argv):
+    extra = {m for m in _run_main(*argv) - _argparse_graph()
+             if m != "pzcheck" and not m.startswith("pzcheck.")}
+    assert extra <= _BEYOND_ARGPARSE, sorted(extra - _BEYOND_ARGPARSE)
 
 
 def test_structured_output_loads_json():
@@ -77,7 +98,9 @@ def test_structured_output_loads_json():
 def test_cli_import_loads_every_layer_module():
     # guards the traced benchmark (bench/layers.py, Recorder.install):
     # deferring a submodule import in cli must fail here first
-    assert _LAYERS <= _loaded("import sys, pzcheck.cli")
+    loaded = _loaded("import sys, pzcheck.cli")
+    assert _LAYERS <= loaded
+    assert not loaded & _DEFERRED, sorted(loaded & _DEFERRED)
 
 
 @pytest.mark.parametrize("name", sorted(set(pzcheck.__all__) - {"Rational"}))
