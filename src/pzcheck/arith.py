@@ -8,6 +8,7 @@ arithmetic in this module is exact; nothing here touches floats.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import compress
 from math import comb, isqrt
 
 # Largest index for which bernoulli() will answer.  The recurrence is
@@ -73,7 +74,7 @@ def primes_upto(limit: int) -> tuple[int, ...]:
     for p in range(2, isqrt(limit) + 1):
         if flags[p]:
             flags[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
-    return tuple(i for i in range(2, limit + 1) if flags[i])
+    return tuple(compress(range(limit + 1), flags))
 
 
 def sieve(limit: int) -> PrimeTable:

@@ -120,8 +120,9 @@ class ClaimReport(namedtuple("ClaimReport", "claim_id mode verdict parameters ev
     that records a disagreement: a discrepancy whose gap exceeds the
     combined error bound it carries, or an exact fact whose own entries
     contradict the claim.  Every fact that carries exceeds_bound with
-    its numbers must agree with them.  validate() enforces both before
-    anything is emitted.
+    its numbers must agree with them.  validate() enforces both, and
+    the shapes emit_report renders, on every path that builds a report:
+    the constructor, _make, _replace, unpickling and parse_report.
     """
 
     __slots__ = ()
@@ -131,7 +132,14 @@ class ClaimReport(namedtuple("ClaimReport", "claim_id mode verdict parameters ev
         # each report gets its own empty parameters and evidence
         return super().__new__(cls, claim_id, mode, verdict,
                                {} if parameters is None else parameters,
-                               [] if evidence is None else evidence)
+                               [] if evidence is None else evidence).validate()
+
+    @classmethod
+    def _make(cls, iterable):  # namedtuple's arity check, then __new__'s; _replace builds here
+        return cls(*super()._make(iterable))
+
+    def __reduce__(self):  # protocols 0 and 1 too unpickle through __new__
+        return type(self), tuple(self)
 
     def validate(self) -> "ClaimReport":
         if self.claim_id not in CLAIM_IDS:
@@ -140,10 +148,14 @@ class ClaimReport(namedtuple("ClaimReport", "claim_id mode verdict parameters ev
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.verdict not in VERDICTS:
             raise ValueError(f"unknown verdict {self.verdict!r}")
+        if not isinstance(self.parameters, dict) or not isinstance(self.evidence, list):
+            raise ValueError("parameters must be a dict and evidence a list")
         for fact in self.evidence:
+            if not isinstance(fact, dict) or not isinstance(fact.get("name"), str):
+                raise ValueError(f"evidence fact {fact!r} is not a dict with a string name")
             if not _bound_agrees(fact):
                 raise ValueError(
-                    f"fact {fact.get('name')!r}: exceeds_bound disagrees with "
+                    f"fact {fact['name']!r}: exceeds_bound disagrees with "
                     "its own gap and combined error bound"
                 )
         if self.verdict == "REFUTED" and not any(map(_refutes, self.evidence)):
@@ -152,10 +164,6 @@ class ClaimReport(namedtuple("ClaimReport", "claim_id mode verdict parameters ev
                 "discrepancy exceeding its combined error bound"
             )
         return self
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ClaimReport":
-        return cls(*(d[key] for key in cls._fields)).validate()
 
 
 def emit_report(report: ClaimReport, fmt: str) -> str:
@@ -179,10 +187,13 @@ def emit_report(report: ClaimReport, fmt: str) -> str:
 
 
 def parse_report(text: str) -> ClaimReport:
-    """Inverse of emit_report(..., "structured")."""
+    """Inverse of emit_report(..., "structured"); a malformed report raises ValueError."""
     import json
 
-    return ClaimReport.from_dict(json.loads(text))
+    payload = json.loads(text)
+    if not isinstance(payload, dict) or not payload.keys() >= set(ClaimReport._fields):
+        raise ValueError(f"not a structured report: {text[:60]!r}")
+    return ClaimReport(*map(payload.get, ClaimReport._fields))
 
 
 def _fmt_value(v) -> str:
@@ -271,9 +282,7 @@ def _claim23_symbolic(params: dict) -> tuple[str, list]:
     rhs = dirichlet.claim_rhs_series(n, table)
     hit = dirichlet.first_mismatch(lhs, rhs)
     if hit is None:
-        return "CONSISTENT", [
-            {"name": "coefficient_agreement", "truncation": n, "exact": True}
-        ]
+        return "CONSISTENT", [{"name": "coefficient_agreement", "truncation": n, "exact": True}]
     return "REFUTED", [_mismatch_fact("first_mismatch", *hit), _mismatch_scan(lhs, rhs, table)]
 
 
@@ -320,18 +329,10 @@ def _claim23_probe(params: dict) -> tuple[str, list]:
         },
         divergence,
     ]
-    ok = (
-        lhs_decreasing
-        and rhs_increasing
-        and fit.leading > 0.0
-        and fit.rel_residual < 0.1
-        and divergence["exceeds_bound"]
-    )
-    if not ok:
-        return "INCONCLUSIVE", evidence + [
-            {"name": "reason", "detail": "probe shape checks failed"}
-        ]
-    return "REFUTED", evidence
+    if (lhs_decreasing and rhs_increasing and fit.leading > 0.0 and fit.rel_residual < 0.1
+            and divergence["exceeds_bound"]):
+        return "REFUTED", evidence
+    return "INCONCLUSIVE", evidence + [{"name": "reason", "detail": "probe shape checks failed"}]
 
 
 def _claim4(params: dict) -> tuple[str, list]:
@@ -348,13 +349,10 @@ def _claim4(params: dict) -> tuple[str, list]:
     p = dirichlet.prime_zeta_series(n, table)
     delta = dirichlet.unit_series(n)
     one_minus_p = dirichlet.linear_combine([(1, delta), (-1, p)])
-    squared_lhs = dirichlet.convolve(one_minus_p, one_minus_p)
-    squared_rhs = dirichlet.linear_combine(
-        [(1, lhs), (-1, delta), (1, dirichlet.dilate(p, 2, n))]
-    )
+    squared = dirichlet.convolve(one_minus_p, one_minus_p)
     structure_ok = dirichlet.linear_combine(
-        [(1, squared_lhs), (-1, squared_rhs)]
-    ) == dirichlet.linear_combine([(1, rhs), (-1, lhs)])
+        [(1, squared), (1, delta), (-1, dirichlet.dilate(p, 2, n))]
+    ) == rhs
 
     evidence = [
         _eval_fact("radical_side", result.radical_value, depth=depth),
@@ -462,7 +460,7 @@ def cmd_check(claim_id: str, mode: str | None, options: dict) -> ClaimReport:
         ]
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    return ClaimReport(claim_id, mode, verdict, params, evidence).validate()
+    return ClaimReport(claim_id, mode, verdict, params, evidence)
 
 
 # ---------------------------------------------------------------- table

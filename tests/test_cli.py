@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import pickle
 import re
 import shutil
 import subprocess
@@ -290,14 +291,13 @@ def test_text_report_rendering():
 
 
 def test_refuted_verdict_requires_supporting_fact():
-    bad = ClaimReport(
-        claim_id="CLAIM2_3",
-        mode="NUMERIC",
-        verdict="REFUTED",
-        evidence=[{"name": "difference", "exceeds_bound": False}],
-    )
     with pytest.raises(ValueError):
-        bad.validate()
+        ClaimReport(
+            claim_id="CLAIM2_3",
+            mode="NUMERIC",
+            verdict="REFUTED",
+            evidence=[{"name": "difference", "exceeds_bound": False}],
+        )
     # a bare flag, or a gap without its bound, records no disagreement
     for fact in ({"name": "difference", "exceeds_bound": True},
                  {"name": "difference", "value": 2.0, "exceeds_bound": True}):
@@ -315,7 +315,8 @@ def test_refuted_verdict_requires_supporting_fact():
 
 def test_exact_flag_alone_does_not_support_refutation():
     with pytest.raises(ValueError):
-        ClaimReport("CLAIM2_3", "SYMBOLIC", "REFUTED", {}, [{"exact": True}]).validate()
+        ClaimReport("CLAIM2_3", "SYMBOLIC", "REFUTED", {},
+                    [{"name": "scan", "exact": True}]).validate()
     equal = {"name": "first_mismatch", "index": 30, "lhs_coefficient": "0",
              "rhs_coefficient": "0", "exact": True}
     with pytest.raises(ValueError):
@@ -366,6 +367,48 @@ def test_report_validation_rejects_unknown_fields():
         ClaimReport("CLAIM2_3", "FAST", "CONSISTENT").validate()
     with pytest.raises(ValueError):
         ClaimReport("CLAIM7", "NUMERIC", "CONSISTENT").validate()
+
+
+def test_replace_builds_a_checked_report():
+    report = ClaimReport("CLAIM2_3", "NUMERIC", "CONSISTENT")
+    # None fills in as it does in the constructor, so the report renders
+    cleared = report._replace(parameters=None)
+    assert cleared.parameters == {}
+    assert emit_report(cleared, "text").splitlines()[2] == "parameters: "
+    with pytest.raises(ValueError, match="unknown verdict"):
+        report._replace(verdict="MAYBE")
+    with pytest.raises(ValueError, match="REFUTED verdict without"):
+        report._replace(verdict="REFUTED")
+
+
+def test_unpickling_builds_a_checked_report():
+    # unpickling rebuilds through __new__, so a report forged past it
+    # does not load back
+    forged = tuple.__new__(ClaimReport, ("CLAIM2_3", "NUMERIC", "REFUTED", {}, []))
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        with pytest.raises(ValueError, match="REFUTED verdict without"):
+            pickle.loads(pickle.dumps(forged, protocol))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("parameters", [1]),
+    ("evidence", [1]),
+    ("evidence", [{}]),
+    ("evidence", [{"name": 1}]),
+    ("evidence", {"name": "reason"}),
+])
+def test_parse_report_refuses_shapes_it_cannot_render(field, value):
+    payload = {"claim_id": "CLAIM2_3", "mode": "NUMERIC", "verdict": "CONSISTENT",
+               "parameters": {}, "evidence": []}
+    payload[field] = value
+    with pytest.raises(ValueError, match=field):
+        parse_report(json.dumps(payload))
+
+
+@pytest.mark.parametrize("text", ['{"claim_id": "CLAIM2_3"}', "[]", '"CLAIM2_3"', "{"])
+def test_parse_report_refuses_text_that_is_not_a_report(text):
+    with pytest.raises(ValueError):
+        parse_report(text)
 
 
 # -- tables ---------------------------------------------------------------

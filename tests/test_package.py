@@ -6,7 +6,8 @@ runs, so fractions (with decimal), json and typing stay out of a
 text-format check or table, which loads nothing beyond a bare argparse
 parse but pzcheck's modules, math, __future__ and importlib's loaders.
 Each graph is read from sys.modules in a fresh interpreter started with
--S, so no site hook preloads anything.
+-S, so no site hook preloads anything, and -B, so it writes no bytecode
+into src/.
 
 The package's eight records share one contract: each is a tuple with
 named fields, no per-instance __dict__, _asdict and pickling, and the
@@ -49,10 +50,10 @@ _LAYERS = {f"pzcheck.{name}" for name in ("arith", "cyclotomic", "dirichlet", "r
 
 
 def _loaded(code: str, *argv: str) -> set[str]:
-    """sys.modules after code runs in a fresh `python -S` with src on the path."""
+    """sys.modules after code runs in a fresh `python -S -B` with src on the path."""
     script = code + "\nprint(*sys.modules, file=sys.stderr)"
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", script, *argv],
+        [sys.executable, "-S", "-B", "-c", script, *argv],
         capture_output=True, text=True, timeout=120,
         env={"PYTHONPATH": os.environ["PYTHONPATH"]},
     )
