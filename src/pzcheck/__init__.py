@@ -15,18 +15,17 @@ __version__ = "0.1.0"
 # namespaced (pzcheck.cyclotomic.cyclotomic) so the function does not
 # shadow its submodule in the package namespace.
 _EXPORTS = {
-    "arith": ("BERNOULLI_MAX", "FactoredInteger", "PrimeTable", "bernoulli",
-              "factorize", "mobius", "primes_upto", "sieve"),
+    "arith": ("FactoredInteger", "PrimeTable", "factorize", "mobius", "primes_upto",
+              "sieve"),
     "cyclotomic": ("IntPolynomial", "height"),
     "dirichlet": ("DirichletSeries", "claim_lhs_series", "claim_rhs_series", "convolve",
                   "dilate", "first_mismatch", "invert", "linear_combine",
                   "prime_zeta_series", "unit_series", "zeta_series"),
     "radical": ("Claim4Result", "NegativeRadicandError", "RadicalTrace", "TailMode",
-                "claim4_check", "convergence_report", "domain_scan", "eval_nested",
-                "tail_fixed_point"),
+                "claim4_check", "convergence_report", "domain_scan", "eval_nested"),
     "zeta": ("EvalResult", "FitResult", "PrecisionError", "ProbeRow", "claim_lhs",
-             "claim_rhs", "euler_even_zeta", "fit_log_quadratic", "prime_zeta",
-             "prime_zeta_direct", "singularity_probe", "zeta_real"),
+             "claim_rhs", "fit_log_quadratic", "prime_zeta", "singularity_probe",
+             "zeta_real"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

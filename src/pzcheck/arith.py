@@ -1,20 +1,15 @@
-"""Exact integer and rational primitives.
+"""Exact integer primitives.
 
-Prime sieve with least-prime-factor table, certified factorization,
-the Mobius function, and Bernoulli numbers as exact rationals.  All
-arithmetic in this module is exact; nothing here touches floats.
+Prime sieve with least-prime-factor table, certified factorization
+and the Mobius function.  All arithmetic in this module is exact;
+nothing here touches floats.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from itertools import compress
-from math import comb, isqrt
-
-# Largest index for which bernoulli() will answer.  The recurrence is
-# exact at any size; the cap just keeps accidental huge requests from
-# burning time, and 64 covers every consumer in this package.
-BERNOULLI_MAX = 64
+from math import isqrt
 
 
 class PrimeTable(namedtuple("PrimeTable", "limit primes smallest_factor")):
@@ -64,8 +59,8 @@ class FactoredInteger(namedtuple("FactoredInteger", "n factors")):
 def primes_upto(limit: int) -> tuple[int, ...]:
     """All primes <= limit by a plain boolean Eratosthenes pass.
 
-    Cheaper than sieve() when the least-prime-factor table is not
-    needed (e.g. direct prime sums with limits in the 10^7 range).
+    sieve() builds on it; call it directly when only the primes are
+    needed, since the least-prime-factor table costs more than the pass.
     """
     if limit < 2:
         raise ValueError(f"sieve limit must be >= 2, got {limit}")
@@ -124,30 +119,3 @@ def mobius(f: FactoredInteger) -> int:
     if not f.is_squarefree:
         return 0
     return -1 if f.omega % 2 else 1
-
-
-_bernoulli_cache: list[Fraction] = []
-
-
-def bernoulli(m: int) -> Fraction:
-    """Exact Bernoulli number B_m (B_1 = -1/2 convention).
-
-    Defined by the recurrence sum_{j=0}^{m} C(m+1, j) B_j = 0 with
-    B_0 = 1; values are cached.  Odd m > 1 gives 0.  m must lie in
-    [0, BERNOULLI_MAX].
-    """
-    if not 0 <= m <= BERNOULLI_MAX:
-        raise ValueError(f"bernoulli index must be in [0, {BERNOULLI_MAX}], got {m}")
-    if m > 1 and m % 2:
-        raise ValueError(f"odd Bernoulli numbers beyond B_1 are zero; rejecting m={m}")
-    from fractions import Fraction
-
-    if not _bernoulli_cache:
-        _bernoulli_cache.append(Fraction(1))
-    while len(_bernoulli_cache) <= m:
-        r = len(_bernoulli_cache)
-        acc = Fraction(0)
-        for j, bj in enumerate(_bernoulli_cache):
-            acc += comb(r + 1, j) * bj
-        _bernoulli_cache.append(-acc / (r + 1))
-    return _bernoulli_cache[m]

@@ -127,34 +127,14 @@ def convergence_report(s: float, max_depth: int) -> list[tuple[int, float, float
     return rows
 
 
-def tail_fixed_point(x0: float = 0.5, tol: float = 1e-14) -> float:
-    """The positive root of X^2 + X - 2 = 0 by iterating X <- sqrt(2 - X).
-
-    The map contracts on [-2, 2] (derivative magnitude ~ 0.35 near the
-    root), so any start there lands on 1; this is the value the deep
-    radical tail collapses to, hence the ONE_TAIL seed.
-    """
-    if not -2.0 <= x0 <= 2.0:
-        raise ValueError(f"start must lie in [-2, 2], got {x0}")
-    if not 1e-15 <= tol <= 1.0:
-        raise ValueError(f"tol must lie in [1e-15, 1], got {tol}")
-    x = x0
-    for _ in range(500):
-        nxt = math.sqrt(2.0 - x)
-        if abs(nxt - x) <= tol:
-            return nxt
-        x = nxt
-    raise ArithmeticError("fixed-point iteration failed to converge")  # pragma: no cover
-
-
-class Claim4Result(namedtuple("Claim4Result", "radical_value prime_zeta_value gap")):
-    """1 - f_one(depth) and P(s) as EvalResults, and their absolute gap."""
+class Claim4Result(namedtuple("Claim4Result", "radical_value prime_zeta_value")):
+    """1 - f_one(depth) and P(s), each an EvalResult with its bound."""
 
     __slots__ = ()
 
 
 def claim4_check(s: float, depth: int, tol: float = 1e-12) -> Claim4Result:
-    """Compare 1 - f_one(depth) against prime_zeta(s).
+    """The two sides of the radical claim: 1 - f_one(depth) and prime_zeta(s).
 
     The radical side's bound adds a depth-stability margin — evaluate
     five levels deeper and charge twice the drift — on top of the
@@ -170,12 +150,7 @@ def claim4_check(s: float, depth: int, tol: float = 1e-12) -> Claim4Result:
         value=1.0 - trace.values[-1],
         error_bound=trace.error_bounds[-1] + deeper.error_bounds[-1] + 2.0 * drift,
     )
-    pz = prime_zeta(s, tol)
-    return Claim4Result(
-        radical_value=radical,
-        prime_zeta_value=pz,
-        gap=abs(pz.value - radical.value),
-    )
+    return Claim4Result(radical_value=radical, prime_zeta_value=prime_zeta(s, tol))
 
 
 def domain_scan(

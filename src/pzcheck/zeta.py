@@ -39,7 +39,7 @@ from collections import namedtuple
 from functools import lru_cache
 from math import fsum, log
 
-from .arith import bernoulli, factorize, mobius, primes_upto, sieve
+from .arith import factorize, mobius, sieve
 
 # Euler-Maclaurin correction order J and cutoff M.  Together they keep
 # the first omitted term at most 1.3e-23 for every s > 1, under MIN_TOL.
@@ -52,8 +52,6 @@ _CLAMP_EXPONENT = 1000.0  # past it zeta(s) is 1.0 at working precision
 
 # Smallest tolerance zeta_real and prime_zeta accept.
 MIN_TOL = 1e-15
-
-_TWO_PI = 2.0 * math.pi
 
 
 class PrecisionError(ValueError):
@@ -80,11 +78,14 @@ class EvalResult(namedtuple("EvalResult", "value error_bound")):
     def _make(cls, iterable):  # so _replace runs the checks too
         return cls(*iterable)
 
+    def __reduce__(self):  # protocols 0 and 1 too unpickle through __new__
+        return type(self), tuple(self)
+
 
 # B_{2j}/(2j)! for j = 1..J + 1, each the exact rational rounded once
 # and written out, so that evaluating zeta runs no Fraction arithmetic
-# (a test rebuilds them from arith.bernoulli); the last one only bounds
-# the remainder.
+# (a test rebuilds them from a Bernoulli recurrence); the last one only
+# bounds the remainder.
 _EM_COEFFICIENTS = (
     0.08333333333333333,
     -0.001388888888888889,
@@ -155,20 +156,6 @@ def _check_tol(tol: float, floor: float = MIN_TOL) -> None:
         raise PrecisionError(f"tol {tol} below working-precision floor {floor}")
 
 
-def euler_even_zeta(k: int) -> EvalResult:
-    """zeta(2k) by Euler's closed form, error bound rounding-only.
-
-    zeta(2k) = (-1)^(k-1) (2 pi)^(2k) B_{2k} / (2 (2k)!), with the
-    rational part kept exact and rounded once; the only float work is
-    the power of 2*pi, so the bound is a few ulps.
-    """
-    if not 1 <= k <= 32:
-        raise ValueError(f"euler_even_zeta needs 1 <= k <= 32, got {k}")
-    rational = (-1) ** (k - 1) * bernoulli(2 * k) / (2 * math.factorial(2 * k))
-    value = float(rational) * _TWO_PI ** (2 * k)
-    return EvalResult(value=value, error_bound=abs(value) * (2 * k + 4) * 2.0 ** -52)
-
-
 @lru_cache(maxsize=1)
 def _mobius_small() -> tuple[int, ...]:
     # mu(k) for k up to the largest truncation index K; K*s > 60 with
@@ -214,29 +201,6 @@ def prime_zeta(s: float, tol: float = 1e-12) -> EvalResult:
     return EvalResult(
         value=fsum(terms),
         error_bound=_pz_tail_bound(k_stop, s) + eval_error,
-    )
-
-
-@lru_cache(maxsize=4)
-def _prime_list(limit: int) -> tuple[int, ...]:
-    return primes_upto(limit)
-
-
-def prime_zeta_direct(s: float, prime_limit: int) -> EvalResult:
-    """P(s) by direct summation over primes up to prime_limit.
-
-    Tail bound: the primes above the limit are a subset of the integers,
-    so sum_{p > L} p^{-s} <= integral_L^inf x^{-s} dx = L^{1-s}/(s-1).
-    Deliberately independent of prime_zeta's series route — this is the
-    cross-validation oracle, so it shares no truncation logic with it.
-    """
-    if not s > 1.0:
-        raise ValueError(f"prime_zeta_direct needs s > 1, got {s}")
-    if prime_limit < 2:
-        raise ValueError(f"prime_limit must be >= 2, got {prime_limit}")
-    value = fsum(p ** -s for p in _prime_list(prime_limit))
-    return EvalResult(
-        value=value, error_bound=float(prime_limit) ** (1.0 - s) / (s - 1.0)
     )
 
 

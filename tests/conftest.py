@@ -1,18 +1,25 @@
 """Shared fixtures and independent oracles.
 
 The oracles here deliberately avoid the package's own algorithms:
-trial division instead of sieves, a different Bernoulli recurrence,
-schoolbook convolution instead of the divisor-loop version.  Expected
-values in the tests come from these, from hand computation, or from
-published reference digits — never from the code under test.
+trial division instead of sieves, a Bernoulli recurrence for the
+Euler-Maclaurin coefficients and Euler's closed form, direct summation
+over primes instead of the Mobius log-zeta series for P(s), iteration
+for the radical tail's fixed point, and schoolbook convolution instead
+of the divisor-loop version.  Expected values in the tests come from
+these, from hand computation, or from published reference digits —
+never from the code under test.
 """
 
+import math
 import os
+from fractions import Fraction
+from functools import lru_cache
+from math import comb, fsum
 from pathlib import Path
 
 import pytest
 
-from pzcheck import sieve
+from pzcheck import EvalResult, primes_upto, sieve
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -96,3 +103,61 @@ def naive_convolve(a, b):
             if i * j <= n:
                 out[i * j - 1] += a[i - 1] * b[j - 1]
     return out
+
+
+def oracle_bernoulli(m):
+    """Exact B_m by B_r = 1 - sum_{k<r} C(r,k) B_k / (r - k + 1).
+
+    This recurrence gives B_1 = +1/2; every other index agrees with the
+    B_1 = -1/2 convention.
+    """
+    values = []
+    for r in range(m + 1):
+        acc = Fraction(1)
+        for k in range(r):
+            acc -= comb(r, k) * values[k] / (r - k + 1)
+        values.append(acc)
+    return values[m]
+
+
+@lru_cache(maxsize=4)
+def _prime_list(limit: int) -> tuple[int, ...]:
+    return primes_upto(limit)
+
+
+def prime_zeta_direct(s: float, prime_limit: int) -> EvalResult:
+    """P(s) by direct summation over primes up to prime_limit.
+
+    Tail bound: the primes above the limit are a subset of the integers,
+    so sum_{p > L} p^{-s} <= integral_L^inf x^{-s} dx = L^{1-s}/(s-1).
+    Deliberately independent of prime_zeta's series route — this is the
+    cross-validation oracle, so it shares no truncation logic with it.
+    """
+    if not s > 1.0:
+        raise ValueError(f"prime_zeta_direct needs s > 1, got {s}")
+    if prime_limit < 2:
+        raise ValueError(f"prime_limit must be >= 2, got {prime_limit}")
+    value = fsum(p ** -s for p in _prime_list(prime_limit))
+    return EvalResult(
+        value=value, error_bound=float(prime_limit) ** (1.0 - s) / (s - 1.0)
+    )
+
+
+def tail_fixed_point(x0: float = 0.5, tol: float = 1e-14) -> float:
+    """The positive root of X^2 + X - 2 = 0 by iterating X <- sqrt(2 - X).
+
+    The map contracts on [-2, 2] (derivative magnitude ~ 0.35 near the
+    root), so any start there lands on 1; this is the value the deep
+    radical tail collapses to, hence the ONE_TAIL seed.
+    """
+    if not -2.0 <= x0 <= 2.0:
+        raise ValueError(f"start must lie in [-2, 2], got {x0}")
+    if not 1e-15 <= tol <= 1.0:
+        raise ValueError(f"tol must lie in [1e-15, 1], got {tol}")
+    x = x0
+    for _ in range(500):
+        nxt = math.sqrt(2.0 - x)
+        if abs(nxt - x) <= tol:
+            return nxt
+        x = nxt
+    raise ArithmeticError("fixed-point iteration failed to converge")  # pragma: no cover

@@ -11,6 +11,7 @@ import random
 import time
 from fractions import Fraction
 
+from conftest import prime_zeta_direct, tail_fixed_point
 from pzcheck import (
     TailMode,
     claim4_check,
@@ -27,10 +28,8 @@ from pzcheck import (
     invert,
     mobius,
     prime_zeta,
-    prime_zeta_direct,
     singularity_probe,
     sieve,
-    tail_fixed_point,
     unit_series,
     zeta_series,
 )
@@ -101,12 +100,13 @@ def test_acceptance_3_prime_zeta_cross_validation():
 def test_acceptance_4_radical_refutation():
     result = claim4_check(2.0, 12)
     combined = result.radical_value.error_bound + result.prime_zeta_value.error_bound
+    gap = abs(result.prime_zeta_value.value - result.radical_value.value)
     _verdict(
         4,
         "radical value vs prime zeta at s=2",
         {
             "radical_rounds_to_0.4588": f"{result.radical_value.value:.4f}" == "0.4588",
-            "gap_exceeds_10x_bounds": result.gap > 10.0 * combined,
+            "gap_exceeds_10x_bounds": gap > 10.0 * combined,
         },
     )
 

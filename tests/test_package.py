@@ -151,8 +151,8 @@ _RECORDS = {
                   lambda: pzcheck.FitResult(1.0, 2.0, 3.0, 0.0)),
     "RadicalTrace": (("s", "depth", "tail_mode", "values", "error_bounds"), {},
                      lambda: pzcheck.eval_nested(2.0, 3, pzcheck.TailMode.ONE_TAIL)),
-    "Claim4Result": (("radical_value", "prime_zeta_value", "gap"), {},
-                     lambda: pzcheck.Claim4Result(_eval(), _eval(0.25), 0.75)),
+    "Claim4Result": (("radical_value", "prime_zeta_value"), {},
+                     lambda: pzcheck.Claim4Result(_eval(), _eval(0.25))),
     "ClaimReport": (("claim_id", "mode", "verdict", "parameters", "evidence"), {},
                     lambda: ClaimReport("CLAIM2_3", "NUMERIC", "CONSISTENT", {"s": 2.0})),
 }
@@ -177,6 +177,11 @@ def test_checked_records_check_every_construction_path():
         _eval()._replace(value=math.nan)
     with pytest.raises(ValueError, match="bad error bound"):
         pzcheck.EvalResult._make([1.0, -1.0])
+    # every pickle protocol, 0 and 1 included, unpickles through __new__
+    forged = tuple.__new__(pzcheck.EvalResult, (math.nan, -1.0))
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        with pytest.raises(ValueError, match="non-finite"):
+            pickle.loads(pickle.dumps(forged, protocol))
     # ClaimReport's __new__ gives each report its own parameters and
     # evidence; _make builds from all five fields and checks their count
     report = ClaimReport("CLAIM2_3", "NUMERIC", "CONSISTENT")

@@ -1,7 +1,9 @@
 """pyproject.toml: the package needs nothing outside the standard library,
-and the test extra installs every package the suite imports."""
+and the test extra installs every package the suite imports.  README.md:
+its Python session runs as shown."""
 
 import ast
+import doctest
 import re
 import sys
 from pathlib import Path
@@ -43,3 +45,16 @@ def test_package_imports_only_the_standard_library():
     outside = imported - set(sys.stdlib_module_names)
     assert "sys" in imported  # the scan sees the package's imports at all
     assert not outside, sorted(outside)
+
+
+def test_readme_session_runs_as_shown():
+    # each ```python block is one doctest session; the closing fence is
+    # left out, or doctest would read it as the last expected output
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    runner, report = doctest.DocTestRunner(), []
+    for block in re.finditer(r"^```python\n(.*?)^```$", readme, re.M | re.S):
+        lineno = readme.count("\n", 0, block.start(1))
+        session = doctest.DocTestParser().get_doctest(block[1], {}, "README.md", None, lineno)
+        runner.run(session, out=report.append)
+    assert runner.tries, "README.md shows no Python session"
+    assert not runner.failures, "".join(report)

@@ -9,6 +9,7 @@ import math
 
 import pytest
 
+from conftest import tail_fixed_point
 from pzcheck.zeta import EvalResult, _euler_maclaurin
 
 from pzcheck import (
@@ -20,7 +21,6 @@ from pzcheck import (
     eval_nested,
     prime_zeta,
     radical,
-    tail_fixed_point,
 )
 
 
@@ -241,19 +241,23 @@ def test_tail_fixed_point_validation():
 # -- the depth check -----------------------------------------------------
 
 
+def _gap(res):
+    return abs(res.prime_zeta_value.value - res.radical_value.value)
+
+
 def test_claim4_gap_at_s2_is_macroscopic():
     res = claim4_check(2.0, 8)
     assert res.radical_value.value == pytest.approx(0.4588, abs=5e-5)
     assert res.prime_zeta_value.value == pytest.approx(0.4522474200, abs=1e-9)
     combined = res.radical_value.error_bound + res.prime_zeta_value.error_bound
-    assert res.gap > 0.0065
-    assert res.gap > 10.0 * combined
+    assert _gap(res) > 0.0065
+    assert _gap(res) > 10.0 * combined
 
 
 def test_claim4_gap_is_depth_stable():
-    g8 = claim4_check(2.0, 8).gap
-    g12 = claim4_check(2.0, 12).gap
-    g20 = claim4_check(2.0, 20).gap
+    g8 = _gap(claim4_check(2.0, 8))
+    g12 = _gap(claim4_check(2.0, 12))
+    g20 = _gap(claim4_check(2.0, 20))
     assert abs(g8 - g12) < 1e-9
     assert abs(g12 - g20) < 1e-12
 
@@ -263,13 +267,14 @@ def test_claim4_gap_survives_at_s6():
     # 30, and 30^-6 sits well above the evaluation bounds
     res = claim4_check(6.0, 20)
     combined = res.radical_value.error_bound + res.prime_zeta_value.error_bound
-    assert 1e-10 < res.gap < 1e-8
-    assert res.gap > combined
+    assert 1e-10 < _gap(res) < 1e-8
+    assert _gap(res) > combined
 
 
 def test_claim4_sides_are_internally_consistent():
     res = claim4_check(3.0, 15)
-    assert res.gap == abs(res.prime_zeta_value.value - res.radical_value.value)
+    folded = eval_nested(3.0, 15, TailMode.ONE_TAIL)
+    assert res.radical_value.value == 1.0 - folded.values[-1]
     direct = prime_zeta(3.0)
     assert res.prime_zeta_value.value == direct.value
 

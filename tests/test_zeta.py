@@ -3,9 +3,10 @@
 Oracles used here, independent of the implementation under test:
 
 * partial sum + integral-test bracket for zeta(s),
-* math.pi closed forms for zeta(2) and zeta(4),
-* prime_zeta_direct (plain summation over a sieve) against the
-  Mobius/log series route of prime_zeta,
+* math.pi closed forms for zeta(2) and zeta(4), and Euler's closed
+  form for zeta(2k) with B_2k from conftest's Bernoulli recurrence,
+* conftest's prime_zeta_direct (plain summation over a sieve) against
+  the Mobius/log series route of prime_zeta,
 * mpmath.zeta at 30 digits (test-only) for the Euler-Maclaurin core.
 """
 
@@ -15,19 +16,17 @@ import sys
 
 import pytest
 
+from conftest import oracle_bernoulli, prime_zeta_direct
 from pzcheck import (
     EvalResult,
     PrecisionError,
     TailMode,
-    bernoulli,
     claim_lhs,
     claim_rhs,
-    euler_even_zeta,
     eval_nested,
     factorize,
     fit_log_quadratic,
     prime_zeta,
-    prime_zeta_direct,
     sieve,
     singularity_probe,
     zeta,
@@ -164,7 +163,7 @@ def test_euler_maclaurin_literals_are_rounded_bernoulli_ratios():
     # the float literals stand in for B_{2j}/(2j)!, j = 1..J + 1, rounded once
     assert len(_EM_COEFFICIENTS) == 9
     for j, coeff in enumerate(_EM_COEFFICIENTS, 1):
-        assert coeff == float(bernoulli(2 * j) / math.factorial(2 * j)), j
+        assert coeff == float(oracle_bernoulli(2 * j) / math.factorial(2 * j)), j
 
 
 def test_pole_guard_names_the_gap_not_a_term_count():
@@ -190,30 +189,35 @@ def test_claim_sides_share_one_zeta_summation():
     assert both.hits == rhs_alone.hits + 1
 
 
-# -- euler_even_zeta ---------------------------------------------------
+# -- Euler's closed form ----------------------------------------------
+
+
+def _euler_even_zeta(k):
+    """zeta(2k) = (-1)^(k-1) (2 pi)^(2k) B_{2k} / (2 (2k)!), bound a few ulps.
+
+    The rational part is exact and rounded once; the only float work is
+    the power of 2*pi.
+    """
+    rational = (-1) ** (k - 1) * oracle_bernoulli(2 * k) / (2 * math.factorial(2 * k))
+    value = float(rational) * (2.0 * math.pi) ** (2 * k)
+    return EvalResult(value=value, error_bound=abs(value) * (2 * k + 4) * 2.0 ** -52)
 
 
 def test_euler_closed_form_k1_k2():
-    z2 = euler_even_zeta(1)
+    z2 = _euler_even_zeta(1)
     assert z2.value == pytest.approx(math.pi**2 / 6.0, rel=1e-15)
-    z4 = euler_even_zeta(2)
+    z4 = _euler_even_zeta(2)
     assert z4.value == pytest.approx(math.pi**4 / 90.0, rel=1e-15)
     assert 2.0 / z2.value == pytest.approx(1.2158542, abs=5e-8)
 
 
 def test_euler_closed_form_matches_summation_route():
     for k in (1, 2, 3, 5, 8):
-        closed = euler_even_zeta(k)
+        closed = _euler_even_zeta(k)
         summed = zeta_real(2.0 * k, 1e-14)
         assert abs(closed.value - summed.value) <= (
             closed.error_bound + summed.error_bound + 1e-15
         )
-
-
-def test_euler_closed_form_domain():
-    for k in (0, -1, 33):
-        with pytest.raises(ValueError):
-            euler_even_zeta(k)
 
 
 # -- prime_zeta --------------------------------------------------------
