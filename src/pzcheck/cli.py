@@ -370,7 +370,7 @@ def _migotti(params: dict) -> tuple[str, list]:
         raise UsageError(f"--max-n must be <= {cyclotomic._MAX_N} (cyclotomic domain), got {limit}")
     phi105 = cyclotomic_poly(105)
     c7, c41 = phi105.coefficient(7), phi105.coefficient(41)
-    # cross-check the packed height against the slice-built Phi_105, read
+    # cross-check the one-byte height against the two-byte Phi_105, read
     # back from cyclotomic's one-entry cache
     h105 = cyclotomic_height(105)
     if h105 != max(map(abs, cyclotomic_poly(105).coeffs)):

@@ -1,37 +1,32 @@
-"""Exact cyclotomic polynomials as one truncated power series.
+"""Exact cyclotomic polynomials from one Kronecker-packed product.
 
 For n > 1, Phi_n(x) = prod_{d | n} (1 - x^d)^{mu(n/d)} has degree
 phi(n), so the product is carried modulo x^(phi(n) + 2), one slot past
-the degree (Arnold & Monagan, Math. Comp. 80 (2011)).  Each factor is
-applied by list-slice passes, not a loop over coefficients: multiplying
-by 1 - x^d subtracts the list shifted by d in one pass, and dividing by
-it is a running sum along each residue class mod d when d^2 <= phi(n) + 1
-and a block-by-block add of d coefficients otherwise, so about
-sqrt(phi(n)) slice operations either way.  Phi_1 = x - 1 is the one
-sign flip.  A wrong product shows in the four checked post-conditions:
-a nonzero slot past phi(n), a leading coefficient not 1, a Phi_n
-(n > 1) that is not palindromic, or a wrong Phi_n(1).  cyclotomic()
-assumes no height bound: its coefficients are arbitrary-precision ints.
-
-height(n) builds no Phi_n of full degree: Phi_n(x) = Phi_r(x^(n/r))
-with r = rad(n), and Phi_2m(x) = Phi_m(-x) for odd m > 1, so Phi_n has
-the coefficients of Phi_k up to sign and spacing, where k, the product
-of n's odd primes, is n's odd squarefree kernel.  Phi_k is not built as
-a list either: the same truncated product is Kronecker-packed into one
-int, with each coefficient a signed byte, and the same four
-post-conditions are checked on the decoded bytes.  A proved height
-bound (never Migotti's theorem, which the scan tests) shows that a byte
-is wide enough; for the nine four-prime kernels <= 10^4 where it cannot,
-the height is read off cyclotomic(k).  Heights are memoised per kernel
-as ints; cyclotomic() keeps only the last polynomial it built.
+the degree (Arnold & Monagan, Math. Comp. 80 (2011)).  _packed_digits
+evaluates it at a power of the byte base in one int, so each factor is
+a shift and an add, not a loop over coefficients, and Phi_1 = x - 1 is
+the one sign flip.  Two readouts decode its digits.  cyclotomic(n)
+takes two bytes per coefficient, which holds every Phi_n with
+n <= 10^4, and decodes them in pairs.  height(n) builds no Phi_n of
+full degree: Phi_n(x) = Phi_r(x^(n/r)) with r = rad(n), and
+Phi_2m(x) = Phi_m(-x) for odd m > 1, so Phi_n has the coefficients of
+Phi_k up to sign and spacing, where k, the product of n's odd primes,
+is n's odd squarefree kernel.  Phi_k takes one byte per coefficient,
+and its height is read by counting bytes, never decoding them; for the
+nine four-prime kernels <= 10^4 whose bound passes a byte, it is read
+off cyclotomic(k).  A proved height bound (never Migotti's theorem,
+which the scan tests) shows that the digits are wide enough, and a
+wrong product shows as a coefficient past that bound or in the four
+checked post-conditions: a nonzero slot past phi(n), a leading
+coefficient not 1, a Phi_n (n > 1) that is not palindromic, or a wrong
+Phi_n(1).  Heights are memoised per kernel as ints; cyclotomic() keeps
+only the last polynomial it built.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate
 from math import prod
-from operator import add, sub
 
 from .arith import factorize, sieve
 
@@ -92,30 +87,24 @@ def _table():
 def cyclotomic(n: int) -> IntPolynomial:
     """Phi_n as an exact IntPolynomial, for 1 <= n <= 10^4.
 
-    mu(n/d) is nonzero only at d = n/e with e a squarefree product of
-    n's primes, where it is (-1)^omega(e), so one factorization of n
-    gives every factor.  Four post-conditions are checked on every
-    construction: the slot past phi(n) is 0, so the series stops; the
-    leading coefficient is 1; Phi_n is palindromic for n > 1; and
+    Decoded from two bytes per coefficient of the packed product, which
+    _height_bound proves wide enough: no Phi_n with n <= 10^4 has a
+    coefficient past 680 < 2^15, and one past the bound of n's odd
+    squarefree kernel is refused.  Four post-conditions are checked on
+    every construction: the slot past phi(n) is 0, so the series stops;
+    the leading coefficient is 1; Phi_n is palindromic for n > 1; and
     Phi_n(1) is 0 at n = 1, p at n = p^k and 1 otherwise.
     """
     if not 1 <= n <= _MAX_N:
         raise ValueError(f"cyclotomic index must be in [1, {_MAX_N}], got {n}")
     factored = factorize(n, _table())
     primes = [p for p, _ in factored.factors]
-    top = factored.totient + 1
-    coeffs = [1] + [0] * top  # Phi_n modulo x^(top + 1)
-    for d, mu in _mobius_factors(n, primes):
-        if mu == 1:  # times 1 - x^d: c[i] -= c[i - d], all from the old list
-            coeffs[d:] = map(sub, coeffs[d:], coeffs)
-        elif d * d <= top:  # over 1 - x^d: a running sum along each class mod d
-            for r in range(d):
-                coeffs[r::d] = accumulate(coeffs[r::d])
-        else:  # the same sums, adding each block of d to the updated one below
-            for i in range(d, top + 1, d):
-                coeffs[i:i + d] = map(add, coeffs[i:i + d], coeffs[i - d:i])
-    if n == 1:  # x - 1 = -(1 - x)
-        coeffs = [-c for c in coeffs]
+    digits = _packed_digits(n, primes, factored.totient + 2, 2)
+    zero = 1 << 15
+    coeffs = [256 * high + low - zero for low, high in zip(digits[::2], digits[1::2])]
+    bound = _height_bound([p for p in primes if p != 2])
+    if max(map(abs, coeffs)) > bound:
+        raise ArithmeticError(f"Phi_{n} has a coefficient past its proved bound {bound}")
     _check(n, primes, coeffs[-2:], sum(coeffs), n == 1 or coeffs[:-1] == coeffs[-2::-1])
     return IntPolynomial(coeffs)
 
@@ -126,6 +115,34 @@ def _mobius_factors(n: int, primes: list[int]) -> list[tuple[int, int]]:
     for p in primes:
         signed += [(e * p, -mu) for e, mu in signed]
     return [(n // e, mu) for e, mu in signed]
+
+
+def _packed_digits(n: int, primes: list[int], slots: int, size: int) -> bytes:
+    """Phi_n modulo x^slots, slots = phi(n) + 2, as little-endian digits.
+
+    The truncated product is evaluated at x = 2^(8 size) modulo
+    2^(8 size slots), a ring homomorphism from Z[x]/(x^slots), so no
+    intermediate product needs a bound: only Phi_n's own coefficients
+    must fit a digit of size bytes.  Times 1 - x^d is one shifted
+    subtraction; over 1 - x^d, the product of 1 + x^(2^j d), is one
+    shifted addition per doubling.  Adding 2^(8 size - 1) to every digit
+    makes each one c + 2^(8 size - 1) for the coefficient c.
+    """
+    width = 8 * size * slots
+    mask = (1 << width) - 1
+    packed = 1
+    for d, mu in _mobius_factors(n, primes):
+        shift = 8 * size * d
+        if mu == 1:
+            packed = (packed - (packed << shift)) & mask
+        else:
+            while shift < width:
+                packed = (packed + (packed << shift)) & mask
+                shift <<= 1
+    if n == 1:  # x - 1 = -(1 - x)
+        packed = -packed & mask
+    offset = int.from_bytes((1 << (8 * size - 1)).to_bytes(size, "little") * slots, "little")
+    return ((packed + offset) & mask).to_bytes(size * slots, "little")
 
 
 def _check(n: int, primes: list[int], top: list[int], at_one: int, palindromic: bool) -> None:
@@ -172,40 +189,20 @@ def _height_bound(primes: list[int]) -> int:
 
 @lru_cache(maxsize=None)  # one int per odd squarefree k <= 10^4
 def _kernel_height(k: int) -> int:
-    """Height of Phi_k for odd squarefree k, from one Kronecker-packed int.
+    """Height of Phi_k for odd squarefree k, from one byte per coefficient.
 
-    The truncated product is evaluated at x = 2^8 modulo 2^(8(phi(k) + 2)),
-    a ring homomorphism from Z[x]/(x^(phi(k) + 2)), so no intermediate
-    product needs a bound: only Phi_k's own coefficients must fit signed
-    bytes, which _height_bound proves for every kernel <= 10^4 but nine
-    four-prime ones from 5005 to 9867, read off cyclotomic(k) instead.
-    Times 1 - x^d is one shifted subtraction; over 1 - x^d, the product
-    of 1 + x^(2^j d), is one shifted addition per doubling.  Adding 128
-    to every digit makes each byte c + 128, and the height and Phi_k(1)
-    are read by counting the bytes at each distance from that offset.
+    _height_bound proves a signed byte wide enough for every kernel
+    <= 10^4 but nine four-prime ones from 5005 to 9867, read off
+    cyclotomic(k) instead.  Each byte is c + 128, so the height and
+    Phi_k(1) are read by counting the bytes at each distance from 128.
     """
     primes = [p for p, _ in factorize(k, _table()).factors]
     bound = _height_bound(primes)
-    if bound > 127:  # a byte cannot hold the proved bound: the slice reference
+    if bound > 127:  # a byte cannot hold the proved bound: two bytes each
         return max(map(abs, cyclotomic(k).coeffs))
-    slots = prod(p - 1 for p in primes) + 2  # Phi_k modulo x^slots
-    width = 8 * slots
-    mask = (1 << width) - 1
-    packed = 1
-    for d, mu in _mobius_factors(k, primes):
-        shift = 8 * d
-        if mu == 1:
-            packed = (packed - (packed << shift)) & mask
-        else:
-            while shift < width:
-                packed = (packed + (packed << shift)) & mask
-                shift <<= 1
-    if k == 1:  # x - 1 = -(1 - x)
-        packed = -packed & mask
+    digits = _packed_digits(k, primes, prod(p - 1 for p in primes) + 2, 1)
     zero = 128
-    offset = int.from_bytes(bytes([zero]) * slots, "little")
-    digits = ((packed + offset) & mask).to_bytes(slots, "little")
-    left = slots - digits.count(zero)
+    left = len(digits) - digits.count(zero)
     at_one = distance = 0
     while left and distance < bound:
         distance += 1

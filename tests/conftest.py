@@ -12,6 +12,7 @@ never from the code under test.
 
 import math
 import os
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, fsum
@@ -19,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+sys.dont_write_bytecode = True  # a test run leaves no bytecode in src/ to skew a later timing
 from pzcheck import EvalResult, primes_upto, sieve
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -26,10 +28,12 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 @pytest.fixture(autouse=True, scope="session")
 def _src_on_child_path():
-    """Interpreters the tests start import pzcheck from this checkout's src."""
+    """Interpreters the tests start import pzcheck from this checkout's src
+    and, like this one, write no bytecode there."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     with pytest.MonkeyPatch.context() as patch:
         patch.setenv("PYTHONPATH", path)
+        patch.setenv("PYTHONDONTWRITEBYTECODE", "1")
         yield
 
 

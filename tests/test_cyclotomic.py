@@ -3,10 +3,14 @@
 Oracles: the defining product prod_{d|n} Phi_d(x) = x^n - 1 checked with
 an independent schoolbook polynomial multiply, integer-point evaluation
 of the Mobius product identity, trial-division totients, and the Mobius
-product by per-coefficient loops (the construction before slice passes).
+product two ways on trial-division divisors: per-coefficient loops, and
+about sqrt(phi(n)) list-slice passes, fast enough to give every kernel's
+height.  Neither packs coefficients into an int, as the package does.
 """
 
 import random
+from itertools import accumulate
+from operator import add, sub
 
 import pytest
 
@@ -45,6 +49,36 @@ def _loop_cyclotomic(n):
     return tuple(coeffs[:-1])
 
 
+def _divisors(n):
+    out = [1]
+    for p, e in naive_factor(n):
+        out = [d * p**i for d in out for i in range(e + 1)]
+    return out
+
+
+def _slice_cyclotomic(n):
+    # the same truncated product by list-slice passes: times 1 - x^d
+    # subtracts the list shifted by d in one pass, and over 1 - x^d is a
+    # running sum along each residue class mod d when d^2 <= phi(n) + 1,
+    # else a block-by-block add of d coefficients
+    top = naive_totient(n) + 1
+    coeffs = [1] + [0] * top
+    for d in _divisors(n):
+        mu = naive_mobius(n // d)
+        if mu == 1:
+            coeffs[d:] = map(sub, coeffs[d:], coeffs)
+        elif mu == -1 and d * d <= top:
+            for r in range(d):
+                coeffs[r::d] = accumulate(coeffs[r::d])
+        elif mu == -1:
+            for i in range(d, top + 1, d):
+                coeffs[i:i + d] = map(add, coeffs[i:i + d], coeffs[i - d:i])
+    if n == 1:
+        coeffs = [-c for c in coeffs]
+    assert coeffs[-1] == 0
+    return tuple(coeffs[:-1])
+
+
 def _odd_kernel(n):
     out = 1
     for p, _ in naive_factor(n):
@@ -54,6 +88,7 @@ def _odd_kernel(n):
 
 
 _SAMPLE_TO_1E4 = random.Random(23).sample(range(2001, 10**4 + 1), 40)
+_WIDE_KERNELS = [5005, 6545, 7293, 7315, 7735, 8151, 8645, 8855, 9867]
 
 
 # -- IntPolynomial container --------------------------------------------
@@ -246,8 +281,8 @@ def test_integer_point_identity_above_2000():
         assert cyclotomic(n)(2) * den == num, n
 
 
-def test_slice_passes_match_the_per_coefficient_loops():
-    for n in list(range(1, 2001)) + _SAMPLE_TO_1E4:
+def test_packed_product_matches_the_per_coefficient_loops():
+    for n in list(range(1, 2001)) + _SAMPLE_TO_1E4 + _WIDE_KERNELS:
         assert cyclotomic.__wrapped__(n).coeffs == _loop_cyclotomic(n), n
 
 
@@ -280,21 +315,21 @@ def _kernel_primes(k):
 
 
 def test_packed_heights_match_the_slice_path_within_a_proved_bound():
-    # every odd squarefree kernel <= 10^4: the height is the slice-built
-    # one, within the proved bound, and that bound passes a signed byte
-    # at exactly nine four-prime kernels
+    # every odd squarefree kernel <= 10^4: the height is the one of the
+    # test-side slice product, within the proved bound, and that bound
+    # passes a signed byte at exactly nine four-prime kernels
     height_of = cyclotomic_module._kernel_height.__wrapped__
     kernels = [k for k in range(1, 10**4 + 1, 2) if all(e == 1 for _, e in naive_factor(k))]
     assert len(kernels) == 4056
     wide = []
     for k in kernels:
-        want = max(map(abs, cyclotomic.__wrapped__(k).coeffs))
+        want = max(map(abs, _slice_cyclotomic(k)))
         assert height_of(k) == want, k
         bound = cyclotomic_module._height_bound(_kernel_primes(k))
         assert want <= bound, k
         if bound > 127:
             wide.append(k)
-    assert wide == [5005, 6545, 7293, 7315, 7735, 8151, 8645, 8855, 9867]
+    assert wide == _WIDE_KERNELS
 
 
 def test_digit_width_follows_the_proved_bound(monkeypatch):
@@ -305,7 +340,7 @@ def test_digit_width_follows_the_proved_bound(monkeypatch):
     monkeypatch.setattr(cyclotomic_module, "cyclotomic", lambda n: built.append(n) or real(n))
     heights = {k: cyclotomic_module._kernel_height.__wrapped__(k) for k in (1155, 3003, 5005, 7293)}
     assert built == [5005, 7293]
-    assert heights == {k: max(map(abs, real(k).coeffs)) for k in heights}
+    assert heights == {k: max(map(abs, _slice_cyclotomic(k))) for k in heights}
     with pytest.raises(ValueError, match="5 primes"):
         cyclotomic_module._height_bound([3, 5, 7, 11, 13])
 

@@ -5,10 +5,12 @@ through main(), once per --format value where the flag applies: exit
 status, standard output and standard error, byte for byte.  The set
 covers every claim/mode pair, every table selector, Migotti scans to
 3000 and to 10^4 (check-migotti_remark-10000), a height table over
-2000..2200 and one at the four-prime kernels 1155, 5005, 6545 and 7293
-(table-cyclotomic-height-four-primes: the packed height at 1155, the
-slice path at the wide-bound kernels 5005, 6545 and 7293, and the
-largest kernel height to 10^4, 9 at 6545), a failing probe row, a
+2000..2200, one at the four-prime kernels 1155, 5005, 6545 and 7293
+(table-cyclotomic-height-four-primes: the one-byte height at 1155, the
+two-byte Phi at the wide-bound kernels 5005, 6545 and 7293, and the
+largest kernel height to 10^4, 9 at 6545) and one at all nine
+wide-bound kernels to 10^4, whose heights read off the two-byte Phi
+(table-cyclotomic-height-wide-kernels), a failing probe row, a
 probe check whose every row fails on precision
 (check-claim2_3-probe-tol1e-16), a zeta table with one row too close
 to the pole, a radical table with non-existent truncations, a radical
@@ -88,6 +90,8 @@ _FORMATTED = (
      ["table", "cyclotomic-height", "--n", "2000..2200"]),
     ("table-cyclotomic-height-four-primes",
      ["table", "cyclotomic-height", "--n", "1155,5005,6545,7293"]),
+    ("table-cyclotomic-height-wide-kernels",
+     ["table", "cyclotomic-height", "--n", "5005,6545,7293,7315,7735,8151,8645,8855,9867"]),
     ("table-probe", ["table", "probe"]),
     ("table-probe-failing-row", ["table", "probe", "--eps", "1e-6,1e-8"]),
     ("table-probe-to-1e-6", ["table", "probe", "--eps", "1e-1..1e-6"]),
