@@ -29,16 +29,13 @@ _EXPORTS = {
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
-# Rational, the exact rational scalar, is fractions.Fraction
-__all__ = sorted([*_HOME, "Rational"])
+__all__ = sorted(_HOME)
 
 
 def __getattr__(name: str):
     from importlib import import_module
 
-    if name == "Rational":
-        from fractions import Fraction as value
-    elif name in _HOME:
+    if name in _HOME:
         value = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
     elif name in _EXPORTS:
         value = import_module(f"{__name__}.{name}")

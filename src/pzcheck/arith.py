@@ -22,11 +22,6 @@ class PrimeTable(namedtuple("PrimeTable", "limit primes smallest_factor")):
 
     __slots__ = ()
 
-    def is_prime(self, n: int) -> bool:
-        if not 2 <= n <= self.limit:
-            raise ValueError(f"n={n} outside table range [2, {self.limit}]")
-        return self.smallest_factor[n] == n
-
 
 class FactoredInteger(namedtuple("FactoredInteger", "n factors")):
     """An integer together with its full prime factorization.

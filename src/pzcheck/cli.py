@@ -575,8 +575,8 @@ def _radical_table(params: dict):
 
 def _radical_domain_table(params: dict):
     columns = ["s", "all_radicands_positive", "failing_level"]
-    rows, reasons = _rows_by_s(params["s"], columns, lambda s: radical.domain_scan(
-        [s], params["depth"], radical.TailMode.ONE_TAIL)[0])
+    rows, reasons = _rows_by_s(params["s"], columns,
+                               lambda s: radical.domain_scan([s], params["depth"])[0])
     valid = [row["s"] for row in rows if row.get("all_radicands_positive")]
     summary = (
         f"smallest grid s with all ONE_TAIL radicands positive: {min(valid):.15g}"

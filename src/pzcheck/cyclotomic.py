@@ -58,12 +58,6 @@ class IntPolynomial:
             raise ValueError(f"negative power {k}")
         return self.coeffs[k] if k <= self.degree else 0
 
-    def __call__(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntPolynomial):
             return NotImplemented

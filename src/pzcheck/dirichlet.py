@@ -6,10 +6,11 @@ underlying sums become Dirichlet convolution of coefficients,
 
     (a * b)_n = sum_{d | n} a_d * b_{n/d},
 
-which is what convolve() computes.  Integral coefficients are ints and
-only non-integral ones Fractions, so equality of coefficients is exact,
-and a mismatch between two series at some index is a theorem about the
-first N coefficients, not a floating-point observation.
+which is what convolve() computes.  Input stores integral coefficients
+as ints, but an operation may return one as a Fraction (invert of
+[2, 4, 6, 8] ends in Fraction(0, 1)); equal values compare equal either
+way, so a mismatch between two series at some index is a theorem about
+the first N coefficients, not a floating-point observation.
 
 Truncation discipline: an operation on inputs valid up to N produces an
 output valid up to its own (stated) truncation, never beyond; indices
@@ -36,7 +37,7 @@ class DirichletSeries:
 
     __slots__ = ("truncation", "_a")
 
-    def __init__(self, coefficients: Sequence[int | Fraction]):
+    def __init__(self, coefficients: list[int | Fraction]):
         """Build from the list [a_1, ..., a_N]; N = len(list) >= 1."""
         if len(coefficients) < 1:
             raise ValueError("a Dirichlet series needs at least coefficient a_1")
@@ -74,25 +75,25 @@ class DirichletSeries:
         return f"DirichletSeries(N={self.truncation}; {head}{tail})"
 
 
-def unit_series(truncation: int) -> DirichletSeries:
-    """The convolution identity: a_1 = 1, all other a_n = 0."""
+def _checked(truncation: int) -> int:
     if truncation < 1:
         raise ValueError(f"truncation must be >= 1, got {truncation}")
-    return DirichletSeries._adopt([0, 1] + [0] * (truncation - 1))
+    return truncation
+
+
+def unit_series(truncation: int) -> DirichletSeries:
+    """The convolution identity: a_1 = 1, all other a_n = 0."""
+    return DirichletSeries._adopt([0, 1] + [0] * (_checked(truncation) - 1))
 
 
 def zeta_series(truncation: int) -> DirichletSeries:
     """The series of zeta(s): a_n = 1 for every n."""
-    if truncation < 1:
-        raise ValueError(f"truncation must be >= 1, got {truncation}")
-    return DirichletSeries._adopt([0] + [1] * truncation)
+    return DirichletSeries._adopt([0] + [1] * _checked(truncation))
 
 
 def prime_zeta_series(truncation: int, table: PrimeTable) -> DirichletSeries:
     """The series of P(s): a_p = 1 at primes p, zero elsewhere."""
-    if truncation < 1:
-        raise ValueError(f"truncation must be >= 1, got {truncation}")
-    if truncation > table.limit:
+    if _checked(truncation) > table.limit:
         raise ValueError(f"truncation {truncation} exceeds prime table limit {table.limit}")
     padded = [0] * (truncation + 1)
     for p in table.primes:
@@ -158,9 +159,7 @@ def dilate(a: DirichletSeries, k: int, truncation: int) -> DirichletSeries:
     """
     if k < 1:
         raise ValueError(f"dilation order must be >= 1, got {k}")
-    if truncation < 1:
-        raise ValueError(f"truncation must be >= 1, got {truncation}")
-    n = min(truncation, a.truncation**k)
+    n = min(_checked(truncation), a.truncation**k)
     out = [0] * (n + 1)
     m = 1
     while m**k <= n:
@@ -169,7 +168,7 @@ def dilate(a: DirichletSeries, k: int, truncation: int) -> DirichletSeries:
     return DirichletSeries._adopt(out)
 
 
-def linear_combine(terms: Iterable[tuple[int | Fraction, DirichletSeries]]) -> DirichletSeries:
+def linear_combine(terms: list[tuple[int | Fraction, DirichletSeries]]) -> DirichletSeries:
     """Sum of c_i * series_i, truncated to the minimum truncation."""
     terms = list(terms)
     if not terms:

@@ -137,11 +137,13 @@ def claim4_check(s: float, depth: int, tol: float = 1e-12) -> Claim4Result:
     """The two sides of the radical claim: 1 - f_one(depth) and prime_zeta(s).
 
     The radical side's bound adds a depth-stability margin — evaluate
-    five levels deeper and charge twice the drift — on top of the
-    propagated zeta errors, so a gap exceeding the combined bounds is
-    not a truncation artifact.  (The exact-series cross-check that
-    squaring the radical identity reproduces the claimed identity's
-    structure is written out in cli._claim4 with dirichlet's operations.)
+    at depth min(depth + 5, 64) and charge twice the drift — on top of
+    the propagated zeta errors.  From depth 60 that fold is fewer than
+    five levels deeper, and at depth 64 it is the same fold, so the
+    drift term is 0; ROADMAP item 2's enclosure replaces this margin.
+    (The exact-series cross-check that squaring the radical identity
+    reproduces the claimed identity's structure is written out in
+    cli._claim4 with dirichlet's operations.)
     """
     trace = eval_nested(s, depth, TailMode.ONE_TAIL)
     deeper = eval_nested(s, min(depth + 5, _MAX_DEPTH), TailMode.ONE_TAIL)
@@ -153,10 +155,8 @@ def claim4_check(s: float, depth: int, tol: float = 1e-12) -> Claim4Result:
     return Claim4Result(radical_value=radical, prime_zeta_value=prime_zeta(s, tol))
 
 
-def domain_scan(
-    s_values: list[float], depth: int, tail_mode: TailMode
-) -> list[tuple[float, bool, int | None]]:
-    """For each s, whether the depth-n fold stays real, else the level.
+def domain_scan(s_values: list[float], depth: int) -> list[tuple[float, bool, int | None]]:
+    """For each s, whether the depth-n ONE_TAIL fold stays real, else the level.
 
     Supports the open question of how large "sufficiently large s" must
     be: the smallest grid point with all radicands positive is an
@@ -165,7 +165,7 @@ def domain_scan(
     rows = []
     for s in s_values:
         try:
-            eval_nested(s, depth, tail_mode)
+            eval_nested(s, depth, TailMode.ONE_TAIL)
             rows.append((s, True, None))
         except NegativeRadicandError as exc:
             rows.append((s, False, exc.level))

@@ -27,9 +27,11 @@ zeta(x) - 1 < 2^(2-x) for x >= 2:
     sum_{k>K} |log zeta(ks)|/k  <=  4 * 2^(-(K+1)s) / ((K+1)(1 - 2^(-s))).
 
 Every EvalResult's error_bound covers truncation only — what the
-formulas above cut off — not double rounding; working precision is
-~16 significant digits and all downstream comparisons in this package
-sit many orders of magnitude above it.
+formulas above cut off — not double rounding, at ~16 significant
+digits.  Where a compared difference is itself near rounding, a verdict
+can rest on rounding: `check claim2_3 --mode numeric --s 20` is REFUTED
+on a one-ulp difference of 2.2e-16 against a combined bound of 2.3e-18.
+Bounds that count rounding are ROADMAP item 2.
 """
 
 from __future__ import annotations

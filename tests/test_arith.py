@@ -17,7 +17,7 @@ def test_sieve_first_primes():
 def test_sieve_smallest_valid_limit():
     table = sieve(2)
     assert list(table.primes) == [2]
-    assert table.is_prime(2)
+    assert table.smallest_factor[2] == 2
 
 
 def test_sieve_100_against_trial_division():

@@ -337,3 +337,11 @@ def test_integral_input_is_stored_as_int():
     s = DirichletSeries([Fraction(4, 2), 0.5, 3, 2.0])
     assert [type(c) for c in s.coefficients()] == [int, Fraction, int, int]
     assert s.coefficients() == [2, Fraction(1, 2), 3, 2]
+
+
+def test_integral_values_may_come_back_as_fractions_and_compare_exactly():
+    inv = invert(DirichletSeries([2, 4, 6, 8]))
+    assert [type(c) for c in inv.coefficients()] == [Fraction] * 4
+    want = DirichletSeries([Fraction(1, 2), -1, Fraction(-3, 2), 0])
+    assert inv == want
+    assert first_mismatch(inv, want) is None
