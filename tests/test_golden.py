@@ -21,7 +21,10 @@ table-radical-domain-near-pole), a radical-domain scan with every s
 too close to the pole, a numeric check too close to the pole, the
 near-pole inputs the benchmark times (a probe table to eps = 1e-6, a
 zeta table at s - 1 = 1e-6, 1e-5 and 1e-4 and a numeric check at
-s = 1.000001), three runs far past zeta's clamp at s = 1000 (a numeric
+s = 1.000001), a numeric check at s = 20 that refutes on a one-ulp
+difference against a far smaller combined bound
+(check-claim2_3-numeric-s20, recorded before that bound is made
+honest), three runs far past zeta's clamp at s = 1000 (a numeric
 check at s = 1e20, claim4 and a zeta table at s = 1e300), usage
 errors (options a check or a table does not read, a non-finite or
 negative tolerance, an s below 1, a radical depth of 0, both --max-n
@@ -62,6 +65,7 @@ _FORMATTED = (
     ("check-claim2_3-symbolic-consistent", ["check", "claim2_3", "--max-n", "20"]),
     ("check-claim2_3-symbolic-1e5", ["check", "claim2_3", "--max-n", "100000"]),
     ("check-claim2_3-numeric", ["check", "claim2_3", "--mode", "numeric"]),
+    ("check-claim2_3-numeric-s20", ["check", "claim2_3", "--mode", "numeric", "--s", "20"]),
     ("check-claim2_3-numeric-s50", ["check", "claim2_3", "--mode", "numeric", "--s", "50"]),
     ("check-claim2_3-numeric-tol1e-16",
      ["check", "claim2_3", "--mode", "numeric", "--tol", "1e-16"]),
