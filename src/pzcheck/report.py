@@ -1,0 +1,168 @@
+"""The claim report: its vocabulary, record, validation rules and rendering.
+
+A ClaimReport is what `pzcheck check` prints, in text or as one JSON
+object.  validate() holds every rule a report obeys; emit_report and
+parse_report render and read it back.  The module imports no layer
+module, so the rules can be used and tested without running a check.
+"""
+
+from __future__ import annotations
+
+from collections import namedtuple
+
+VERDICTS = ("REFUTED", "CONSISTENT", "INCONCLUSIVE")
+# the claims and modes cli registers pipelines for, modes in first-seen order
+CLAIM_IDS = ("CLAIM2_3", "CLAIM4", "MIGOTTI_REMARK")
+MODES = ("SYMBOLIC", "NUMERIC", "PROBE")
+
+
+def _r(v: float) -> float:
+    # report floats at 15 significant digits; stored == printed, so
+    # structured reports round-trip exactly
+    return float(f"{v:.15g}")
+
+
+def _bound_agrees(fact: dict) -> bool:
+    # a fact that carries its gap and bound must report their comparison
+    if "exceeds_bound" not in fact or "combined_error_bound" not in fact:
+        return True
+    gap = fact.get("difference", fact.get("value"))
+    try:
+        return (gap > fact["combined_error_bound"]) is fact["exceeds_bound"]
+    except TypeError:
+        return False
+
+
+def _refutes(fact: dict) -> bool:
+    # the fact itself must record the disagreement: a gap beyond its
+    # bound (with both numbers, which _bound_agrees has compared),
+    # unequal exact coefficients, or a Migotti counterexample
+    gap = "value" in fact or "difference" in fact
+    if fact.get("exceeds_bound") is True and gap and "combined_error_bound" in fact:
+        return True
+    if fact.get("exact") is not True:
+        return False
+    if "lhs_coefficient" in fact:
+        return fact["lhs_coefficient"] != fact.get("rhs_coefficient")
+    return fact.get("all_heights_one") is False or any(
+        fact.get(key, -2) != -2 for key in ("degree_7", "degree_41")
+    )
+
+
+class ClaimReport(namedtuple("ClaimReport", "claim_id mode verdict parameters evidence")):
+    """Structured verdict: claim, mode, verdict, evidence, parameters.
+
+    A REFUTED verdict must be carried by at least one evidence fact
+    that records a disagreement: a discrepancy whose gap exceeds the
+    combined error bound it carries, or an exact fact whose own entries
+    contradict the claim.  Every fact that carries exceeds_bound with
+    its numbers must agree with them.  validate() enforces both, and
+    the shapes emit_report renders, on every path that builds a report:
+    the constructor, _make, _replace, unpickling and parse_report.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, claim_id: str, mode: str, verdict: str,
+                parameters: dict | None = None, evidence: list | None = None):
+        # each report gets its own empty parameters and evidence
+        return super().__new__(cls, claim_id, mode, verdict,
+                               {} if parameters is None else parameters,
+                               [] if evidence is None else evidence).validate()
+
+    @classmethod
+    def _make(cls, iterable):  # namedtuple's arity check, then __new__'s; _replace builds here
+        return cls(*super()._make(iterable))
+
+    def __reduce__(self):  # protocols 0 and 1 too unpickle through __new__
+        return type(self), tuple(self)
+
+    def validate(self) -> "ClaimReport":
+        if self.claim_id not in CLAIM_IDS:
+            raise ValueError(f"unknown claim_id {self.claim_id!r}")
+        if self.mode not in MODES:
+            raise ValueError(f"unknown mode {self.mode!r}")
+        if self.verdict not in VERDICTS:
+            raise ValueError(f"unknown verdict {self.verdict!r}")
+        if not isinstance(self.parameters, dict) or not isinstance(self.evidence, list):
+            raise ValueError("parameters must be a dict and evidence a list")
+        for fact in self.evidence:
+            if not isinstance(fact, dict) or not isinstance(fact.get("name"), str):
+                raise ValueError(f"evidence fact {fact!r} is not a dict with a string name")
+            if not _bound_agrees(fact):
+                raise ValueError(
+                    f"fact {fact['name']!r}: exceeds_bound disagrees with "
+                    "its own gap and combined error bound"
+                )
+        if self.verdict == "REFUTED" and not any(map(_refutes, self.evidence)):
+            raise ValueError(
+                "REFUTED verdict without an exact mismatch or a "
+                "discrepancy exceeding its combined error bound"
+            )
+        return self
+
+
+def emit_report(report: ClaimReport, fmt: str) -> str:
+    if fmt == "structured":
+        import json  # json loads only for structured output
+
+        return json.dumps(report._asdict(), indent=2)
+    lines = [
+        f"claim   : {report.claim_id} [{report.mode}]",
+        f"verdict : {report.verdict}",
+        "parameters: "
+        + " ".join(f"{k}={_fmt_value(v)}" for k, v in report.parameters.items()),
+        "evidence:",
+    ]
+    for fact in report.evidence:
+        rest = " ".join(
+            f"{k}={_fmt_value(v)}" for k, v in fact.items() if k != "name"
+        )
+        lines.append(f"  - {fact['name']}: {rest}")
+    return "\n".join(lines)
+
+
+def parse_report(text: str) -> ClaimReport:
+    """Inverse of emit_report(..., "structured"); a malformed report raises ValueError."""
+    import json
+
+    payload = json.loads(text)
+    if not isinstance(payload, dict) or not payload.keys() >= set(ClaimReport._fields):
+        raise ValueError(f"not a structured report: {text[:60]!r}")
+    return ClaimReport(*map(payload.get, ClaimReport._fields))
+
+
+def _fmt_value(v) -> str:
+    if isinstance(v, float):
+        return f"{v:.15g}"
+    if isinstance(v, (list, tuple)):
+        return "[" + ",".join(_fmt_value(x) for x in v) + "]"
+    return str(v)
+
+
+# Evidence facts.  ev, a and b are zeta.EvalResult records, annotated as
+# the tuples they are: only their value and error_bound are read.
+
+
+def _eval_fact(name: str, ev: tuple, **extra) -> dict:
+    fact = {"name": name, "value": _r(ev.value), "error_bound": _r(ev.error_bound)}
+    fact.update(extra)
+    return fact
+
+
+def _discrepancy(name: str, a: tuple, b: tuple, key: str = "value", **extra) -> dict:
+    # the one place two bounded values are compared: gap against summed bounds
+    gap, bound = _r(abs(a.value - b.value)), _r(a.error_bound + b.error_bound)
+    return {"name": name, **extra, key: gap, "combined_error_bound": bound,
+            "exceeds_bound": gap > bound}
+
+
+def _mismatch_fact(name: str, index: int, a, b) -> dict:
+    return {"name": name, "index": index, "lhs_coefficient": str(a),
+            "rhs_coefficient": str(b), "exact": True}
+
+
+def _by_bound(discrepancy: dict, evidence: list, reason: str) -> tuple[str, list]:
+    if discrepancy["exceeds_bound"]:
+        return "REFUTED", evidence
+    return "INCONCLUSIVE", evidence + [{"name": "reason", "detail": reason}]

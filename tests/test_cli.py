@@ -1,4 +1,4 @@
-"""cli: claim pipelines, report contract, tables, exit codes."""
+"""cli: claim pipelines, the report contract of pzcheck.report, tables, exit codes."""
 
 import json
 import math
@@ -12,17 +12,9 @@ import tracemalloc
 
 import pytest
 
-from pzcheck import DirichletSeries, claim_lhs_series, claim_rhs_series, cli, sieve, zeta
-from pzcheck.cli import (
-    ClaimReport,
-    UsageError,
-    _mismatch_scan,
-    cmd_check,
-    cmd_table,
-    emit_report,
-    main,
-    parse_report,
-)
+from pzcheck import DirichletSeries, claim_lhs_series, claim_rhs_series, cli, report, sieve, zeta
+from pzcheck.cli import UsageError, _mismatch_scan, cmd_check, cmd_table, main
+from pzcheck.report import ClaimReport, emit_report, parse_report
 
 
 def _facts(report, name):
@@ -269,6 +261,14 @@ def test_check_is_case_insensitive():
 
 
 # -- report contract -----------------------------------------------------
+
+
+def test_report_vocabulary_is_the_pipeline_registry():
+    # argparse's choices come from report's tuples, and validate() and
+    # the golden coverage test read them too
+    assert tuple(cli._PIPELINES) == report.CLAIM_IDS
+    modes = dict.fromkeys(mode for modes in cli._PIPELINES.values() for mode in modes)
+    assert tuple(modes) == report.MODES
 
 
 def test_structured_report_round_trips():

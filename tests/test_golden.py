@@ -34,7 +34,10 @@ pages.
 test_golden_set_covers_every_selector_and_pipeline checks the first two
 against the registries in cli,
 test_structured_goldens_are_strict_json that every structured stdout
-parses as JSON without NaN or Infinity, and
+parses as JSON without NaN or Infinity,
+test_check_goldens_round_trip_through_report that pzcheck.report reads
+every check's structured stdout back and renders both of its stdouts
+from it, and
 test_table_list_parameters_name_their_rows that every list option a
 structured table echoes names its rows, one per value in order.
 
@@ -56,6 +59,7 @@ import pytest
 
 from pzcheck import cli
 from pzcheck.cli import main
+from pzcheck.report import emit_report, parse_report
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -187,12 +191,17 @@ def _refuse_constant(name: str):
     raise ValueError(f"{name} is not JSON")
 
 
+def _stdouts(path: Path):
+    # (command, stdout) of every run recorded in one golden file
+    for run_text in path.read_text(encoding="utf-8").split("$ pzcheck ")[1:]:
+        command, _, rest = run_text.partition("\n")
+        yield command, rest.split("--- stdout\n", 1)[1].split("--- stderr\n", 1)[0]
+
+
 def _structured_stdouts():
     # (command, stdout) of every recorded structured run that printed
     for path in sorted(GOLDEN.glob("*.txt")):
-        for run_text in path.read_text(encoding="utf-8").split("$ pzcheck ")[1:]:
-            command, _, rest = run_text.partition("\n")
-            stdout = rest.split("--- stdout\n", 1)[1].split("--- stderr\n", 1)[0]
+        for command, stdout in _stdouts(path):
             if command.endswith("--format structured") and stdout:
                 yield command, stdout
 
@@ -203,6 +212,16 @@ def test_structured_goldens_are_strict_json():
         json.loads(stdout, parse_constant=_refuse_constant)
         parsed += 1
     assert parsed == sum(not stem.startswith("usage-") for stem, _ in _FORMATTED)
+
+
+@pytest.mark.parametrize("stem", [stem for stem, _ in _FORMATTED if stem.startswith("check-")])
+def test_check_goldens_round_trip_through_report(stem):
+    # parse_report reads the recorded structured report back, and
+    # emit_report renders both recorded stdouts from it, byte for byte
+    stdout = {command.rsplit(" ", 1)[1]: out for command, out in _stdouts(GOLDEN / f"{stem}.txt")}
+    parsed = parse_report(stdout["structured"])
+    assert emit_report(parsed, "structured") + "\n" == stdout["structured"]
+    assert emit_report(parsed, "text") + "\n" == stdout["text"]
 
 
 def test_table_list_parameters_name_their_rows():

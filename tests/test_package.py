@@ -5,6 +5,8 @@ home submodule on first use.  A default command imports only what it
 runs, so fractions (with decimal), json and typing stay out of a
 text-format check or table, which loads nothing beyond a bare argparse
 parse but pzcheck's modules, math, __future__ and importlib's loaders.
+Importing pzcheck.report, the claim report's record, validation rules
+and rendering, loads neither argparse nor json nor a layer module.
 Each graph is read from sys.modules in a fresh interpreter started with
 -S, so no site hook preloads anything, and -B, so it writes no bytecode
 into src/.
@@ -30,7 +32,7 @@ from importlib import import_module
 import pytest
 
 import pzcheck
-from pzcheck.cli import ClaimReport
+from pzcheck.report import ClaimReport
 
 # the stdlib modules a default text-format command does not need
 _DEFERRED = {"fractions", "decimal", "json", "typing"}
@@ -98,6 +100,14 @@ def test_text_commands_load_little_beyond_argparse(argv):
 def test_structured_output_loads_json():
     assert "json" in _run_main("check", "claim2_3", "--mode", "numeric",
                                "--format", "structured")
+
+
+def test_report_import_loads_no_argparse_json_or_layer_module():
+    # the report contract can be used and tested without the command line
+    loaded = _loaded("import sys, pzcheck.report")
+    assert "pzcheck.report" in loaded
+    unwanted = loaded & ({"argparse"} | _DEFERRED | _LAYERS)
+    assert not unwanted, sorted(unwanted)
 
 
 def test_cli_import_loads_every_layer_module():

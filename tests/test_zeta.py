@@ -32,7 +32,7 @@ from pzcheck import (
     zeta,
     zeta_real,
 )
-from pzcheck.cli import ClaimReport
+from pzcheck.report import ClaimReport
 from pzcheck.zeta import _EM_COEFFICIENTS, MIN_TOL, ProbeRow, _euler_maclaurin
 
 
