@@ -28,9 +28,10 @@ honest), three runs far past zeta's clamp at s = 1000 (a numeric
 check at s = 1e20, claim4 and a zeta table at s = 1e300), usage
 errors (options a check or a table does not read, a non-finite or
 negative tolerance, an s below 1, a radical depth of 0, both --max-n
-caps and a probe eps grid with an eps so small that 1 + eps rounds to 1,
-usage-probe-eps-below-spacing, among them) and the two subcommand help
-pages.
+caps, a probe eps grid with an eps so small that 1 + eps rounds to 1,
+usage-probe-eps-below-spacing, and a radical table with two --s values
+and a bad --depth, usage-radical-two-s-bad-depth, which shows the error
+that wins, among them) and the two subcommand help pages.
 test_golden_set_covers_every_selector_and_pipeline checks the first two
 against the registries in cli,
 test_structured_goldens_are_strict_json that every structured stdout
@@ -113,6 +114,7 @@ _FORMATTED = (
      ["table", "radical-domain", "--s", "1.0000001,1.00000001"]),
     ("usage-claim4-symbolic", ["check", "claim4", "--mode", "symbolic"]),
     ("usage-radical-two-s", ["table", "radical", "--s", "2,3"]),
+    ("usage-radical-two-s-bad-depth", ["table", "radical", "--s", "2,3", "--depth", "0"]),
     ("usage-claim2_3-over-cap", ["check", "claim2_3", "--max-n", "1000001"]),
     ("usage-migotti-over-cap", ["check", "migotti_remark", "--max-n", "10001"]),
     ("usage-claim2_3-numeric-max-n",
