@@ -26,7 +26,6 @@ from .cyclotomic import height as cyclotomic_height
 from .report import (CLAIM_IDS, MODES, ClaimReport, _by_bound, _discrepancy, _eval_fact,
                      _fmt_value, _mismatch_fact, _r, emit_report)
 
-_DEFAULT_EPS = (1e-2, 1e-3, 1e-4, 1e-5)
 _SERIES_MAX_N = 10**6  # exact claim2_3 series; 10^6 already takes seconds and ~100 MB
 
 
@@ -50,10 +49,15 @@ def _finite_above(low: float):
 _POSITIVE, _ABOVE_ONE = _finite_above(0.0), _finite_above(1.0)
 
 
-def _count(n: int) -> int:
-    if int(n) < 1:
-        raise ValueError(f"must be >= 1, got {n}")
-    return int(n)
+def _count_to(most: int, domain: str):
+    # converter to an int in [1, most]; the cap's message names its domain
+    def convert(n: int) -> int:
+        if int(n) < 1:
+            raise ValueError(f"must be >= 1, got {n}")
+        if int(n) > most:
+            raise ValueError(f"must be <= {most} ({domain}), got {int(n)}")
+        return int(n)
+    return convert
 
 
 def _depth(depth: int) -> int:
@@ -62,27 +66,86 @@ def _depth(depth: int) -> int:
     return depth
 
 
-def _used_options(label: str, defaults: dict, options: dict, converters: dict) -> dict:
-    """The entry's options, converted in report order; others or bad values raise UsageError."""
-    unused = ["--" + key.replace("_", "-") for key in converters
-              if options.get(key) is not None and key not in defaults]
+def _parse_list(spec: str, flag: str, kind=float) -> list:
+    try:
+        values = [kind(part) for part in spec.split(",") if part.strip()]
+    except ValueError as exc:
+        raise UsageError(f"bad {flag} list {spec!r}") from exc
+    if not values:
+        raise UsageError(f"empty {flag} list")
+    if not all(map(math.isfinite, values)):
+        raise UsageError(f"{flag} list {spec!r} has a non-finite value")
+    return values
+
+
+def _s_list(spec: str) -> list[float]:
+    return [_ABOVE_ONE(s) for s in _parse_list(spec, "--s")]
+
+
+def _one_s(spec: str) -> float:
+    s, *others = _s_list(spec)
+    if others:
+        raise UsageError("radical table takes exactly one --s value")
+    return s
+
+
+def _n_range(spec: str) -> list[int]:
+    # the bounds are checked before a range is expanded into a list
+    if ".." not in spec:
+        values = _parse_list(spec, "--n", int)
+        lo, hi = min(values), max(values)
+    else:
+        try:
+            lo, hi = map(int, spec.split("..", 1))
+        except ValueError as exc:
+            raise UsageError(f"bad --n range {spec!r}") from exc
+        if hi < lo:
+            raise UsageError(f"--n range {spec!r} is reversed")
+        values = range(lo, hi + 1)
+    if lo < 1 or hi > cyclotomic._MAX_N:
+        raise UsageError(f"--n must lie in [1, {cyclotomic._MAX_N}], got {spec}")
+    return list(values)
+
+
+def _eps_grid(spec: str) -> list[float]:
+    # "1e-2..1e-5" walks down a decade at a time; commas list explicitly
+    if ".." not in spec:
+        return [_r(e) for e in _parse_list(spec, "--eps")]
+    try:
+        start, end = map(float, spec.split("..", 1))
+        hi, lo = round(math.log10(start)), round(math.log10(end))
+    except (ValueError, OverflowError) as exc:
+        raise UsageError(f"bad --eps range {spec!r}") from exc
+    if not (math.isclose(start, 10.0**hi) and math.isclose(end, 10.0**lo) and lo <= hi):
+        raise UsageError(f"--eps range {spec!r} must run from a larger to a smaller power of 10")
+    return [_r(10.0**k) for k in range(hi, lo - 1, -1)]
+
+
+_PROBE_EPS = ("1e-2..1e-5", _eps_grid)  # the probe table's default, the probe check's grid
+
+
+def _used_options(label: str, declared: dict, options: dict, flags: tuple) -> dict:
+    """The entry's parameters in report order, converted from their flags or defaults
+    (a parameter with no flag keeps its default); others or bad values raise UsageError."""
+    unused = ["--" + key.replace("_", "-") for key in flags
+              if options.get(key) is not None and key not in declared]
     if unused:
         raise UsageError(f"{label} does not use {', '.join(unused)}")
     used = {}
-    for key, convert in converters.items():
-        if key in defaults:
-            try:
-                used[key] = convert(defaults[key] if options.get(key) is None else options[key])
-            except UsageError:  # a list parser's message names its flag already
-                raise
-            except ValueError as exc:
-                raise UsageError(f"--{key.replace('_', '-')} {exc}") from exc
+    for key, (default, convert) in declared.items():
+        value = options.get(key) if key in flags else None
+        try:
+            used[key] = convert(default if value is None else value)
+        except UsageError:  # a list parser's message names its flag already
+            raise
+        except ValueError as exc:
+            raise UsageError(f"--{key.replace('_', '-')} {exc}") from exc
     return used
 
 
 # ---------------------------------------------------------------- check
 #
-# A pipeline takes the normalized parameters and returns (verdict,
+# A pipeline takes the converted parameters and returns (verdict,
 # evidence); cmd_check wraps that into one validated ClaimReport.
 
 
@@ -126,8 +189,6 @@ def _mismatch_scan(lhs: dirichlet.DirichletSeries, rhs: dirichlet.DirichletSerie
 
 def _claim23_symbolic(params: dict) -> tuple[str, list]:
     n = params["max_n"]
-    if n > _SERIES_MAX_N:
-        raise UsageError(f"--max-n must be <= {_SERIES_MAX_N} (exact series work), got {n}")
     table = arith.sieve(max(n, 2))
     lhs = dirichlet.claim_lhs_series(n)
     rhs = dirichlet.claim_rhs_series(n, table)
@@ -146,8 +207,7 @@ def _claim23_numeric(params: dict) -> tuple[str, list]:
 
 
 def _claim23_probe(params: dict) -> tuple[str, list]:
-    params["eps_grid"] = [_r(e) for e in _DEFAULT_EPS]
-    rows = zeta.singularity_probe(list(params["eps_grid"]), params["tol"])
+    rows = zeta.singularity_probe(params["eps_grid"], params["tol"])
     evidence = [
         {"name": "probe_row", **_json_row(_probe_dict(row, "_value"))} for row in rows
     ]
@@ -217,8 +277,6 @@ def _claim4(params: dict) -> tuple[str, list]:
 
 def _migotti(params: dict) -> tuple[str, list]:
     limit = params["max_n"]
-    if limit > cyclotomic._MAX_N:
-        raise UsageError(f"--max-n must be <= {cyclotomic._MAX_N} (cyclotomic domain), got {limit}")
     phi105 = cyclotomic_poly(105)
     c7, c41 = phi105.coefficient(7), phi105.coefficient(41)
     # cross-check the one-byte height against the two-byte Phi_105, read
@@ -257,32 +315,34 @@ def _migotti(params: dict) -> tuple[str, list]:
     return "CONSISTENT" if ok else "REFUTED", evidence
 
 
-# every option a check can use, in report order, with its converter
-_CHECK_OPTIONS = {"s": _ABOVE_ONE, "max_n": _count, "tol": _POSITIVE, "depth": _depth}
-
-# claim -> mode -> (pipeline, the options it uses with their defaults);
-# the first mode listed is the claim's default
+# the flags a check accepts, in usage-error order, and claim -> mode ->
+# (pipeline, each parameter it reads after claim and mode, in report order,
+# with its default and converter); the first mode listed is the claim's default
+_CHECK_FLAGS = ("s", "max_n", "tol", "depth")
 _PIPELINES = {
     "CLAIM2_3": {
-        "SYMBOLIC": (_claim23_symbolic, {"max_n": 10**4}),
-        "NUMERIC": (_claim23_numeric, {"s": 2.0, "tol": 1e-12}),
-        "PROBE": (_claim23_probe, {"tol": 1e-12}),
+        "SYMBOLIC": (_claim23_symbolic,
+                     {"max_n": (10**4, _count_to(_SERIES_MAX_N, "exact series work"))}),
+        "NUMERIC": (_claim23_numeric, {"s": (2.0, _ABOVE_ONE), "tol": (1e-12, _POSITIVE)}),
+        "PROBE": (_claim23_probe, {"tol": (1e-12, _POSITIVE), "eps_grid": _PROBE_EPS}),
     },
-    "CLAIM4": {"NUMERIC": (_claim4, {"s": 2.0, "tol": 1e-12, "depth": 20})},
-    "MIGOTTI_REMARK": {"SYMBOLIC": (_migotti, {"max_n": 200})},
+    "CLAIM4": {"NUMERIC": (_claim4, {"s": (2.0, _ABOVE_ONE), "tol": (1e-12, _POSITIVE),
+                                     "depth": (20, _depth)})},
+    "MIGOTTI_REMARK": {"SYMBOLIC": (
+        _migotti, {"max_n": (200, _count_to(cyclotomic._MAX_N, "cyclotomic domain"))})},
 }
 
 
 def cmd_check(claim_id: str, mode: str | None, options: dict) -> ClaimReport:
     """Run one claim-check pipeline and return its validated report.
 
-    options keys (all optional): s, max_n, tol, depth; the report's
-    parameters are the claim, the mode and the options the pipeline
-    uses.  Unknown claim, unsupported claim/mode pairing, an option the
-    pipeline does not use, or out-of-domain parameter values raise
-    UsageError; precision shortfalls inside a pipeline, and a radical
-    fold that leaves the reals, make the verdict INCONCLUSIVE instead
-    of raising.
+    options keys (all optional): the names in _CHECK_FLAGS; the report's
+    parameters are the claim, the mode and the parameters the pipeline's
+    entry declares.  Unknown claim, unsupported claim/mode pairing, an
+    option the pipeline does not use, or out-of-domain parameter values
+    raise UsageError; precision shortfalls inside a pipeline, and a
+    radical fold that leaves the reals, make the verdict INCONCLUSIVE
+    instead of raising.
     """
     claim_id = claim_id.upper()
     if claim_id not in _PIPELINES:
@@ -290,12 +350,10 @@ def cmd_check(claim_id: str, mode: str | None, options: dict) -> ClaimReport:
     pipelines = _PIPELINES[claim_id]
     mode = mode.upper() if mode else next(iter(pipelines))
     if mode not in pipelines:
-        raise UsageError(
-            f"{claim_id} supports modes {'/'.join(pipelines)}, not {mode}"
-        )
-    pipeline, defaults = pipelines[mode]
+        raise UsageError(f"{claim_id} supports modes {'/'.join(pipelines)}, not {mode}")
+    pipeline, declared = pipelines[mode]
     params = {"claim": claim_id, "mode": mode,
-              **_used_options(f"{claim_id} [{mode}]", defaults, options, _CHECK_OPTIONS)}
+              **_used_options(f"{claim_id} [{mode}]", declared, options, _CHECK_FLAGS)}
 
     try:
         verdict, evidence = pipeline(params)
@@ -304,9 +362,8 @@ def cmd_check(claim_id: str, mode: str | None, options: dict) -> ClaimReport:
     except radical.NegativeRadicandError as exc:
         # where the radical stops being real is a finding, not bad input
         verdict = "INCONCLUSIVE"
-        evidence = [
-            {"name": "negative_radicand", "level": exc.level, "radicand": _r(exc.radicand)}
-        ]
+        evidence = [{"name": "negative_radicand", "level": exc.level,
+                     "radicand": _r(exc.radicand)}]
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     return ClaimReport(claim_id, mode, verdict, params, evidence)
@@ -314,53 +371,9 @@ def cmd_check(claim_id: str, mode: str | None, options: dict) -> ClaimReport:
 
 # ---------------------------------------------------------------- table
 #
-# A table takes the options it reads, defaults filled in and every list
-# option already parsed, and returns (columns, rows, summary): rows are
-# dicts of raw values, summary a closing line or None; cmd_table renders them.
-
-
-def _parse_list(spec: str, flag: str, kind=float) -> list:
-    try:
-        values = [kind(part) for part in spec.split(",") if part.strip()]
-    except ValueError as exc:
-        raise UsageError(f"bad {flag} list {spec!r}") from exc
-    if not values:
-        raise UsageError(f"empty {flag} list")
-    if not all(map(math.isfinite, values)):
-        raise UsageError(f"{flag} list {spec!r} has a non-finite value")
-    return values
-
-
-def _parse_int_range(spec: str, flag: str, least: int, most: int) -> list[int]:
-    # the bounds are checked before a range is expanded into a list
-    if ".." not in spec:
-        values = _parse_list(spec, flag, int)
-        lo, hi = min(values), max(values)
-    else:
-        try:
-            lo, hi = map(int, spec.split("..", 1))
-        except ValueError as exc:
-            raise UsageError(f"bad {flag} range {spec!r}") from exc
-        if hi < lo:
-            raise UsageError(f"{flag} range {spec!r} is reversed")
-        values = range(lo, hi + 1)
-    if lo < least or hi > most:
-        raise UsageError(f"{flag} must lie in [{least}, {most}], got {spec}")
-    return list(values)
-
-
-def _parse_eps_range(spec: str) -> list[float]:
-    # "1e-2..1e-5" walks down a decade at a time; commas list explicitly
-    if ".." not in spec:
-        return _parse_list(spec, "--eps")
-    try:
-        start, end = map(float, spec.split("..", 1))
-        hi, lo = round(math.log10(start)), round(math.log10(end))
-    except (ValueError, OverflowError) as exc:
-        raise UsageError(f"bad --eps range {spec!r}") from exc
-    if not (math.isclose(start, 10.0**hi) and math.isclose(end, 10.0**lo) and lo <= hi):
-        raise UsageError(f"--eps range {spec!r} must run from a larger to a smaller power of 10")
-    return [10.0**k for k in range(hi, lo - 1, -1)]
+# A table takes the converted parameters its entry declares and returns
+# (columns, rows, summary): rows are dicts of raw values, summary a closing
+# line or None; cmd_table renders them.
 
 
 def _rows_by_s(s_values: list[float], columns: list[str], row_at) -> tuple[list, list]:
@@ -404,9 +417,6 @@ def _probe_table(params: dict):
 
 
 def _radical_table(params: dict):
-    if len(params["s"]) != 1:
-        raise UsageError("radical table takes exactly one --s value")
-    params["s"] = params["s"][0]
     columns = ["n", "zero_tail_gap", "one_tail_gap"]
     try:
         report = radical.convergence_report(params["s"], params["depth"])
@@ -437,32 +447,28 @@ def _radical_domain_table(params: dict):
     return columns, rows, "\n".join([summary, *reasons] if evaluated else reasons)
 
 
-# every option a table can read, in report order, with its converter
-_TABLE_OPTIONS = {"tol": _POSITIVE,
-                  "s": lambda spec: [_ABOVE_ONE(s) for s in _parse_list(spec, "--s")],
-                  "n": lambda spec: _parse_int_range(spec, "--n", 1, cyclotomic._MAX_N),
-                  "eps": lambda spec: [_r(e) for e in _parse_eps_range(spec)],
-                  "depth": _depth}
-
-# selector -> (table, the options it reads with their defaults); the zeta
-# functions are looked up at each call, so a rebinding of them is seen too
+# the flags a table accepts, in usage-error order, and selector -> (table,
+# each parameter it reads, in report order, with its default and converter);
+# the zeta functions are looked up at each call, so a rebinding of them is seen too
+_TABLE_FLAGS = ("tol", "s", "n", "eps", "depth")
 _TABLES = {
-    "zeta": (lambda p: _value_table(zeta.zeta_real, p), {"tol": 1e-12, "s": "2,3,4"}),
-    "prime-zeta": (lambda p: _value_table(zeta.prime_zeta, p), {"tol": 1e-12, "s": "2,3,4"}),
-    "cyclotomic-height": (_cyclotomic_table, {"n": "1..120"}),
-    "probe": (_probe_table, {"tol": 1e-12, "eps": "1e-2..1e-5"}),
-    "radical": (_radical_table, {"s": "2", "depth": 20}),
-    "radical-domain": (_radical_domain_table, {"s": "1.05,1.1,1.2,1.3,1.4,1.5,1.6,1.8,2,3",
-                                               "depth": 20}),
+    "zeta": (lambda p: _value_table(zeta.zeta_real, p),
+             {"tol": (1e-12, _POSITIVE), "s": ("2,3,4", _s_list)}),
+    "prime-zeta": (lambda p: _value_table(zeta.prime_zeta, p),
+                   {"tol": (1e-12, _POSITIVE), "s": ("2,3,4", _s_list)}),
+    "cyclotomic-height": (_cyclotomic_table, {"n": ("1..120", _n_range)}),
+    "probe": (_probe_table, {"tol": (1e-12, _POSITIVE), "eps": _PROBE_EPS}),
+    "radical": (_radical_table, {"s": ("2", _one_s), "depth": (20, _depth)}),
+    "radical-domain": (_radical_domain_table,
+                       {"s": ("1.05,1.1,1.2,1.3,1.4,1.5,1.6,1.8,2,3", _s_list),
+                        "depth": (20, _depth)}),
 }
 
 
 def _json_row(row: dict) -> dict:
     # floats at report precision; an infinite gap (no such truncation) is null
-    return {
-        k: (None if math.isinf(v) else _r(v)) if isinstance(v, float) else v
-        for k, v in row.items()
-    }
+    return {k: (None if math.isinf(v) else _r(v)) if isinstance(v, float) else v
+            for k, v in row.items()}
 
 
 def _text_cell(row: dict, column: str) -> str:
@@ -489,8 +495,8 @@ def cmd_table(selector: str, options: dict) -> str:
     """Build one deterministic table (text or structured) from the options it reads."""
     if selector not in _TABLES:
         raise UsageError(f"unknown table selector {selector!r}")
-    table, defaults = _TABLES[selector]
-    params = _used_options(selector, defaults, options, _TABLE_OPTIONS)
+    table, declared = _TABLES[selector]
+    params = _used_options(selector, declared, options, _TABLE_FLAGS)
     try:
         columns, rows, summary = table(params)
     except ValueError as exc:
@@ -521,9 +527,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     check = sub.add_parser("check", help="run a claim check and print its report")
-    check.add_argument(
-        "claim", choices=[c.lower() for c in CLAIM_IDS], help="claim to check"
-    )
+    check.add_argument("claim", choices=[c.lower() for c in CLAIM_IDS], help="claim to check")
     check.add_argument("--mode", choices=[m.lower() for m in MODES])
     check.add_argument("--s", type=float, help="evaluation point (default 2)")
     check.add_argument(
@@ -562,7 +566,3 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+import types
 
 import pytest
 
@@ -569,6 +570,37 @@ _TABLE_FLAG_VALUES = {"tol": 1e-9, "s": "2", "n": "1..3", "eps": "1e-2", "depth"
 def test_table_rejects_an_option_it_does_not_read(selector, key):
     with pytest.raises(UsageError, match=f"^{selector} does not use --{key}$"):
         cmd_table(selector, {key: _TABLE_FLAG_VALUES[key]})
+
+
+_ENTRIES = ([("check", claim, mode) for claim, modes in cli._PIPELINES.items() for mode in modes]
+            + [("table", selector, None) for selector in cli._TABLES])
+
+
+@pytest.mark.parametrize("command,target,mode", _ENTRIES)
+def test_entry_declares_every_parameter_it_echoes(command, target, mode):
+    # a command echoes exactly its registry entry's parameters, converted
+    # from their defaults in order, and its pipeline or table only reads them
+    if command == "check":
+        run, declared = cli._PIPELINES[target][mode]
+        echoed = cmd_check(target, mode, {}).parameters
+        want = {"claim": target, "mode": mode}
+    else:
+        run, declared = cli._TABLES[target]
+        echoed = json.loads(cmd_table(target, {"format": "structured"}))["parameters"]
+        want = {}
+    want.update((key, convert(default)) for key, (default, convert) in declared.items())
+    assert list(echoed.items()) == list(want.items())
+    run(types.MappingProxyType(want))
+
+
+def test_a_parameter_without_a_flag_keeps_its_default():
+    # the probe check echoes its fixed grid, the probe table's default,
+    # and an eps_grid option cannot set it
+    fixed = cmd_check("claim2_3", "probe", {"eps_grid": "1e-3"})
+    assert fixed == cmd_check("claim2_3", "probe", {})
+    assert fixed.parameters["eps_grid"] == [1e-2, 1e-3, 1e-4, 1e-5]
+    assert json.loads(cmd_table("probe", {"format": "structured"}))["parameters"]["eps"] == \
+        fixed.parameters["eps_grid"]
 
 
 @pytest.mark.parametrize("selector", list(_TABLE_READS))

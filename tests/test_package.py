@@ -15,10 +15,15 @@ The package's eight records share one contract: each is a tuple with
 named fields, no per-instance __dict__, _asdict and pickling, and the
 records that check their fields check them on every path that builds one.
 Every annotation in the package resolves, given only Fraction.
+
+Every function the package defines runs in some golden command line
+(tests/test_golden.py), traced from before pzcheck.cli is imported,
+except the few listed in _NOT_RUN_BY_COMMANDS, each with its reason.
 """
 
 import fractions
 import inspect
+import json
 import math
 import os
 import pickle
@@ -153,6 +158,61 @@ def _defined_functions():
                 member = inspect.unwrap(member)
                 if inspect.isfunction(member) and member.__module__ == module.__name__:
                     yield member
+
+
+# functions no golden command line runs, each with the reason it stays
+_NOT_RUN_BY_COMMANDS = {
+    "pzcheck.__dir__": "dir(pzcheck) lists the lazy exports; test_dir_lists_every_export",
+    "pzcheck.cyclotomic.IntPolynomial.__eq__": "value semantics of the exported Phi_n record",
+    "pzcheck.cyclotomic.IntPolynomial.__hash__": "value semantics of the exported Phi_n record",
+    "pzcheck.cyclotomic.IntPolynomial.__repr__": "value semantics of the exported Phi_n record",
+    "pzcheck.dirichlet.DirichletSeries.__init__":
+        "builds a series from a caller's list; the operations adopt their own lists",
+    "pzcheck.dirichlet.DirichletSeries.__getitem__":
+        "a_n for library callers; the pipelines read whole coefficient lists",
+    "pzcheck.dirichlet.DirichletSeries.__hash__": "value semantics of the exported series",
+    "pzcheck.dirichlet.DirichletSeries.__repr__": "value semantics of the exported series",
+    "pzcheck.zeta.EvalResult._make": "record contract: _replace runs the field checks",
+    "pzcheck.zeta.EvalResult.__reduce__": "record contract: unpickling runs the field checks",
+    "pzcheck.report.ClaimReport._make": "record contract: _replace runs validate()",
+    "pzcheck.report.ClaimReport.__reduce__": "record contract: unpickling runs validate()",
+    "pzcheck.report.parse_report":
+        "reads a structured report back; test_check_goldens_round_trip_through_report",
+}
+
+# traces every Python call, from before pzcheck.cli is imported (its
+# registries call converter factories, and its relative imports the
+# package's __getattr__) through every golden command line
+_TRACE_GOLDEN_COMMANDS = """
+import json, sys
+seen = set()
+def profile(frame, event, arg):
+    if event == "call":
+        seen.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+sys.setprofile(profile)
+import pzcheck.cli
+sys.path.insert(0, sys.argv[1])
+import test_golden
+for _, argvs in test_golden.INVOCATIONS:
+    test_golden.render(argvs)
+sys.setprofile(None)
+print(json.dumps(sorted(seen)))
+"""
+
+
+def test_golden_commands_run_every_function_but_the_listed_ones():
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", _TRACE_GOLDEN_COMMANDS, os.path.dirname(__file__)],
+        capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen = {(os.path.realpath(path), line) for path, line in json.loads(proc.stdout)}
+    not_run = sorted(
+        f"{function.__module__}.{function.__qualname__}" for function in _defined_functions()
+        if (os.path.realpath(function.__code__.co_filename),
+            function.__code__.co_firstlineno) not in seen
+    )
+    assert not_run == sorted(_NOT_RUN_BY_COMMANDS)
 
 
 def test_every_annotation_resolves():

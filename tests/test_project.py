@@ -1,14 +1,19 @@
 """pyproject.toml: the package needs nothing outside the standard library,
 and the test extra installs every package the suite imports.  README.md:
-its Python session runs as shown."""
+its Python session runs as shown, and so does each command it shows."""
 
 import ast
+import contextlib
 import doctest
+import io
 import re
+import shlex
 import sys
 from pathlib import Path
 
 import pytest
+
+from pzcheck.cli import main
 
 tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
 
@@ -58,3 +63,18 @@ def test_readme_session_runs_as_shown():
         runner.run(session, out=report.append)
     assert runner.tries, "README.md shows no Python session"
     assert not runner.failures, "".join(report)
+
+
+def test_readme_commands_print_as_shown():
+    # each fenced block that opens with `$ pzcheck ...` shows one command
+    # and its stdout; a `...` line stands for any run of lines
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```\n\$ pzcheck (.*?)\n(.*?)^```$", readme, re.M | re.S)
+    assert blocks, "README.md shows no pzcheck command"
+    for command, shown in blocks:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(shlex.split(command)) == 0
+        pattern = "".join("(?:.*\n)*?" if line == "..." else re.escape(line) + "\n"
+                          for line in shown.splitlines())
+        assert re.fullmatch(pattern, out.getvalue()), f"$ pzcheck {command}\n{out.getvalue()}"
