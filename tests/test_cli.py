@@ -599,8 +599,8 @@ def test_a_parameter_without_a_flag_keeps_its_default():
     fixed = cmd_check("claim2_3", "probe", {"eps_grid": "1e-3"})
     assert fixed == cmd_check("claim2_3", "probe", {})
     assert fixed.parameters["eps_grid"] == [1e-2, 1e-3, 1e-4, 1e-5]
-    assert json.loads(cmd_table("probe", {"format": "structured"}))["parameters"]["eps"] == \
-        fixed.parameters["eps_grid"]
+    table = json.loads(cmd_table("probe", {"format": "structured"}))
+    assert table["parameters"]["eps"] == fixed.parameters["eps_grid"]
 
 
 @pytest.mark.parametrize("selector", list(_TABLE_READS))

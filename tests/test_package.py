@@ -163,9 +163,9 @@ def _defined_functions():
 # functions no golden command line runs, each with the reason it stays
 _NOT_RUN_BY_COMMANDS = {
     "pzcheck.__dir__": "dir(pzcheck) lists the lazy exports; test_dir_lists_every_export",
-    "pzcheck.cyclotomic.IntPolynomial.__eq__": "value semantics of the exported Phi_n record",
-    "pzcheck.cyclotomic.IntPolynomial.__hash__": "value semantics of the exported Phi_n record",
-    "pzcheck.cyclotomic.IntPolynomial.__repr__": "value semantics of the exported Phi_n record",
+    "pzcheck.cyclotomic.IntPolynomial.__eq__": "value semantics of the exported Phi_n polynomial",
+    "pzcheck.cyclotomic.IntPolynomial.__hash__": "value semantics of the exported Phi_n polynomial",
+    "pzcheck.cyclotomic.IntPolynomial.__repr__": "value semantics of the exported Phi_n polynomial",
     "pzcheck.dirichlet.DirichletSeries.__init__":
         "builds a series from a caller's list; the operations adopt their own lists",
     "pzcheck.dirichlet.DirichletSeries.__getitem__":
