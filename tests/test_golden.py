@@ -18,7 +18,10 @@ table whose reference fold leaves the reals, the
 radical-domain summary, a radical table and a radical-domain scan with
 an s too close to the pole (table-radical-near-pole and
 table-radical-domain-near-pole), a radical-domain scan with every s
-too close to the pole, a numeric check too close to the pole, the
+too close to the pole, a claim4 check and a radical table at s = 1.6
+and the depth cap 64 (check-claim4-s1.6-depth64, whose depth-stability
+drift is 0 because the deeper fold is the fold itself, and
+table-radical-s1.6-depth64, whose folds leave the reals at some depths), a numeric check too close to the pole, the
 near-pole inputs the benchmark times (a probe table to eps = 1e-6, a
 zeta table at s - 1 = 1e-6, 1e-5 and 1e-4 and a numeric check at
 s = 1.000001), a numeric check at s = 20 that refutes on a one-ulp
@@ -86,6 +89,7 @@ _FORMATTED = (
     ("check-claim4", ["check", "claim4"]),
     ("check-claim4-s1.3", ["check", "claim4", "--s", "1.3"]),
     ("check-claim4-s1e300", ["check", "claim4", "--s", "1e300"]),
+    ("check-claim4-s1.6-depth64", ["check", "claim4", "--s", "1.6", "--depth", "64"]),
     ("check-migotti_remark", ["check", "migotti_remark"]),
     ("check-migotti_remark-3000", ["check", "migotti_remark", "--max-n", "3000"]),
     ("check-migotti_remark-10000", ["check", "migotti_remark", "--max-n", "10000"]),
@@ -106,6 +110,7 @@ _FORMATTED = (
     ("table-probe-to-1e-6", ["table", "probe", "--eps", "1e-1..1e-6"]),
     ("table-radical", ["table", "radical", "--s", "2", "--depth", "12"]),
     ("table-radical-negative-radicand", ["table", "radical", "--s", "1.2"]),
+    ("table-radical-s1.6-depth64", ["table", "radical", "--s", "1.6", "--depth", "64"]),
     ("table-radical-domain", ["table", "radical-domain"]),
     ("table-radical-near-pole", ["table", "radical", "--s", "1.0000001"]),
     ("table-radical-domain-near-pole",
