@@ -21,8 +21,8 @@ _EXPORTS = {
     "dirichlet": ("DirichletSeries", "claim_lhs_series", "claim_rhs_series", "convolve",
                   "dilate", "first_mismatch", "invert", "linear_combine",
                   "prime_zeta_series", "unit_series", "zeta_series"),
-    "radical": ("Claim4Result", "NegativeRadicandError", "RadicalTrace", "TailMode",
-                "claim4_check", "convergence_report", "domain_scan", "eval_nested"),
+    "radical": ("Claim4Result", "NegativeRadicandError", "claim4_check",
+                "convergence_report", "domain_scan", "eval_nested"),
     "zeta": ("EvalResult", "FitResult", "PrecisionError", "ProbeRow", "claim_lhs",
              "claim_rhs", "fit_log_quadratic", "prime_zeta", "singularity_probe",
              "zeta_real"),

@@ -529,13 +529,10 @@ def _build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="run a claim check and print its report")
     check.add_argument("claim", choices=[c.lower() for c in CLAIM_IDS], help="claim to check")
     check.add_argument("--mode", choices=[m.lower() for m in MODES])
-    check.add_argument("--s", type=float, help="evaluation point (default 2)")
-    check.add_argument(
-        "--max-n", type=int, dest="max_n",
-        help="series truncation / scan limit (default 10^4; migotti 200)",
-    )
-    check.add_argument("--tol", type=float, help="error-bound target (default 1e-12)")
-    check.add_argument("--depth", type=int, help="radical depth (default 20)")
+    check.add_argument("--s", type=float, help="evaluation point")
+    check.add_argument("--max-n", type=int, dest="max_n", help="series truncation / scan limit")
+    check.add_argument("--tol", type=float, help="error-bound target")
+    check.add_argument("--depth", type=int, help="radical depth")
     check.add_argument("--format", choices=["text", "structured"], default="text")
 
     table = sub.add_parser("table", help="print an evaluation table")
@@ -543,8 +540,8 @@ def _build_parser() -> argparse.ArgumentParser:
     table.add_argument("--s", help="comma-separated s values")
     table.add_argument("--n", help="n range, e.g. 1..120 or 3,5,105")
     table.add_argument("--eps", help="eps grid, e.g. 1e-2..1e-5")
-    table.add_argument("--depth", type=int, help="radical depth (default 20)")
-    table.add_argument("--tol", type=float, help="error-bound target (default 1e-12)")
+    table.add_argument("--depth", type=int, help="radical depth")
+    table.add_argument("--tol", type=float, help="error-bound target")
     table.add_argument("--format", choices=["text", "structured"], default="text")
     return parser
 

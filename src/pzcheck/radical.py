@@ -5,16 +5,17 @@ The depth-n object is
     f(n) = sqrt(2/zeta(s) - sqrt(2/zeta(2s) - sqrt(2/zeta(4s) - ... )))
 
 with n square roots; level k (1 = outermost) holds zeta(2^(k-1) s).
-The tail beyond level n is replaced by 0 (ZERO_TAIL, the naive
-truncation) or by 1 (ONE_TAIL, the accelerated form: 1 is the positive
-fixed point of X = sqrt(2 - X), which is what the deep tail looks like
-as zeta -> 1).  Both sequences approach the same limit; ONE_TAIL gets
-there at roughly double-exponential speed while ZERO_TAIL crawls in
-like 2^(-n).
+The tail beyond level n is replaced by a numeric seed: 0 (ZERO_TAIL,
+the naive truncation) or 1 (ONE_TAIL, the accelerated form: 1 is the
+positive fixed point of X = sqrt(2 - X), which is what the deep tail
+looks like as zeta -> 1).  Both sequences approach the same limit;
+ONE_TAIL gets there at roughly double-exponential speed while ZERO_TAIL
+crawls in like 2^(-n).  Each level is decreasing in what sits under it,
+so folds from a lower and an upper bound of the true tail bracket the
+radical.
 
-Evaluation is a single right-to-left fold.  values[m-1] of the
-resulting trace is the partial value after m fold steps, so values[-1]
-is the full depth-n evaluation.  Each level's zeta comes from the
+Evaluation is a single right-to-left fold that returns the full
+depth-n value as an EvalResult.  Each level's zeta comes from the
 zeta module's Euler-Maclaurin core, cached there by argument alone, so
 repeated folds at one s sum each zeta once; zeta.two_over turns each
 level's zeta, clamped to 1.0 there past 1000, into 2/zeta with its bound.
@@ -22,18 +23,12 @@ level's zeta, clamped to 1.0 there past 1000, into 2/zeta with its bound.
 
 from __future__ import annotations
 
-import enum
 import math
 from collections import namedtuple
 
 from .zeta import EvalResult, _euler_maclaurin, prime_zeta, two_over
 
 _MAX_DEPTH = 64
-
-
-class TailMode(enum.Enum):
-    ZERO_TAIL = "zero"
-    ONE_TAIL = "one"
 
 
 class NegativeRadicandError(ValueError):
@@ -50,34 +45,22 @@ class NegativeRadicandError(ValueError):
         super().__init__(f"negative radicand {radicand!r} at level {level}")
 
 
-class RadicalTrace(namedtuple("RadicalTrace", "s depth tail_mode values error_bounds")):
-    """Partial values of one right-to-left nested-radical evaluation.
+def eval_nested(s: float, depth: int, tail: float) -> EvalResult:
+    """Evaluate the depth-n radical at s, seeded with tail, by one right-to-left fold.
 
-    values[m-1] is the partial after m fold steps (so the innermost
-    radical first, the full depth-n value last); error_bounds tracks the
-    propagated zeta error bounds for each partial.
-    """
-
-    __slots__ = ()
-
-
-def eval_nested(s: float, depth: int, tail_mode: TailMode) -> RadicalTrace:
-    """Evaluate the depth-n radical at s by one right-to-left fold.
-
-    Raises NegativeRadicandError (with the 1-based level, outermost
-    first) the moment a radicand dips below zero; silently continuing
-    into complex values would bury the domain question.
+    tail stands for everything beyond level n and must be finite and
+    >= 0.  Raises NegativeRadicandError (with the 1-based level,
+    outermost first) the moment a radicand dips below zero; silently
+    continuing into complex values would bury the domain question.
     """
     if not s > 1.0:
         raise ValueError(f"eval_nested needs s > 1, got {s}")
     if not 1 <= depth <= _MAX_DEPTH:
         raise ValueError(f"depth must be in [1, {_MAX_DEPTH}], got {depth}")
-    if not isinstance(tail_mode, TailMode):
-        raise ValueError(f"tail_mode must be a TailMode, got {tail_mode!r}")
+    if not 0.0 <= tail < math.inf:
+        raise ValueError(f"tail seed must be finite and >= 0, got {tail!r}")
 
-    values = []
-    bounds = []
-    partial = 1.0 if tail_mode is TailMode.ONE_TAIL else 0.0
+    partial = tail
     partial_err = 0.0
     for level in range(depth, 0, -1):
         term = two_over(_euler_maclaurin(s * 2.0 ** (level - 1)))
@@ -92,15 +75,7 @@ def eval_nested(s: float, depth: int, tail_mode: TailMode) -> RadicalTrace:
         else:
             # the interval reaches 0; sqrt(err) covers [0, rad+err]
             partial_err = math.sqrt(radicand_err)
-        values.append(partial)
-        bounds.append(partial_err)
-    return RadicalTrace(
-        s=s,
-        depth=depth,
-        tail_mode=tail_mode,
-        values=tuple(values),
-        error_bounds=tuple(bounds),
-    )
+    return EvalResult(value=partial, error_bound=partial_err)
 
 
 def convergence_report(s: float, max_depth: int) -> list[tuple[int, float, float]]:
@@ -112,15 +87,13 @@ def convergence_report(s: float, max_depth: int) -> list[tuple[int, float, float
     reports an infinite gap: the truncation simply does not exist there,
     which for comparison purposes is as far from the limit as it gets.
     """
-    reference = eval_nested(s, max_depth, TailMode.ONE_TAIL)
-    f_star = reference.values[-1]
+    f_star = eval_nested(s, max_depth, 1.0).value
     rows = []
     for n in range(1, max_depth + 1):
         gaps = []
-        for mode in (TailMode.ZERO_TAIL, TailMode.ONE_TAIL):
+        for tail in (0.0, 1.0):
             try:
-                trace = eval_nested(s, n, mode)
-                gaps.append(abs(trace.values[-1] - f_star))
+                gaps.append(abs(eval_nested(s, n, tail).value - f_star))
             except NegativeRadicandError:
                 gaps.append(math.inf)
         rows.append((n, gaps[0], gaps[1]))
@@ -145,12 +118,12 @@ def claim4_check(s: float, depth: int, tol: float = 1e-12) -> Claim4Result:
     reproduces the claimed identity's structure is written out in
     cli._claim4 with dirichlet's operations.)
     """
-    trace = eval_nested(s, depth, TailMode.ONE_TAIL)
-    deeper = eval_nested(s, min(depth + 5, _MAX_DEPTH), TailMode.ONE_TAIL)
-    drift = abs(deeper.values[-1] - trace.values[-1])
+    fold = eval_nested(s, depth, 1.0)
+    deeper = eval_nested(s, min(depth + 5, _MAX_DEPTH), 1.0)
+    drift = abs(deeper.value - fold.value)
     radical = EvalResult(
-        value=1.0 - trace.values[-1],
-        error_bound=trace.error_bounds[-1] + deeper.error_bounds[-1] + 2.0 * drift,
+        value=1.0 - fold.value,
+        error_bound=fold.error_bound + deeper.error_bound + 2.0 * drift,
     )
     return Claim4Result(radical_value=radical, prime_zeta_value=prime_zeta(s, tol))
 
@@ -165,7 +138,7 @@ def domain_scan(s_values: list[float], depth: int) -> list[tuple[float, bool, in
     rows = []
     for s in s_values:
         try:
-            eval_nested(s, depth, TailMode.ONE_TAIL)
+            eval_nested(s, depth, 1.0)
             rows.append((s, True, None))
         except NegativeRadicandError as exc:
             rows.append((s, False, exc.level))

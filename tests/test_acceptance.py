@@ -13,7 +13,6 @@ from fractions import Fraction
 
 from conftest import prime_zeta_direct, tail_fixed_point
 from pzcheck import (
-    TailMode,
     claim4_check,
     claim_lhs,
     claim_lhs_series,
@@ -115,8 +114,8 @@ def test_acceptance_5_tail_acceleration():
     rows = convergence_report(2.0, 25)
     gaps = {n: (gz, go) for n, gz, go in rows}
     accelerated_wins = all(gaps[n][1] <= gaps[n][0] for n in range(2, 16))
-    f_zero_deep = eval_nested(2.0, 40, TailMode.ZERO_TAIL).values[-1]
-    f_one_deep = eval_nested(2.0, 40, TailMode.ONE_TAIL).values[-1]
+    f_zero_deep = eval_nested(2.0, 40, 0.0).value
+    f_one_deep = eval_nested(2.0, 40, 1.0).value
     fp = tail_fixed_point()
     _verdict(
         5,

@@ -21,7 +21,8 @@ table-radical-domain-near-pole), a radical-domain scan with every s
 too close to the pole, a claim4 check and a radical table at s = 1.6
 and the depth cap 64 (check-claim4-s1.6-depth64, whose depth-stability
 drift is 0 because the deeper fold is the fold itself, and
-table-radical-s1.6-depth64, whose folds leave the reals at some depths), a numeric check too close to the pole, the
+table-radical-s1.6-depth64, whose folds leave the reals at some
+depths), a numeric check too close to the pole, the
 near-pole inputs the benchmark times (a probe table to eps = 1e-6, a
 zeta table at s - 1 = 1e-6, 1e-5 and 1e-4 and a numeric check at
 s = 1.000001), a numeric check at s = 20 that refutes on a one-ulp

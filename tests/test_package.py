@@ -11,9 +11,10 @@ Each graph is read from sys.modules in a fresh interpreter started with
 -S, so no site hook preloads anything, and -B, so it writes no bytecode
 into src/.
 
-The package's eight records share one contract: each is a tuple with
+The package's seven records share one contract: each is a tuple with
 named fields, no per-instance __dict__, _asdict and pickling, and the
 records that check their fields check them on every path that builds one.
+Every bounded float the layers return is an EvalResult.
 Every annotation in the package resolves, given only Fraction.
 
 Every function the package defines runs in some golden command line
@@ -242,8 +243,6 @@ _RECORDS = {
                  lambda: pzcheck.ProbeRow(0.1, _eval(), _eval(2.0))),
     "FitResult": (("leading", "linear", "constant", "rel_residual"), {},
                   lambda: pzcheck.FitResult(1.0, 2.0, 3.0, 0.0)),
-    "RadicalTrace": (("s", "depth", "tail_mode", "values", "error_bounds"), {},
-                     lambda: pzcheck.eval_nested(2.0, 3, pzcheck.TailMode.ONE_TAIL)),
     "Claim4Result": (("radical_value", "prime_zeta_value"), {},
                      lambda: pzcheck.Claim4Result(_eval(), _eval(0.25))),
     "ClaimReport": (("claim_id", "mode", "verdict", "parameters", "evidence"), {},
@@ -283,3 +282,23 @@ def test_checked_records_check_every_construction_path():
     assert ClaimReport._make(report) == report
     with pytest.raises(TypeError):
         ClaimReport._make(report[:3])
+
+
+# each layer call that returns a value with an error bound
+_BOUNDED = {
+    "zeta_real": lambda: pzcheck.zeta_real(2.0),
+    "prime_zeta": lambda: pzcheck.prime_zeta(2.0),
+    "claim_lhs": lambda: pzcheck.claim_lhs(2.0),
+    "claim_rhs": lambda: pzcheck.claim_rhs(2.0),
+    "two_over": lambda: pzcheck.zeta.two_over(pzcheck.zeta_real(2.0)),
+    "eval_nested": lambda: pzcheck.eval_nested(2.0, 3, 1.0),
+    "claim4_check.radical_value": lambda: pzcheck.claim4_check(2.0, 3).radical_value,
+    "claim4_check.prime_zeta_value": lambda: pzcheck.claim4_check(2.0, 3).prime_zeta_value,
+    "singularity_probe.lhs": lambda: pzcheck.singularity_probe([1e-2])[0].lhs,
+    "singularity_probe.rhs": lambda: pzcheck.singularity_probe([1e-2])[0].rhs,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BOUNDED))
+def test_bounded_values_are_eval_results(name):
+    assert type(_BOUNDED[name]()) is pzcheck.EvalResult

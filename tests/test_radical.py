@@ -8,13 +8,14 @@ positive root of X^2 + X - 2 (i.e. 1).
 import math
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from conftest import tail_fixed_point
 from pzcheck.zeta import EvalResult, _euler_maclaurin
 
 from pzcheck import (
     NegativeRadicandError,
-    TailMode,
     claim4_check,
     convergence_report,
     domain_scan,
@@ -28,62 +29,52 @@ from pzcheck import (
 
 
 def test_depth_one_zero_tail_closed_form():
-    trace = eval_nested(2.0, 1, TailMode.ZERO_TAIL)
-    assert len(trace.values) == 1
-    assert trace.values[0] == pytest.approx(math.sqrt(12.0) / math.pi, abs=1e-12)
+    assert eval_nested(2.0, 1, 0.0).value == pytest.approx(
+        math.sqrt(12.0) / math.pi, abs=1e-12
+    )
 
 
 def test_depth_one_one_tail_closed_form():
-    trace = eval_nested(2.0, 1, TailMode.ONE_TAIL)
-    assert trace.values[0] == pytest.approx(
+    assert eval_nested(2.0, 1, 1.0).value == pytest.approx(
         math.sqrt(12.0 / math.pi**2 - 1.0), abs=1e-12
     )
 
 
 def test_innermost_partial_is_a_plain_radical():
-    # first fold step of a depth-3 zero-tail evaluation at s=2 is
+    # the first fold step of a depth-d fold at s from seed t is the
+    # depth-1 fold at 2^(d-1) s from t; for d = 3 at s = 2 from 0 it is
     # sqrt(2/zeta(8)), and zeta(8) = pi^8/9450
-    trace = eval_nested(2.0, 3, TailMode.ZERO_TAIL)
-    assert trace.values[0] == pytest.approx(
+    assert eval_nested(8.0, 1, 0.0).value == pytest.approx(
         math.sqrt(2.0 * 9450.0 / math.pi**8), abs=1e-12
     )
-    assert len(trace.values) == 3
-    assert len(trace.error_bounds) == 3
 
 
-def test_trace_metadata_and_bounds():
-    trace = eval_nested(2.0, 12, TailMode.ONE_TAIL)
-    assert trace.s == 2.0
-    assert trace.depth == 12
-    assert trace.tail_mode is TailMode.ONE_TAIL
-    assert all(b >= 0.0 for b in trace.error_bounds)
-    assert trace.error_bounds[-1] < 1e-11
+def test_fold_returns_an_eval_result_with_its_bound():
+    result = eval_nested(2.0, 12, 1.0)
+    assert isinstance(result, EvalResult)
+    assert all(eval_nested(2.0, d, 1.0).error_bound >= 0.0 for d in range(1, 13))
+    assert result.error_bound < 1e-11
 
 
 def test_reevaluation_is_bit_identical():
-    a = eval_nested(2.0, 20, TailMode.ONE_TAIL)
-    b = eval_nested(2.0, 20, TailMode.ONE_TAIL)
-    assert a.values == b.values
-    assert a.error_bounds == b.error_bounds
+    assert eval_nested(2.0, 20, 1.0) == eval_nested(2.0, 20, 1.0)
 
 
 def test_deep_levels_collapse_to_exact_one():
     # past the clamp, every accelerated fold step is sqrt(2 - 1) = 1.0,
-    # so extra depth beyond stabilization changes nothing at all
-    deep = eval_nested(2.0, 30, TailMode.ONE_TAIL)
-    assert deep.values[0] == 1.0
-    shallow = eval_nested(2.0, 12, TailMode.ONE_TAIL)
-    assert deep.values[-1] == shallow.values[-1]
+    # so extra depth beyond stabilization changes nothing at all; the
+    # innermost step of the depth-30 fold at s = 2 is at 2^29 * 2
+    assert eval_nested(2.0 ** 30, 1, 1.0).value == 1.0
+    assert eval_nested(2.0, 30, 1.0).value == eval_nested(2.0, 12, 1.0).value
 
 
-def _reference_fold(s, depth, tail_mode):
+def _reference_fold(s, depth, tail):
     """The fold with its own zeta clamp past 1000 and 2/z written inline.
 
-    Returns (values, error_bounds), or the 1-based level whose radicand
+    Returns (value, error_bound), or the 1-based level whose radicand
     went negative.
     """
-    values, bounds = [], []
-    partial = 1.0 if tail_mode is TailMode.ONE_TAIL else 0.0
+    partial = tail
     partial_err = 0.0
     for level in range(depth, 0, -1):
         x = s * 2.0 ** (level - 1)
@@ -101,9 +92,7 @@ def _reference_fold(s, depth, tail_mode):
             partial_err = radicand_err / (partial + math.sqrt(radicand - radicand_err))
         else:
             partial_err = math.sqrt(radicand_err)
-        values.append(partial)
-        bounds.append(partial_err)
-    return tuple(values), tuple(bounds)
+    return partial, partial_err
 
 
 def test_fold_bound_covers_an_interval_reaching_zero(monkeypatch):
@@ -116,44 +105,67 @@ def test_fold_bound_covers_an_interval_reaching_zero(monkeypatch):
 
     monkeypatch.setattr(radical, "_euler_maclaurin", wide)
     monkeypatch.setitem(globals(), "_euler_maclaurin", wide)
-    trace = eval_nested(2.0, 5, TailMode.ONE_TAIL)
-    assert (trace.values, trace.error_bounds) == _reference_fold(2.0, 5, TailMode.ONE_TAIL)
-    assert all(b > v for v, b in zip(trace.values, trace.error_bounds))
+    # the partial after m steps of the depth-5 fold at s = 2 is the
+    # depth-m fold at 2^(5-m) * 2
+    for m in range(1, 6):
+        result = eval_nested(2.0 ** (6 - m), m, 1.0)
+        assert result == _reference_fold(2.0 ** (6 - m), m, 1.0)
+        assert result.error_bound > result.value
 
 
-@pytest.mark.parametrize("tail_mode", list(TailMode))
+# the ids keep the names these cases had when the seed was an enum
+@pytest.mark.parametrize("tail", [0.0, 1.0], ids=["TailMode.ZERO_TAIL", "TailMode.ONE_TAIL"])
 @pytest.mark.parametrize("s", [1.6, 2.0, 3.0, 6.0])
-def test_fold_matches_reference_at_every_depth(s, tail_mode):
+def test_fold_matches_reference_at_every_depth(s, tail):
     # levels past zeta's clamp (every s here reaches it by depth 10)
     # must fold exactly as a clamp and a 2/z of the fold's own would
     for depth in range(1, 65):
-        want = _reference_fold(s, depth, tail_mode)
+        want = _reference_fold(s, depth, tail)
         try:
-            trace = eval_nested(s, depth, tail_mode)
+            result = eval_nested(s, depth, tail)
         except NegativeRadicandError as exc:
             assert exc.level == want, (s, depth)
             continue
-        assert (trace.values, trace.error_bounds) == want, (s, depth)
+        assert result == want, (s, depth)
+
+
+@given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(1.6, 6.0), st.integers(1, 10))
+def test_fold_is_monotone_in_its_seed(t1, t2, s, depth):
+    # each level x -> sqrt(a - x) decreases in x, and IEEE subtraction
+    # and sqrt are monotone, so the fold alternates exactly: it never
+    # rises with the seed at odd depth and never falls at even depth
+    t1, t2 = sorted((t1, t2))
+    try:
+        low, high = eval_nested(s, depth, t1).value, eval_nested(s, depth, t2).value
+    except NegativeRadicandError:
+        assume(False)
+    if depth % 2:
+        assert low >= high
+    else:
+        assert low <= high
+
+
+@pytest.mark.parametrize("tail", [math.nan, math.inf, -math.inf, -1e-300])
+def test_seed_must_be_finite_and_non_negative(tail):
+    with pytest.raises(ValueError, match=f"tail seed .*{tail!r}"):
+        eval_nested(2.0, 5, tail)
 
 
 # -- convergence of the two tail choices --------------------------------
 
 
 def test_accelerated_value_reference_digits():
-    trace = eval_nested(2.0, 12, TailMode.ONE_TAIL)
-    assert 1.0 - trace.values[-1] == pytest.approx(0.4588, abs=5e-5)
+    assert 1.0 - eval_nested(2.0, 12, 1.0).value == pytest.approx(0.4588, abs=5e-5)
 
 
 def test_both_tails_agree_in_the_deep_limit():
-    f_zero = eval_nested(2.0, 40, TailMode.ZERO_TAIL).values[-1]
-    f_one = eval_nested(2.0, 40, TailMode.ONE_TAIL).values[-1]
+    f_zero = eval_nested(2.0, 40, 0.0).value
+    f_one = eval_nested(2.0, 40, 1.0).value
     assert abs(f_zero - f_one) < 1e-10
 
 
 def test_accelerated_increments_never_grow():
-    vals = {
-        n: eval_nested(2.0, n, TailMode.ONE_TAIL).values[-1] for n in range(2, 14)
-    }
+    vals = {n: eval_nested(2.0, n, 1.0).value for n in range(2, 14)}
     increments = [abs(vals[n + 1] - vals[n]) for n in range(2, 13)]
     for a, b in zip(increments, increments[1:]):
         assert b <= a
@@ -192,7 +204,7 @@ def test_gaps_decay_at_larger_s():
 
 def test_zero_tail_depth_two_fails_at_the_outermost_level():
     with pytest.raises(NegativeRadicandError) as info:
-        eval_nested(2.0, 2, TailMode.ZERO_TAIL)
+        eval_nested(2.0, 2, 0.0)
     assert info.value.level == 1
     assert info.value.radicand < 0.0
 
@@ -273,8 +285,7 @@ def test_claim4_gap_survives_at_s6():
 
 def test_claim4_sides_are_internally_consistent():
     res = claim4_check(3.0, 15)
-    folded = eval_nested(3.0, 15, TailMode.ONE_TAIL)
-    assert res.radical_value.value == 1.0 - folded.values[-1]
+    assert res.radical_value.value == 1.0 - eval_nested(3.0, 15, 1.0).value
     direct = prime_zeta(3.0)
     assert res.prime_zeta_value.value == direct.value
 
@@ -284,10 +295,10 @@ def test_claim4_sides_are_internally_consistent():
 
 def test_eval_nested_validation():
     with pytest.raises(ValueError):
-        eval_nested(1.0, 5, TailMode.ONE_TAIL)
+        eval_nested(1.0, 5, 1.0)
     with pytest.raises(ValueError):
-        eval_nested(2.0, 0, TailMode.ONE_TAIL)
+        eval_nested(2.0, 0, 1.0)
     with pytest.raises(ValueError):
-        eval_nested(2.0, 65, TailMode.ONE_TAIL)
-    with pytest.raises(ValueError):
+        eval_nested(2.0, 65, 1.0)
+    with pytest.raises(TypeError):
         eval_nested(2.0, 5, "one")

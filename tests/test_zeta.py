@@ -20,10 +20,9 @@ from conftest import oracle_bernoulli, prime_zeta_direct
 from pzcheck import (
     EvalResult,
     PrecisionError,
-    TailMode,
+    claim4_check,
     claim_lhs,
     claim_rhs,
-    eval_nested,
     factorize,
     fit_log_quadratic,
     prime_zeta,
@@ -460,7 +459,7 @@ def test_eval_result_is_frozen():
     others = [
         (table, "limit"),
         (factorize(12, table), "n"),
-        (eval_nested(2.0, 3, TailMode.ONE_TAIL), "depth"),
+        (claim4_check(2.0, 3), "radical_value"),
         (ClaimReport("CLAIM2_3", "NUMERIC", "CONSISTENT"), "verdict"),
     ]
     for record, field in others:
