@@ -24,7 +24,7 @@ from . import arith, cyclotomic, dirichlet, radical, zeta
 from .cyclotomic import cyclotomic as cyclotomic_poly
 from .cyclotomic import height as cyclotomic_height
 from .report import (CLAIM_IDS, MODES, ClaimReport, _by_bound, _discrepancy, _eval_fact,
-                     _fmt_value, _mismatch_fact, _r, emit_report)
+                     _fmt_value, _mismatch_fact, _r, _refutes, emit_report)
 
 _SERIES_MAX_N = 10**6  # exact claim2_3 series; 10^6 already takes seconds and ~100 MB
 
@@ -285,8 +285,8 @@ def _migotti(params: dict) -> tuple[str, list]:
     if h105 != max(map(abs, cyclotomic_poly(105).coeffs)):
         raise ArithmeticError(f"packed height {h105} of Phi_105 disagrees with its coefficients")
     # odd_omega[m], m's distinct odd primes, from m / spf[m] in one pass
-    # over the sieve, so that only cyclotomic_height factors n
-    spf = arith.sieve(max(limit, 2)).smallest_factor
+    # over cyclotomic's own 10^4 sieve, so that only cyclotomic_height factors n
+    spf = cyclotomic._table().smallest_factor
     odd_omega = [0, 0]
     for m in range(2, limit + 1):
         p, rest = spf[m], m // spf[m]
@@ -311,8 +311,8 @@ def _migotti(params: dict) -> tuple[str, list]:
     ]
     if violations:
         evidence.append({"name": "violations", "indices": violations[:10]})
-    ok = c7 == -2 and c41 == -2 and not violations
-    return "CONSISTENT" if ok else "REFUTED", evidence
+    # report's rule: a Phi_105 coefficient other than -2, or a counterexample
+    return "REFUTED" if any(map(_refutes, evidence)) else "CONSISTENT", evidence
 
 
 # the flags a check accepts, in usage-error order, and claim -> mode ->
@@ -396,10 +396,10 @@ def _value_table(evaluate, params: dict):
 
 def _cyclotomic_table(params: dict):
     n_values = params["n"]
-    # deg Phi_n = phi(n), from phi(m / spf[m]) in one pass over the sieve
-    # as in _migotti; the height comes from the Phi of n's odd squarefree
-    # kernel, one construction shared by every n with the same odd primes
-    spf = arith.sieve(max(*n_values, 2)).smallest_factor
+    # deg Phi_n = phi(n), from phi(m / spf[m]) in one pass over cyclotomic's
+    # own 10^4 sieve as in _migotti; the height comes from the Phi of n's odd
+    # squarefree kernel, one construction shared by every n with the same odd primes
+    spf = cyclotomic._table().smallest_factor
     totient = [0, 1]
     for m in range(2, max(n_values) + 1):
         p, rest = spf[m], m // spf[m]
@@ -412,7 +412,7 @@ def _probe_table(params: dict):
     try:
         rows = list(map(_probe_dict, zeta.singularity_probe(params["eps"], params["tol"])))
     except ValueError as exc:  # its grid check; a row's PrecisionError becomes its note
-        raise UsageError("--eps " + str(exc).removeprefix("probe eps ")) from exc
+        raise ValueError("--eps " + str(exc).removeprefix("probe eps ")) from exc
     return ["eps", "lhs", "lhs_error_bound", "rhs", "rhs_error_bound", "note"], rows, None
 
 
@@ -435,7 +435,7 @@ def _radical_table(params: dict):
 def _radical_domain_table(params: dict):
     columns = ["s", "all_radicands_positive", "failing_level"]
     rows, reasons = _rows_by_s(params["s"], columns,
-                               lambda s: radical.domain_scan([s], params["depth"])[0])
+                               lambda s: radical.domain_scan(s, params["depth"]))
     valid = [row["s"] for row in rows if row.get("all_radicands_positive")]
     summary = (
         f"smallest grid s with all ONE_TAIL radicands positive: {min(valid):.15g}"

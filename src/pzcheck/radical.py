@@ -128,18 +128,16 @@ def claim4_check(s: float, depth: int, tol: float = 1e-12) -> Claim4Result:
     return Claim4Result(radical_value=radical, prime_zeta_value=prime_zeta(s, tol))
 
 
-def domain_scan(s_values: list[float], depth: int) -> list[tuple[float, bool, int | None]]:
-    """For each s, whether the depth-n ONE_TAIL fold stays real, else the level.
+def domain_scan(s: float, depth: int) -> tuple[float, bool, int | None]:
+    """Whether the depth-n ONE_TAIL fold at s stays real: (s, True, None),
+    else (s, False, level) with the 1-based level whose radicand went negative.
 
     Supports the open question of how large "sufficiently large s" must
     be: the smallest grid point with all radicands positive is an
     empirical report, not an asserted threshold.
     """
-    rows = []
-    for s in s_values:
-        try:
-            eval_nested(s, depth, 1.0)
-            rows.append((s, True, None))
-        except NegativeRadicandError as exc:
-            rows.append((s, False, exc.level))
-    return rows
+    try:
+        eval_nested(s, depth, 1.0)
+    except NegativeRadicandError as exc:
+        return s, False, exc.level
+    return s, True, None

@@ -13,7 +13,8 @@ import types
 
 import pytest
 
-from pzcheck import DirichletSeries, claim_lhs_series, claim_rhs_series, cli, report, sieve, zeta
+from pzcheck import (DirichletSeries, arith, claim_lhs_series, claim_rhs_series, cli, report,
+                     sieve, zeta)
 from pzcheck.cli import UsageError, _mismatch_scan, cmd_check, cmd_table, main
 from pzcheck.report import ClaimReport, emit_report, parse_report
 
@@ -149,6 +150,37 @@ def test_migotti_counterexample_refutes(monkeypatch):
     (violations,) = _facts(report, "violations")
     assert violations["indices"] == [15]
     assert parse_report(emit_report(report, "structured")) == report
+
+
+def test_migotti_refutes_on_a_phi_105_coefficient_other_than_minus_two(monkeypatch):
+    # c_7 = -1 with c_41 = -2 keeps the height 2, so the cross-check passes
+    # and the coefficient alone refutes the remark
+    real = cli.cyclotomic_poly
+
+    def phi(n):
+        poly = real(n)
+        return type(poly)(poly.coeffs[:7] + (-1,) + poly.coeffs[8:]) if n == 105 else poly
+
+    monkeypatch.setattr(cli, "cyclotomic_poly", phi)
+    report = cmd_check("migotti_remark", None, {})
+    assert report.verdict == "REFUTED"
+    (phi_105,) = _facts(report, "phi_105_coefficients")
+    assert (phi_105["degree_7"], phi_105["degree_41"], phi_105["height"]) == (-1, -2, 2)
+    (bound,) = _facts(report, "migotti_bound")
+    assert bound["all_heights_one"] is True
+    assert parse_report(emit_report(report, "structured")) == report
+
+
+def test_migotti_and_height_table_walk_cyclotomics_sieve(monkeypatch):
+    # both passes read the 10^4 table the cyclotomic module already holds
+    def no_sieve(limit):
+        raise AssertionError(f"arith.sieve({limit}) called")
+
+    monkeypatch.setattr(arith, "sieve", no_sieve)
+    report = cmd_check("migotti_remark", None, {"max_n": 300})
+    assert report.verdict == "CONSISTENT"
+    out = cmd_table("cyclotomic-height", {"n": "1..300", "format": "structured"})
+    assert [row["n"] for row in json.loads(out)["rows"]] == list(range(1, 301))
 
 
 def test_negative_radicand_is_an_inconclusive_finding(capsys):

@@ -230,15 +230,9 @@ def test_claim_lhs_series_is_twice_mobius():
 
 # -- integer-exact coefficients, against a Fraction reference -------------
 #
-# The references are naive divisor sums over Fraction, independent of the
-# package's loops; integer series (a_1 = +-1) must come out equal and
-# still int, rational series equal.
-
-
-def _ref_convolve(a, b):
-    n = min(len(a), len(b))
-    return [sum((Fraction(a[d - 1]) * b[m // d - 1] for d in range(1, m + 1) if m % d == 0),
-                Fraction(0)) for m in range(1, n + 1)]
+# The references are naive divisor sums over Fraction, and conftest's
+# schoolbook naive_convolve, independent of the package's loops; integer
+# series (a_1 = +-1) must come out equal and still int, rational series equal.
 
 
 def _ref_invert(a):
@@ -296,14 +290,14 @@ def test_invert_rational_series_matches_reference(coeffs):
 @given(_series(_INTS), _series(_INTS))
 def test_convolve_integer_series_matches_reference(a, b):
     got = convolve(DirichletSeries(a), DirichletSeries(b))
-    assert got.coefficients() == _ref_convolve(a, b)
+    assert got.coefficients() == naive_convolve(a, b)
     assert _all_int(got)
 
 
 @given(_series(_RATIONALS), _series(_INTS))
 def test_convolve_rational_series_matches_reference(a, b):
     got = convolve(DirichletSeries(a), DirichletSeries(b))
-    assert got.coefficients() == _ref_convolve(a, b)
+    assert got.coefficients() == naive_convolve(a, b)
 
 
 @given(st.lists(st.tuples(_INTS | _RATIONALS, _series(_INTS | _RATIONALS)),

@@ -211,19 +211,19 @@ def test_zero_tail_depth_two_fails_at_the_outermost_level():
 
 def test_accelerated_failures_only_ever_at_level_one():
     for s in (1.45, 1.5, 1.55):
-        for s_, ok, level in domain_scan([s], 12):
-            if not ok:
-                assert level == 1
+        s_, ok, level = domain_scan(s, 12)
+        if not ok:
+            assert level == 1
 
 
 def test_accelerated_mode_is_safe_from_about_1_6():
-    rows = domain_scan([1.6, 1.8, 2.0, 3.0, 6.0], 20)
+    rows = [domain_scan(s, 20) for s in (1.6, 1.8, 2.0, 3.0, 6.0)]
     assert all(ok for _, ok, _ in rows)
     assert all(level is None for _, _, level in rows)
 
 
 def test_domain_scan_reports_failures():
-    rows = domain_scan([1.4, 2.0], 12)
+    rows = [domain_scan(1.4, 12), domain_scan(2.0, 12)]
     assert rows[0][1] is False and rows[0][2] == 1
     assert rows[1][1] is True and rows[1][2] is None
 
