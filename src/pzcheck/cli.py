@@ -278,7 +278,6 @@ def _claim4(params: dict) -> tuple[str, list]:
 def _migotti(params: dict) -> tuple[str, list]:
     limit = params["max_n"]
     phi105 = cyclotomic_poly(105)
-    c7, c41 = phi105.coefficient(7), phi105.coefficient(41)
     # cross-check the one-byte height against the two-byte Phi_105, read
     # back from cyclotomic's one-entry cache
     h105 = cyclotomic_height(105)
@@ -296,8 +295,8 @@ def _migotti(params: dict) -> tuple[str, list]:
     evidence = [
         {
             "name": "phi_105_coefficients",
-            "degree_7": c7,
-            "degree_41": c41,
+            "degree_7": phi105.coefficient(7),
+            "degree_41": phi105.coefficient(41),
             "height": h105,
             "exact": True,
         },
