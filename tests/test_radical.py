@@ -211,7 +211,7 @@ def test_zero_tail_depth_two_fails_at_the_outermost_level():
 
 def test_accelerated_failures_only_ever_at_level_one():
     for s in (1.45, 1.5, 1.55):
-        s_, ok, level = domain_scan(s, 12)
+        _, ok, level = domain_scan(s, 12)
         if not ok:
             assert level == 1
 
