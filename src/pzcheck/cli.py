@@ -124,7 +124,7 @@ def _eps_grid(spec: str) -> list[float]:
 _PROBE_EPS = ("1e-2..1e-5", _eps_grid)  # the probe table's default, the probe check's grid
 
 
-def _used_options(label: str, declared: dict, options: dict, flags: tuple) -> dict:
+def _used_options(label: str, declared: dict, options: dict, flags: dict) -> dict:
     """The entry's parameters in report order, converted from their flags or defaults
     (a parameter with no flag keeps its default); others or bad values raise UsageError."""
     unused = ["--" + key.replace("_", "-") for key in flags
@@ -314,10 +314,13 @@ def _migotti(params: dict) -> tuple[str, list]:
     return "REFUTED" if any(map(_refutes, evidence)) else "CONSISTENT", evidence
 
 
-# the flags a check accepts, in usage-error order, and claim -> mode ->
-# (pipeline, each parameter it reads after claim and mode, in report order,
-# with its default and converter); the first mode listed is the claim's default
-_CHECK_FLAGS = ("s", "max_n", "tol", "depth")
+# the flags a check accepts, in --help and usage-error order, with their
+# argparse type and help, and claim -> mode -> (pipeline, each parameter it
+# reads after claim and mode, in report order, with its default and
+# converter); the first mode listed is the claim's default
+_CHECK_FLAGS = {"s": (float, "evaluation point"),
+                "max_n": (int, "series truncation / scan limit"),
+                "tol": (float, "error-bound target"), "depth": (int, "radical depth")}
 _PIPELINES = {
     "CLAIM2_3": {
         "SYMBOLIC": (_claim23_symbolic,
@@ -394,16 +397,12 @@ def _value_table(evaluate, params: dict):
 
 
 def _cyclotomic_table(params: dict):
-    n_values = params["n"]
-    # deg Phi_n = phi(n), from phi(m / spf[m]) in one pass over cyclotomic's
-    # own 10^4 sieve as in _migotti; the height comes from the Phi of n's odd
-    # squarefree kernel, one construction shared by every n with the same odd primes
-    spf = cyclotomic._table().smallest_factor
-    totient = [0, 1]
-    for m in range(2, max(n_values) + 1):
-        p, rest = spf[m], m // spf[m]
-        totient.append(totient[rest] * (p if spf[rest] == p else p - 1))
-    rows = [{"n": n, "degree": totient[n], "height": cyclotomic_height(n)} for n in n_values]
+    # deg Phi_n = phi(n), read off n's factorization over cyclotomic's own
+    # 10^4 sieve; the height comes from the Phi of n's odd squarefree kernel,
+    # one construction shared by every n with the same odd primes
+    table = cyclotomic._table()
+    rows = [{"n": n, "degree": arith.factorize(n, table).totient, "height": cyclotomic_height(n)}
+            for n in params["n"]]
     return ["n", "degree", "height"], rows, None
 
 
@@ -446,10 +445,14 @@ def _radical_domain_table(params: dict):
     return columns, rows, "\n".join([summary, *reasons] if evaluated else reasons)
 
 
-# the flags a table accepts, in usage-error order, and selector -> (table,
-# each parameter it reads, in report order, with its default and converter);
-# the zeta functions are looked up at each call, so a rebinding of them is seen too
-_TABLE_FLAGS = ("tol", "s", "n", "eps", "depth")
+# the flags a table accepts, in --help and usage-error order, with their
+# argparse type and help, and selector -> (table, each parameter it reads, in
+# report order, with its default and converter); the zeta functions are
+# looked up at each call, so a rebinding of them is seen too
+_TABLE_FLAGS = {"s": (str, "comma-separated s values"),
+                "n": (str, "n range, e.g. 1..120 or 3,5,105"),
+                "eps": (str, "eps grid, e.g. 1e-2..1e-5"), "depth": (int, "radical depth"),
+                "tol": (float, "error-bound target")}
 _TABLES = {
     "zeta": (lambda p: _value_table(zeta.zeta_real, p),
              {"tol": (1e-12, _POSITIVE), "s": ("2,3,4", _s_list)}),
@@ -528,20 +531,12 @@ def _build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="run a claim check and print its report")
     check.add_argument("claim", choices=[c.lower() for c in CLAIM_IDS], help="claim to check")
     check.add_argument("--mode", choices=[m.lower() for m in MODES])
-    check.add_argument("--s", type=float, help="evaluation point")
-    check.add_argument("--max-n", type=int, dest="max_n", help="series truncation / scan limit")
-    check.add_argument("--tol", type=float, help="error-bound target")
-    check.add_argument("--depth", type=int, help="radical depth")
-    check.add_argument("--format", choices=["text", "structured"], default="text")
-
     table = sub.add_parser("table", help="print an evaluation table")
     table.add_argument("selector", choices=list(_TABLES))
-    table.add_argument("--s", help="comma-separated s values")
-    table.add_argument("--n", help="n range, e.g. 1..120 or 3,5,105")
-    table.add_argument("--eps", help="eps grid, e.g. 1e-2..1e-5")
-    table.add_argument("--depth", type=int, help="radical depth")
-    table.add_argument("--tol", type=float, help="error-bound target")
-    table.add_argument("--format", choices=["text", "structured"], default="text")
+    for command, flags in ((check, _CHECK_FLAGS), (table, _TABLE_FLAGS)):
+        for key, (kind, text) in flags.items():
+            command.add_argument("--" + key.replace("_", "-"), type=kind, help=text)
+        command.add_argument("--format", choices=["text", "structured"], default="text")
     return parser
 
 
