@@ -211,18 +211,17 @@ def _claim23_probe(params: dict) -> tuple[str, list]:
     evidence = [
         {"name": "probe_row", **_json_row(_probe_dict(row, "_value"))} for row in rows
     ]
-    good = [r for r in rows if r.lhs is not None and not r.note]
-    if len(good) != len(rows):
+    if any(r.lhs is None or r.note for r in rows):
         return "INCONCLUSIVE", evidence + [
             {"name": "reason", "detail": "precision failure on probe rows"}
         ]
 
-    lhs_vals = [r.lhs.value for r in good]
-    rhs_vals = [r.rhs.value for r in good]
+    lhs_vals = [r.lhs.value for r in rows]
+    rhs_vals = [r.rhs.value for r in rows]
     lhs_decreasing = all(a > b > 0.0 for a, b in zip(lhs_vals, lhs_vals[1:]))
     rhs_increasing = all(a < b for a, b in zip(rhs_vals, rhs_vals[1:]))
     fit = zeta.fit_log_quadratic(rows)
-    last = good[-1]
+    last = rows[-1]
     divergence = _discrepancy("divergence", last.lhs, last.rhs, key="difference",
                               eps=_r(last.eps))
     evidence += [

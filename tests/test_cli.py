@@ -1,5 +1,6 @@
 """cli: claim pipelines, the report contract of pzcheck.report, tables, exit codes."""
 
+import argparse
 import json
 import math
 import os
@@ -13,6 +14,7 @@ import types
 
 import pytest
 
+from conftest import naive_totient
 from pzcheck import (DirichletSeries, arith, claim_lhs_series, claim_rhs_series, cli, report,
                      sieve, zeta)
 from pzcheck.cli import UsageError, _mismatch_scan, cmd_check, cmd_table, main
@@ -172,7 +174,8 @@ def test_migotti_refutes_on_a_phi_105_coefficient_other_than_minus_two(monkeypat
 
 
 def test_migotti_and_height_table_walk_cyclotomics_sieve(monkeypatch):
-    # both passes read the 10^4 table the cyclotomic module already holds
+    # the Migotti scan walks the 10^4 table the cyclotomic module already
+    # holds, and the height table reads it through arith.factorize
     def no_sieve(limit):
         raise AssertionError(f"arith.sieve({limit}) called")
 
@@ -479,6 +482,11 @@ def test_cyclotomic_height_table():
     assert all(by_n[n]["height"] == 1 for n in range(1, 105))
     assert by_n[105]["height"] == 2
     assert by_n[105]["degree"] == 48
+    # every degree is phi(n), here and in a window at the top of the domain
+    top = json.loads(cmd_table("cyclotomic-height", {"n": "9800..10000",
+                                                      "format": "structured"}))["rows"]
+    assert [row["n"] for row in top] == list(range(9800, 10001))
+    assert all(row["degree"] == naive_totient(row["n"]) for row in rows + top)
 
 
 def test_cyclotomic_height_table_comma_list():
@@ -623,6 +631,21 @@ def test_entry_declares_every_parameter_it_echoes(command, target, mode):
     want.update((key, convert(default)) for key, (default, convert) in declared.items())
     assert list(echoed.items()) == list(want.items())
     run(types.MappingProxyType(want))
+
+
+@pytest.mark.parametrize("command,target,mode", _ENTRIES)
+def test_unread_flags_are_named_in_help_order(command, target, mode, capsys):
+    # every flag the entry does not read, passed at once, is named in the
+    # order the subcommand's --help prints it
+    _, declared = cli._PIPELINES[target][mode] if command == "check" else cli._TABLES[target]
+    (subparsers,) = [a for a in cli._build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    unread = [a.option_strings[0] for a in subparsers.choices[command]._actions
+              if a.option_strings and a.dest not in ("help", "mode", "format", *declared)]
+    argv = [command, target.lower()] + (["--mode", mode.lower()] if mode else [])
+    assert main(argv + [arg for flag in reversed(unread) for arg in (flag, "2")]) == 2
+    label = f"{target} [{mode}]" if mode else target
+    assert capsys.readouterr().err == f"error: {label} does not use {', '.join(unread)}\n"
 
 
 def test_a_parameter_without_a_flag_keeps_its_default():
