@@ -34,8 +34,10 @@ class UsageError(ValueError):
 
 
 def _finite_above(low: float):
-    # converter to a finite float above low, rounded as reported
-    def convert(v: float) -> float:
+    # converter of a typed string or a number to a finite float above low,
+    # rounded as reported
+    def convert(value) -> float:
+        v = float(value)
         rounded = _r(v)  # rounding can carry the largest doubles to infinity
         if not math.isfinite(rounded):
             raise ValueError(f"rounds to infinity at 15 significant digits, got {v}"
@@ -50,74 +52,65 @@ _POSITIVE, _ABOVE_ONE = _finite_above(0.0), _finite_above(1.0)
 
 
 def _count_to(most: int, domain: str):
-    # converter to an int in [1, most]; the cap's message names its domain
-    def convert(n: int) -> int:
-        if int(n) < 1:
+    # converter of a typed string or a number to an int in [1, most]; the
+    # cap's message names its domain
+    def convert(value) -> int:
+        n = int(str(value))  # a float such as 2.5 or inf is refused, not truncated
+        if n < 1:
             raise ValueError(f"must be >= 1, got {n}")
-        if int(n) > most:
-            raise ValueError(f"must be <= {most} ({domain}), got {int(n)}")
-        return int(n)
+        if n > most:
+            raise ValueError(f"must be <= {most} ({domain}), got {n}")
+        return n
     return convert
 
 
-def _depth(depth: int) -> int:
-    if not 1 <= depth <= radical._MAX_DEPTH:
-        raise ValueError(f"must be in [1, {radical._MAX_DEPTH}], got {depth}")
-    return depth
+_DEPTH = (20, _count_to(radical._MAX_DEPTH, "radical depth"))  # default and converter
 
 
-def _parse_list(spec: str, flag: str, kind=float) -> list:
-    try:
-        values = [kind(part) for part in spec.split(",") if part.strip()]
-    except ValueError as exc:
-        raise UsageError(f"bad {flag} list {spec!r}") from exc
+def _parse_list(spec: str, kind=float) -> list:
+    values = [kind(part) for part in spec.split(",") if part.strip()]
     if not values:
-        raise UsageError(f"empty {flag} list")
+        raise ValueError(f"list {spec!r} is empty")
     if not all(map(math.isfinite, values)):
-        raise UsageError(f"{flag} list {spec!r} has a non-finite value")
+        raise ValueError(f"list {spec!r} has a non-finite value")
     return values
 
 
 def _s_list(spec: str) -> list[float]:
-    return [_ABOVE_ONE(s) for s in _parse_list(spec, "--s")]
+    return [_ABOVE_ONE(s) for s in _parse_list(spec)]
 
 
 def _one_s(spec: str) -> float:
     s, *others = _s_list(spec)
     if others:
-        raise UsageError("radical table takes exactly one --s value")
+        raise ValueError("takes exactly one value in the radical table")
     return s
 
 
 def _n_range(spec: str) -> list[int]:
     # the bounds are checked before a range is expanded into a list
     if ".." not in spec:
-        values = _parse_list(spec, "--n", int)
+        values = _parse_list(spec, int)
         lo, hi = min(values), max(values)
     else:
-        try:
-            lo, hi = map(int, spec.split("..", 1))
-        except ValueError as exc:
-            raise UsageError(f"bad --n range {spec!r}") from exc
+        lo, hi = map(int, spec.split("..", 1))
         if hi < lo:
-            raise UsageError(f"--n range {spec!r} is reversed")
+            raise ValueError(f"range {spec!r} is reversed")
         values = range(lo, hi + 1)
     if lo < 1 or hi > cyclotomic._MAX_N:
-        raise UsageError(f"--n must lie in [1, {cyclotomic._MAX_N}], got {spec}")
+        raise ValueError(f"must lie in [1, {cyclotomic._MAX_N}], got {spec}")
     return list(values)
 
 
 def _eps_grid(spec: str) -> list[float]:
     # "1e-2..1e-5" walks down a decade at a time; commas list explicitly
     if ".." not in spec:
-        return [_r(e) for e in _parse_list(spec, "--eps")]
-    try:
-        start, end = map(float, spec.split("..", 1))
-        hi, lo = round(math.log10(start)), round(math.log10(end))
-    except (ValueError, OverflowError) as exc:
-        raise UsageError(f"bad --eps range {spec!r}") from exc
+        return [_r(e) for e in _parse_list(spec)]
+    start, end = map(float, spec.split("..", 1))
+    # an end that is not positive and finite has no power of 10
+    hi, lo = (round(math.log10(e)) if 0.0 < e < math.inf else math.nan for e in (start, end))
     if not (math.isclose(start, 10.0**hi) and math.isclose(end, 10.0**lo) and lo <= hi):
-        raise UsageError(f"--eps range {spec!r} must run from a larger to a smaller power of 10")
+        raise ValueError(f"range {spec!r} must run from a larger to a smaller power of 10")
     return [_r(10.0**k) for k in range(hi, lo - 1, -1)]
 
 
@@ -126,7 +119,8 @@ _PROBE_EPS = ("1e-2..1e-5", _eps_grid)  # the probe table's default, the probe c
 
 def _used_options(label: str, declared: dict, options: dict, flags: dict) -> dict:
     """The entry's parameters in report order, converted from their flags or defaults
-    (a parameter with no flag keeps its default); others or bad values raise UsageError."""
+    (a parameter with no flag keeps its default); an unread flag, or a converter's
+    ValueError with its flag put in front, raises UsageError."""
     unused = ["--" + key.replace("_", "-") for key in flags
               if options.get(key) is not None and key not in declared]
     if unused:
@@ -136,8 +130,6 @@ def _used_options(label: str, declared: dict, options: dict, flags: dict) -> dic
         value = options.get(key) if key in flags else None
         try:
             used[key] = convert(default if value is None else value)
-        except UsageError:  # a list parser's message names its flag already
-            raise
         except ValueError as exc:
             raise UsageError(f"--{key.replace('_', '-')} {exc}") from exc
     return used
@@ -310,16 +302,15 @@ def _migotti(params: dict) -> tuple[str, list]:
     if violations:
         evidence.append({"name": "violations", "indices": violations[:10]})
     # report's rule: a Phi_105 coefficient other than -2, or a counterexample
-    return "REFUTED" if any(map(_refutes, evidence)) else "CONSISTENT", evidence
+    return "REFUTED" if any(_refutes(f, "SYMBOLIC") for f in evidence) else "CONSISTENT", evidence
 
 
 # the flags a check accepts, in --help and usage-error order, with their
-# argparse type and help, and claim -> mode -> (pipeline, each parameter it
-# reads after claim and mode, in report order, with its default and
-# converter); the first mode listed is the claim's default
-_CHECK_FLAGS = {"s": (float, "evaluation point"),
-                "max_n": (int, "series truncation / scan limit"),
-                "tol": (float, "error-bound target"), "depth": (int, "radical depth")}
+# help, and claim -> mode -> (pipeline, each parameter it reads after claim
+# and mode, in report order, with its default and the converter that
+# parses the typed string); the first mode listed is the claim's default
+_CHECK_FLAGS = {"s": "evaluation point", "max_n": "series truncation / scan limit",
+                "tol": "error-bound target", "depth": "radical depth"}
 _PIPELINES = {
     "CLAIM2_3": {
         "SYMBOLIC": (_claim23_symbolic,
@@ -328,7 +319,7 @@ _PIPELINES = {
         "PROBE": (_claim23_probe, {"tol": (1e-12, _POSITIVE), "eps_grid": _PROBE_EPS}),
     },
     "CLAIM4": {"NUMERIC": (_claim4, {"s": (2.0, _ABOVE_ONE), "tol": (1e-12, _POSITIVE),
-                                     "depth": (20, _depth)})},
+                                     "depth": _DEPTH})},
     "MIGOTTI_REMARK": {"SYMBOLIC": (
         _migotti, {"max_n": (200, _count_to(cyclotomic._MAX_N, "cyclotomic domain"))})},
 }
@@ -337,9 +328,10 @@ _PIPELINES = {
 def cmd_check(claim_id: str, mode: str | None, options: dict) -> ClaimReport:
     """Run one claim-check pipeline and return its validated report.
 
-    options keys (all optional): the names in _CHECK_FLAGS; the report's
-    parameters are the claim, the mode and the parameters the pipeline's
-    entry declares.  Unknown claim, unsupported claim/mode pairing, an
+    options keys (all optional): the names in _CHECK_FLAGS, with the
+    strings argparse passes or numbers as values; the report's parameters
+    are the claim, the mode and the parameters the pipeline's entry
+    declares.  Unknown claim, unsupported claim/mode pairing, an
     option the pipeline does not use, or out-of-domain parameter values
     raise UsageError; precision shortfalls inside a pipeline, and a
     radical fold that leaves the reals, make the verdict INCONCLUSIVE
@@ -445,13 +437,12 @@ def _radical_domain_table(params: dict):
 
 
 # the flags a table accepts, in --help and usage-error order, with their
-# argparse type and help, and selector -> (table, each parameter it reads, in
-# report order, with its default and converter); the zeta functions are
-# looked up at each call, so a rebinding of them is seen too
-_TABLE_FLAGS = {"s": (str, "comma-separated s values"),
-                "n": (str, "n range, e.g. 1..120 or 3,5,105"),
-                "eps": (str, "eps grid, e.g. 1e-2..1e-5"), "depth": (int, "radical depth"),
-                "tol": (float, "error-bound target")}
+# help, and selector -> (table, each parameter it reads, in report order,
+# with its default and the converter that parses the typed string); the
+# zeta functions are looked up at each call, so a rebinding of them is seen too
+_TABLE_FLAGS = {"s": "comma-separated s values", "n": "n range, e.g. 1..120 or 3,5,105",
+                "eps": "eps grid, e.g. 1e-2..1e-5", "depth": "radical depth",
+                "tol": "error-bound target"}
 _TABLES = {
     "zeta": (lambda p: _value_table(zeta.zeta_real, p),
              {"tol": (1e-12, _POSITIVE), "s": ("2,3,4", _s_list)}),
@@ -459,10 +450,10 @@ _TABLES = {
                    {"tol": (1e-12, _POSITIVE), "s": ("2,3,4", _s_list)}),
     "cyclotomic-height": (_cyclotomic_table, {"n": ("1..120", _n_range)}),
     "probe": (_probe_table, {"tol": (1e-12, _POSITIVE), "eps": _PROBE_EPS}),
-    "radical": (_radical_table, {"s": ("2", _one_s), "depth": (20, _depth)}),
+    "radical": (_radical_table, {"s": ("2", _one_s), "depth": _DEPTH}),
     "radical-domain": (_radical_domain_table,
                        {"s": ("1.05,1.1,1.2,1.3,1.4,1.5,1.6,1.8,2,3", _s_list),
-                        "depth": (20, _depth)}),
+                        "depth": _DEPTH}),
 }
 
 
@@ -533,8 +524,8 @@ def _build_parser() -> argparse.ArgumentParser:
     table = sub.add_parser("table", help="print an evaluation table")
     table.add_argument("selector", choices=list(_TABLES))
     for command, flags in ((check, _CHECK_FLAGS), (table, _TABLE_FLAGS)):
-        for key, (kind, text) in flags.items():
-            command.add_argument("--" + key.replace("_", "-"), type=kind, help=text)
+        for key, text in flags.items():
+            command.add_argument("--" + key.replace("_", "-"), help=text)
         command.add_argument("--format", choices=["text", "structured"], default="text")
     return parser
 

@@ -33,13 +33,14 @@ def _bound_agrees(fact: dict) -> bool:
         return False
 
 
-def _refutes(fact: dict) -> bool:
-    # the fact itself must record the disagreement: a gap beyond its
-    # bound (with both numbers, which _bound_agrees has compared),
-    # unequal exact coefficients, or a Migotti counterexample
-    gap = "value" in fact or "difference" in fact
-    if fact.get("exceeds_bound") is True and gap and "combined_error_bound" in fact:
-        return True
+def _refutes(fact: dict, mode: str) -> bool:
+    # the fact itself must record a disagreement of its report's mode's
+    # kind: in a SYMBOLIC report unequal exact coefficients or a Migotti
+    # counterexample, in a NUMERIC or PROBE one a gap beyond its bound
+    # (with both numbers, which _bound_agrees has compared)
+    if mode != "SYMBOLIC":
+        gap = "value" in fact or "difference" in fact
+        return fact.get("exceeds_bound") is True and gap and "combined_error_bound" in fact
     if fact.get("exact") is not True:
         return False
     if "lhs_coefficient" in fact:
@@ -53,9 +54,10 @@ class ClaimReport(namedtuple("ClaimReport", "claim_id mode verdict parameters ev
     """Structured verdict: claim, mode, verdict, evidence, parameters.
 
     A REFUTED verdict must be carried by at least one evidence fact
-    that records a disagreement: a discrepancy whose gap exceeds the
-    combined error bound it carries, or an exact fact whose own entries
-    contradict the claim.  Every fact that carries exceeds_bound with
+    that records a disagreement of its mode's kind: in a SYMBOLIC report
+    an exact fact whose own entries contradict the claim, in a NUMERIC
+    or PROBE one a discrepancy whose gap exceeds the combined error
+    bound it carries.  Every fact that carries exceeds_bound with
     its numbers must agree with them.  validate() enforces both, and
     the shapes emit_report renders, on every path that builds a report:
     the constructor, _make, _replace, unpickling and parse_report.
@@ -94,11 +96,10 @@ class ClaimReport(namedtuple("ClaimReport", "claim_id mode verdict parameters ev
                     f"fact {fact['name']!r}: exceeds_bound disagrees with "
                     "its own gap and combined error bound"
                 )
-        if self.verdict == "REFUTED" and not any(map(_refutes, self.evidence)):
-            raise ValueError(
-                "REFUTED verdict without an exact mismatch or a "
-                "discrepancy exceeding its combined error bound"
-            )
+        if self.verdict == "REFUTED" and not any(_refutes(f, self.mode) for f in self.evidence):
+            wanted = ("an exact mismatch" if self.mode == "SYMBOLIC"
+                      else "a discrepancy exceeding its combined error bound")
+            raise ValueError(f"REFUTED verdict without {wanted}, which a {self.mode} report needs")
         return self
 
 

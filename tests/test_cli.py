@@ -212,6 +212,10 @@ def test_check_rejects_bad_combinations():
         cmd_check("claim2_3", "symbolic", {"max_n": 0})
     with pytest.raises(UsageError, match=r"^--max-n must be <= 1000000 \(exact series work\)"):
         cmd_check("claim2_3", "symbolic", {"max_n": 10**6 + 1})
+    # a library caller's float count is refused, not truncated or overflowed
+    for options in ({"max_n": 20.5}, {"max_n": math.inf}, {"depth": 2.5}):
+        with pytest.raises(UsageError, match="^--(max-n|depth) invalid literal for int"):
+            cmd_check("claim2_3" if "max_n" in options else "claim4", None, options)
     with pytest.raises(UsageError):
         cmd_check("claim2_3", "numeric", {"s": 1.0})
     # an option the pipeline does not use is an error, not an echo
@@ -243,7 +247,7 @@ def test_non_finite_options_are_usage_errors():
     for selector, options in (("zeta", {"tol": math.inf}), ("probe", {"tol": -math.inf}),
                               ("prime-zeta", {"s": "2,inf"}), ("radical-domain", {"s": "nan"}),
                               ("probe", {"eps": "inf..1e-5"})):
-        with pytest.raises(UsageError, match="finite|bad --eps range"):
+        with pytest.raises(UsageError, match=r"finite|^--eps range 'inf\.\.1e-5' must run from"):
             cmd_table(selector, options)
 
 
@@ -347,6 +351,21 @@ def test_refuted_verdict_requires_supporting_fact():
                    "exceeds_bound": True}],
     )
     assert good.validate() is good
+
+
+def test_refutation_needs_a_fact_of_its_modes_kind():
+    # claim4 at s = 30 is INCONCLUSIVE; made REFUTED with its reason dropped,
+    # its one refuting fact is the exact series_mismatch, which a NUMERIC
+    # report cannot rest on: it says nothing about s = 30
+    payload = json.loads(emit_report(cmd_check("claim4", None, {"s": 30.0}), "structured"))
+    payload["verdict"] = "REFUTED"
+    payload["evidence"] = [f for f in payload["evidence"] if f["name"] != "reason"]
+    with pytest.raises(ValueError, match="without a discrepancy exceeding its combined"):
+        parse_report(json.dumps(payload))
+    # nor can a SYMBOLIC report rest on a gap beyond its bound
+    gap = {"name": "gap", "value": 2.0, "combined_error_bound": 1.0, "exceeds_bound": True}
+    with pytest.raises(ValueError, match="without an exact mismatch, which a SYMBOLIC"):
+        ClaimReport("CLAIM2_3", "SYMBOLIC", "REFUTED", {}, [gap])
 
 
 def test_exact_flag_alone_does_not_support_refutation():
@@ -567,10 +586,10 @@ def test_table_usage_errors():
         cmd_table("probe", {"eps": "1e-17"})
     with pytest.raises(UsageError, match="^--eps 1e-16 is at most half the double"):
         cmd_table("probe", {"eps": "1e-15..1e-17"})
-    with pytest.raises(UsageError, match="^bad --n range '1..x'$"):
+    with pytest.raises(UsageError, match=r"^--n invalid literal for int\(\) with base 10: 'x'$"):
         cmd_table("cyclotomic-height", {"n": "1..x"})
     for n in (",", ", ,"):
-        with pytest.raises(UsageError, match="^empty --n list$"):
+        with pytest.raises(UsageError, match=f"^--n list '{n}' is empty$"):
             cmd_table("cyclotomic-height", {"n": n})
 
 
@@ -636,16 +655,37 @@ def test_entry_declares_every_parameter_it_echoes(command, target, mode):
 @pytest.mark.parametrize("command,target,mode", _ENTRIES)
 def test_unread_flags_are_named_in_help_order(command, target, mode, capsys):
     # every flag the entry does not read, passed at once, is named in the
-    # order the subcommand's --help prints it
+    # order the subcommand's --help prints it, whether its value is well
+    # formed or not
     _, declared = cli._PIPELINES[target][mode] if command == "check" else cli._TABLES[target]
     (subparsers,) = [a for a in cli._build_parser()._actions
                      if isinstance(a, argparse._SubParsersAction)]
     unread = [a.option_strings[0] for a in subparsers.choices[command]._actions
               if a.option_strings and a.dest not in ("help", "mode", "format", *declared)]
     argv = [command, target.lower()] + (["--mode", mode.lower()] if mode else [])
-    assert main(argv + [arg for flag in reversed(unread) for arg in (flag, "2")]) == 2
     label = f"{target} [{mode}]" if mode else target
-    assert capsys.readouterr().err == f"error: {label} does not use {', '.join(unread)}\n"
+    for value in ("2", "x"):
+        assert main(argv + [arg for flag in reversed(unread) for arg in (flag, value)]) == 2
+        assert capsys.readouterr().err == f"error: {label} does not use {', '.join(unread)}\n"
+
+
+@pytest.mark.parametrize("command,target,mode,flag,value", [
+    (command, target, mode, key.replace("_", "-"), value)
+    for command, target, mode in _ENTRIES
+    for key in (cli._PIPELINES[target][mode] if command == "check" else cli._TABLES[target])[1]
+    if key in (cli._CHECK_FLAGS if command == "check" else cli._TABLE_FLAGS)
+    # a table's list flags also refuse a list of no values
+    for value in (("x", ",") if command == "table" and key in ("s", "n", "eps") else ("x",))
+])
+def test_a_malformed_value_is_one_error_line_naming_its_flag(command, target, mode, flag,
+                                                             value, capsys):
+    # every flag an entry reads converts its typed string in one place, so
+    # a malformed number or an empty list is refused alike: exit 2, one line
+    argv = [command, target.lower()] + (["--mode", mode.lower()] if mode else [])
+    assert main(argv + [f"--{flag}", value]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: --{flag} ") and err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_a_parameter_without_a_flag_keeps_its_default():

@@ -28,8 +28,11 @@ zeta table at s - 1 = 1e-6, 1e-5 and 1e-4 and a numeric check at
 s = 1.000001), a numeric check at s = 20 that refutes on a one-ulp
 difference against a far smaller combined bound
 (check-claim2_3-numeric-s20, recorded before that bound is made
-honest), three runs far past zeta's clamp at s = 1000 (a numeric
-check at s = 1e20, claim4 and a zeta table at s = 1e300), usage
+honest) and a claim4 check at s = 20 that refutes on a gap of 5.9e-17
+against a bound of 1.2e-18, where the true gap is about 2.9e-30
+(check-claim4-s20, likewise), three runs far past zeta's clamp at
+s = 1000 (a numeric check at s = 1e20, claim4 and a zeta table at
+s = 1e300), usage
 errors (options a check or a table does not read, a non-finite or
 negative tolerance, an s below 1, a radical depth of 0, both --max-n
 caps, a probe eps grid with an eps so small that 1 + eps rounds to 1,
@@ -50,7 +53,8 @@ Re-record after an intended output change with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and review the diff of tests/golden/ before committing it.
+which, like the test run, writes no bytecode into src/, and review the
+diff of tests/golden/ before committing it.
 """
 
 import contextlib
@@ -62,6 +66,7 @@ from pathlib import Path
 
 import pytest
 
+sys.dont_write_bytecode = True  # re-recording leaves no bytecode in src/ to skew a later timing
 from pzcheck import cli
 from pzcheck.cli import main
 from pzcheck.report import emit_report, parse_report
@@ -91,6 +96,7 @@ _FORMATTED = (
     ("check-claim4-s1.3", ["check", "claim4", "--s", "1.3"]),
     ("check-claim4-s1e300", ["check", "claim4", "--s", "1e300"]),
     ("check-claim4-s1.6-depth64", ["check", "claim4", "--s", "1.6", "--depth", "64"]),
+    ("check-claim4-s20", ["check", "claim4", "--s", "20"]),
     ("check-migotti_remark", ["check", "migotti_remark"]),
     ("check-migotti_remark-3000", ["check", "migotti_remark", "--max-n", "3000"]),
     ("check-migotti_remark-10000", ["check", "migotti_remark", "--max-n", "10000"]),
