@@ -10,7 +10,7 @@ usage error (2), never the mathematical verdict: REFUTED is a result,
 not a failure, so scripted pipelines can consume reports without error
 handling.  Structured output is one UTF-8 JSON object with stable key
 order; identical invocations produce byte-identical output.  A check's
-report, its validation and its rendering live in pzcheck.report.
+verdict, its report's validation and rendering live in pzcheck.report.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from . import arith, cyclotomic, dirichlet, radical, zeta
 from .cyclotomic import cyclotomic as cyclotomic_poly
 from .cyclotomic import height as cyclotomic_height
 from .report import (CLAIM_IDS, MODES, ClaimReport, _by_bound, _discrepancy, _eval_fact,
-                     _fmt_value, _mismatch_fact, _r, _refutes, emit_report)
+                     _fmt_value, _mismatch_fact, _r, emit_report, verdict_of)
 
 _SERIES_MAX_N = 10**6  # exact claim2_3 series; 10^6 already takes seconds and ~100 MB
 
@@ -137,8 +137,8 @@ def _used_options(label: str, declared: dict, options: dict, flags: dict) -> dic
 
 # ---------------------------------------------------------------- check
 #
-# A pipeline takes the converted parameters and returns (verdict,
-# evidence); cmd_check wraps that into one validated ClaimReport.
+# A pipeline takes the converted parameters and returns its evidence, a list of
+# facts; cmd_check reads the verdict off it with verdict_of into one ClaimReport.
 
 
 def _probe_dict(row: zeta.ProbeRow, suffix: str = "") -> dict:
@@ -179,18 +179,18 @@ def _mismatch_scan(lhs: dirichlet.DirichletSeries, rhs: dirichlet.DirichletSerie
     }
 
 
-def _claim23_symbolic(params: dict) -> tuple[str, list]:
+def _claim23_symbolic(params: dict) -> list:
     n = params["max_n"]
     table = arith.sieve(max(n, 2))
     lhs = dirichlet.claim_lhs_series(n)
     rhs = dirichlet.claim_rhs_series(n, table)
     hit = dirichlet.first_mismatch(lhs, rhs)
     if hit is None:
-        return "CONSISTENT", [{"name": "coefficient_agreement", "truncation": n, "exact": True}]
-    return "REFUTED", [_mismatch_fact("first_mismatch", *hit), _mismatch_scan(lhs, rhs, table)]
+        return [{"name": "coefficient_agreement", "truncation": n, "exact": True}]
+    return [_mismatch_fact("first_mismatch", *hit), _mismatch_scan(lhs, rhs, table)]
 
 
-def _claim23_numeric(params: dict) -> tuple[str, list]:
+def _claim23_numeric(params: dict) -> list:
     lhs = zeta.claim_lhs(params["s"])
     rhs = zeta.claim_rhs(params["s"], params["tol"])
     diff = _discrepancy("difference", lhs, rhs)
@@ -198,15 +198,13 @@ def _claim23_numeric(params: dict) -> tuple[str, list]:
     return _by_bound(diff, evidence, "difference within combined error bounds at this s")
 
 
-def _claim23_probe(params: dict) -> tuple[str, list]:
+def _claim23_probe(params: dict) -> list:
     rows = zeta.singularity_probe(params["eps_grid"], params["tol"])
     evidence = [
         {"name": "probe_row", **_json_row(_probe_dict(row, "_value"))} for row in rows
     ]
     if any(r.lhs is None or r.note for r in rows):
-        return "INCONCLUSIVE", evidence + [
-            {"name": "reason", "detail": "precision failure on probe rows"}
-        ]
+        return evidence + [{"name": "reason", "detail": "precision failure on probe rows"}]
 
     lhs_vals = [r.lhs.value for r in rows]
     rhs_vals = [r.rhs.value for r in rows]
@@ -231,13 +229,12 @@ def _claim23_probe(params: dict) -> tuple[str, list]:
         },
         divergence,
     ]
-    if (lhs_decreasing and rhs_increasing and fit.leading > 0.0 and fit.rel_residual < 0.1
-            and divergence["exceeds_bound"]):
-        return "REFUTED", evidence
-    return "INCONCLUSIVE", evidence + [{"name": "reason", "detail": "probe shape checks failed"}]
+    if not (lhs_decreasing and rhs_increasing and fit.leading > 0.0 and fit.rel_residual < 0.1):
+        return evidence + [{"name": "reason", "detail": "probe shape checks failed"}]
+    return _by_bound(divergence, evidence, "divergence within combined error bounds")
 
 
-def _claim4(params: dict) -> tuple[str, list]:
+def _claim4(params: dict) -> list:
     depth = params["depth"]
     result = radical.claim4_check(params["s"], depth, params["tol"])
     gap = _discrepancy("gap", result.radical_value, result.prime_zeta_value)
@@ -266,7 +263,7 @@ def _claim4(params: dict) -> tuple[str, list]:
     return _by_bound(gap, evidence, "gap within combined error bounds")
 
 
-def _migotti(params: dict) -> tuple[str, list]:
+def _migotti(params: dict) -> list:
     limit = params["max_n"]
     phi105 = cyclotomic_poly(105)
     # cross-check the one-byte height against the two-byte Phi_105, read
@@ -301,8 +298,7 @@ def _migotti(params: dict) -> tuple[str, list]:
     ]
     if violations:
         evidence.append({"name": "violations", "indices": violations[:10]})
-    # report's rule: a Phi_105 coefficient other than -2, or a counterexample
-    return "REFUTED" if any(_refutes(f, "SYMBOLIC") for f in evidence) else "CONSISTENT", evidence
+    return evidence
 
 
 # the flags a check accepts, in --help and usage-error order, with their
@@ -333,9 +329,9 @@ def cmd_check(claim_id: str, mode: str | None, options: dict) -> ClaimReport:
     are the claim, the mode and the parameters the pipeline's entry
     declares.  Unknown claim, unsupported claim/mode pairing, an
     option the pipeline does not use, or out-of-domain parameter values
-    raise UsageError; precision shortfalls inside a pipeline, and a
-    radical fold that leaves the reals, make the verdict INCONCLUSIVE
-    instead of raising.
+    raise UsageError.  The verdict is report.verdict_of's reading of the
+    evidence; a precision shortfall inside a pipeline, or a radical fold
+    that leaves the reals, is evidence it reads as INCONCLUSIVE.
     """
     claim_id = claim_id.upper()
     if claim_id not in _PIPELINES:
@@ -349,17 +345,16 @@ def cmd_check(claim_id: str, mode: str | None, options: dict) -> ClaimReport:
               **_used_options(f"{claim_id} [{mode}]", declared, options, _CHECK_FLAGS)}
 
     try:
-        verdict, evidence = pipeline(params)
+        evidence = pipeline(params)
     except zeta.PrecisionError as exc:
-        verdict, evidence = "INCONCLUSIVE", [{"name": "reason", "detail": str(exc)}]
+        evidence = [{"name": "reason", "detail": str(exc)}]
     except radical.NegativeRadicandError as exc:
         # where the radical stops being real is a finding, not bad input
-        verdict = "INCONCLUSIVE"
         evidence = [{"name": "negative_radicand", "level": exc.level,
                      "radicand": _r(exc.radicand)}]
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    return ClaimReport(claim_id, mode, verdict, params, evidence)
+    return ClaimReport(claim_id, mode, verdict_of(mode, evidence), params, evidence)
 
 
 # ---------------------------------------------------------------- table

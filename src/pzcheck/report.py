@@ -1,9 +1,10 @@
-"""The claim report: its vocabulary, record, validation rules and rendering.
+"""The claim report: its vocabulary, verdict rule, record, validation rules and rendering.
 
 A ClaimReport is what `pzcheck check` prints, in text or as one JSON
-object.  validate() holds every rule a report obeys; emit_report and
-parse_report render and read it back.  The module imports no layer
-module, so the rules can be used and tested without running a check.
+object.  verdict_of reads its verdict off its evidence, validate() holds
+every rule a report obeys, and emit_report and parse_report render and
+read it back.  The module imports no layer module, so the rules can be
+used and tested without running a check.
 """
 
 from __future__ import annotations
@@ -33,34 +34,37 @@ def _bound_agrees(fact: dict) -> bool:
         return False
 
 
-def _refutes(fact: dict, mode: str) -> bool:
-    # the fact itself must record a disagreement of its report's mode's
-    # kind: in a SYMBOLIC report unequal exact coefficients or a Migotti
-    # counterexample, in a NUMERIC or PROBE one a gap beyond its bound
-    # (with both numbers, which _bound_agrees has compared)
-    if mode != "SYMBOLIC":
-        gap = "value" in fact or "difference" in fact
-        return fact.get("exceeds_bound") is True and gap and "combined_error_bound" in fact
-    if fact.get("exact") is not True:
-        return False
-    if "lhs_coefficient" in fact:
-        return fact["lhs_coefficient"] != fact.get("rhs_coefficient")
-    return fact.get("all_heights_one") is False or any(
-        fact.get(key, -2) != -2 for key in ("degree_7", "degree_41")
-    )
+def verdict_of(mode: str, evidence: list) -> str:
+    """The verdict evidence carries in mode: INCONCLUSIVE beside a reason
+    fact, else REFUTED by a fact that records a disagreement of the mode's
+    kind, else CONSISTENT if the evidence is exact and INCONCLUSIVE if bounded."""
+    if any(fact["name"] == "reason" for fact in evidence):
+        return "INCONCLUSIVE"
+    for fact in evidence:
+        if mode != "SYMBOLIC":  # a gap beyond its bound, with both numbers _bound_agrees read
+            refutes = (fact.get("exceeds_bound") is True and "combined_error_bound" in fact
+                       and ("value" in fact or "difference" in fact))
+        elif fact.get("exact") is not True:
+            refutes = False
+        elif "lhs_coefficient" in fact:  # unequal exact coefficients
+            refutes = fact["lhs_coefficient"] != fact.get("rhs_coefficient")
+        else:  # a Migotti counterexample: a height above one, or c_7 or c_41 of Phi_105 not -2
+            refutes = fact.get("all_heights_one") is False or any(
+                fact.get(key, -2) != -2 for key in ("degree_7", "degree_41"))
+        if refutes:
+            return "REFUTED"
+    return "CONSISTENT" if mode == "SYMBOLIC" else "INCONCLUSIVE"
 
 
 class ClaimReport(namedtuple("ClaimReport", "claim_id mode verdict parameters evidence")):
     """Structured verdict: claim, mode, verdict, evidence, parameters.
 
-    A REFUTED verdict must be carried by at least one evidence fact
-    that records a disagreement of its mode's kind: in a SYMBOLIC report
-    an exact fact whose own entries contradict the claim, in a NUMERIC
-    or PROBE one a discrepancy whose gap exceeds the combined error
-    bound it carries.  Every fact that carries exceeds_bound with
-    its numbers must agree with them.  validate() enforces both, and
-    the shapes emit_report renders, on every path that builds a report:
-    the constructor, _make, _replace, unpickling and parse_report.
+    A REFUTED verdict must be the one verdict_of reads off the evidence,
+    and so must every verdict of a SYMBOLIC report.  Every fact that
+    carries exceeds_bound with its numbers must agree with them.
+    validate() enforces both, and the shapes emit_report renders, on
+    every path that builds a report: the constructor, _make, _replace,
+    unpickling and parse_report.
     """
 
     __slots__ = ()
@@ -96,10 +100,14 @@ class ClaimReport(namedtuple("ClaimReport", "claim_id mode verdict parameters ev
                     f"fact {fact['name']!r}: exceeds_bound disagrees with "
                     "its own gap and combined error bound"
                 )
-        if self.verdict == "REFUTED" and not any(_refutes(f, self.mode) for f in self.evidence):
+        carried = verdict_of(self.mode, self.evidence)
+        if self.verdict == "REFUTED" and carried != "REFUTED":
             wanted = ("an exact mismatch" if self.mode == "SYMBOLIC"
                       else "a discrepancy exceeding its combined error bound")
             raise ValueError(f"REFUTED verdict without {wanted}, which a {self.mode} report needs")
+        if self.mode == "SYMBOLIC" and self.verdict != carried:
+            raise ValueError(f"{self.verdict} verdict on evidence that carries {carried}, "
+                             "which a SYMBOLIC report must print")
         return self
 
 
@@ -163,7 +171,7 @@ def _mismatch_fact(name: str, index: int, a, b) -> dict:
             "rhs_coefficient": str(b), "exact": True}
 
 
-def _by_bound(discrepancy: dict, evidence: list, reason: str) -> tuple[str, list]:
-    if discrepancy["exceeds_bound"]:
-        return "REFUTED", evidence
-    return "INCONCLUSIVE", evidence + [{"name": "reason", "detail": reason}]
+def _by_bound(discrepancy: dict, evidence: list, reason: str) -> list:
+    # a discrepancy within its bound decides nothing, and the evidence says why
+    within = [] if discrepancy["exceeds_bound"] else [{"name": "reason", "detail": reason}]
+    return evidence + within

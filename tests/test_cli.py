@@ -18,7 +18,7 @@ from conftest import naive_totient
 from pzcheck import (DirichletSeries, arith, claim_lhs_series, claim_rhs_series, cli, report,
                      sieve, zeta)
 from pzcheck.cli import UsageError, _mismatch_scan, cmd_check, cmd_table, main
-from pzcheck.report import ClaimReport, emit_report, parse_report
+from pzcheck.report import ClaimReport, emit_report, parse_report, verdict_of
 
 
 def _facts(report, name):
@@ -102,6 +102,31 @@ def test_probe_check_refuses_a_wrong_fit_shape(monkeypatch):
     assert report.evidence[-1] == {"name": "reason", "detail": "probe shape checks failed"}
     (div,) = _facts(report, "divergence")
     assert div["exceeds_bound"] is True
+    assert parse_report(emit_report(report, "structured")) == report
+
+
+def test_probe_check_names_a_divergence_within_its_bound(monkeypatch):
+    # the real rows pass every shape check, but with the last rhs bound as
+    # wide as its value the divergence is within its bound, and the reason
+    # says so rather than blaming the shape
+    real = zeta.singularity_probe
+
+    def probe(epsilons, tol):
+        *rows, last = real(epsilons, tol)
+        wide = last.rhs._replace(error_bound=last.rhs.value)
+        return [*rows, last._replace(rhs=wide)]
+
+    monkeypatch.setattr(zeta, "singularity_probe", probe)
+    report = cmd_check("claim2_3", "probe", {})
+    assert report.verdict == "INCONCLUSIVE"
+    (mono,) = _facts(report, "monotonicity")
+    assert mono["lhs_decreasing_to_zero"] is True and mono["rhs_increasing"] is True
+    (fit,) = _facts(report, "log_quadratic_fit")
+    assert fit["leading"] > 0.0 and fit["relative_residual"] < 0.1
+    (div,) = _facts(report, "divergence")
+    assert div["exceeds_bound"] is False
+    assert report.evidence[-1] == {"name": "reason",
+                                   "detail": "divergence within combined error bounds"}
     assert parse_report(emit_report(report, "structured")) == report
 
 
@@ -366,6 +391,48 @@ def test_refutation_needs_a_fact_of_its_modes_kind():
     gap = {"name": "gap", "value": 2.0, "combined_error_bound": 1.0, "exceeds_bound": True}
     with pytest.raises(ValueError, match="without an exact mismatch, which a SYMBOLIC"):
         ClaimReport("CLAIM2_3", "SYMBOLIC", "REFUTED", {}, [gap])
+
+
+def test_symbolic_verdict_must_be_the_one_its_evidence_carries():
+    # a SYMBOLIC report is checked both ways: a mismatch printed as
+    # CONSISTENT, or a counterexample left CONSISTENT, does not parse
+    payload = json.loads(emit_report(cmd_check("claim2_3", None, {"max_n": 500}), "structured"))
+    payload["verdict"] = "CONSISTENT"
+    with pytest.raises(ValueError, match="^CONSISTENT verdict on evidence that carries REFUTED"):
+        parse_report(json.dumps(payload))
+    payload = json.loads(emit_report(cmd_check("migotti_remark", None, {}), "structured"))
+    (bound,) = [f for f in payload["evidence"] if f["name"] == "migotti_bound"]
+    bound["all_heights_one"] = False
+    with pytest.raises(ValueError, match="^CONSISTENT verdict on evidence that carries REFUTED"):
+        parse_report(json.dumps(payload))
+
+
+_GAP = {"name": "gap", "value": 2.0, "combined_error_bound": 1.0, "exceeds_bound": True}
+_REASON = {"name": "reason", "detail": "gap within combined error bounds"}
+_MISMATCH = {"name": "series_mismatch", "index": 30, "lhs_coefficient": "-2",
+             "rhs_coefficient": "0", "exact": True}
+
+
+@pytest.mark.parametrize("mode,evidence,verdict", [
+    ("NUMERIC", [_GAP], "REFUTED"),
+    ("PROBE", [dict(_GAP, name="divergence", difference=2.0)], "REFUTED"),
+    ("SYMBOLIC", [_MISMATCH], "REFUTED"),
+    ("SYMBOLIC", [{"name": "migotti_bound", "all_heights_one": False, "exact": True}], "REFUTED"),
+    # a reason leaves the check undecided, whatever else the evidence says
+    ("NUMERIC", [_GAP, _REASON], "INCONCLUSIVE"),
+    ("SYMBOLIC", [_MISMATCH, _REASON], "INCONCLUSIVE"),
+    # claim4's exact leg says nothing about its s, and a bound says nothing exact
+    ("NUMERIC", [_MISMATCH], "INCONCLUSIVE"),
+    ("SYMBOLIC", [_GAP], "CONSISTENT"),
+    # a bare flag, or a gap without its bound, records no disagreement
+    ("NUMERIC", [{"name": "gap", "exceeds_bound": True}], "INCONCLUSIVE"),
+    ("PROBE", [{"name": "divergence", "difference": 2.0, "exceeds_bound": True}], "INCONCLUSIVE"),
+    ("SYMBOLIC", [], "CONSISTENT"),
+    ("NUMERIC", [], "INCONCLUSIVE"),
+    ("PROBE", [], "INCONCLUSIVE"),
+])
+def test_verdict_of_reads_the_verdict_off_the_evidence(mode, evidence, verdict):
+    assert verdict_of(mode, evidence) == verdict
 
 
 def test_exact_flag_alone_does_not_support_refutation():
@@ -649,7 +716,10 @@ def test_entry_declares_every_parameter_it_echoes(command, target, mode):
         want = {}
     want.update((key, convert(default)) for key, (default, convert) in declared.items())
     assert list(echoed.items()) == list(want.items())
-    run(types.MappingProxyType(want))
+    out = run(types.MappingProxyType(want))
+    if command == "check":  # a pipeline returns its evidence alone, a list of named facts
+        assert isinstance(out, list)
+        assert all(isinstance(fact, dict) and isinstance(fact.get("name"), str) for fact in out)
 
 
 @pytest.mark.parametrize("command,target,mode", _ENTRIES)

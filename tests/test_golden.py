@@ -44,8 +44,8 @@ against the registries in cli,
 test_structured_goldens_are_strict_json that every structured stdout
 parses as JSON without NaN or Infinity,
 test_check_goldens_round_trip_through_report that pzcheck.report reads
-every check's structured stdout back and renders both of its stdouts
-from it, and
+every check's structured stdout back, renders both of its stdouts from
+it and reads the recorded verdict off the recorded evidence, and
 test_table_list_parameters_name_their_rows that every list option a
 structured table echoes names its rows, one per value in order.
 
@@ -69,7 +69,7 @@ import pytest
 sys.dont_write_bytecode = True  # re-recording leaves no bytecode in src/ to skew a later timing
 from pzcheck import cli
 from pzcheck.cli import main
-from pzcheck.report import emit_report, parse_report
+from pzcheck.report import emit_report, parse_report, verdict_of
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -230,10 +230,12 @@ def test_structured_goldens_are_strict_json():
 
 @pytest.mark.parametrize("stem", [stem for stem, _ in _FORMATTED if stem.startswith("check-")])
 def test_check_goldens_round_trip_through_report(stem):
-    # parse_report reads the recorded structured report back, and
-    # emit_report renders both recorded stdouts from it, byte for byte
+    # parse_report reads the recorded structured report back, its verdict
+    # is the one verdict_of reads off its evidence, and emit_report renders
+    # both recorded stdouts from it, byte for byte
     stdout = {command.rsplit(" ", 1)[1]: out for command, out in _stdouts(GOLDEN / f"{stem}.txt")}
     parsed = parse_report(stdout["structured"])
+    assert parsed.verdict == verdict_of(parsed.mode, parsed.evidence)
     assert emit_report(parsed, "structured") + "\n" == stdout["structured"]
     assert emit_report(parsed, "text") + "\n" == stdout["text"]
 
