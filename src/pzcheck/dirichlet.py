@@ -106,18 +106,20 @@ def prime_zeta_series(truncation: int, table: PrimeTable) -> DirichletSeries:
 def convolve(a: DirichletSeries, b: DirichletSeries) -> DirichletSeries:
     """Dirichlet convolution, truncated to min of the input truncations.
 
-    Loops over d and multiples of d, so the cost is O(N log N)
-    multiplies rather than a divisor search per index.
+    Walks the nonzero a_d and, for each, the nonzero b_k with k <= N // d,
+    so the cost is one multiply per pair of nonzero terms with d * k <= N:
+    O(N log N) when both are dense, rather than a divisor search per index.
     """
     n = min(a.truncation, b.truncation)
     out = [0] * (n + 1)
-    for d in range(1, n + 1):
-        ad = a._a[d]
-        if not ad:
-            continue
-        for m, bk in zip(range(d, n + 1, d), b._a[1 : n // d + 1]):
-            if bk:
-                out[m] += ad * bk
+    support = [(k, bk) for k, bk in enumerate(b._a[: n + 1]) if bk]
+    for d, ad in enumerate(a._a[: n + 1]):
+        if ad:
+            last = n // d
+            for k, bk in support:
+                if k > last:
+                    break
+                out[d * k] += ad * bk
     return DirichletSeries._adopt(out)
 
 
@@ -125,9 +127,10 @@ def invert(a: DirichletSeries) -> DirichletSeries:
     """Convolution inverse b with a * b = unit, truncated like a.
 
     Needs a_1 != 0.  Uses the forward recurrence: b_m starts at unit_m;
-    once b_d is final, subtract a_{m/d} * b_d from every multiple m of d,
-    and b_m is final after its division by a_1, in increasing m.  1/a_1
-    is a_1 itself when a_1 = +-1, so integer input stays integer.
+    once b_d is final and nonzero, subtract a_k * b_d from b_{d*k} for
+    every nonzero a_k with k >= 2, and b_m is final after its division by
+    a_1, in increasing m; the cost counts nonzero terms as convolve's does.
+    1/a_1 is a_1 itself when a_1 = +-1, so integer input stays integer.
     """
     a1 = a._a[1]
     if a1 == 0:
@@ -139,14 +142,16 @@ def invert(a: DirichletSeries) -> DirichletSeries:
         from fractions import Fraction
 
         inv_a1 = Fraction(1, a1)
+    support = [(k, ak) for k, ak in enumerate(a._a[2:], 2) if ak]
     b = [0, 1] + [0] * (n - 1)
     for d in range(1, n + 1):
         bd = b[d] = b[d] * inv_a1
-        if not bd:
-            continue
-        for m, ak in zip(range(2 * d, n + 1, d), a._a[2 : n // d + 1]):
-            if ak:
-                b[m] -= ak * bd
+        if bd:
+            last = n // d
+            for k, ak in support:
+                if k > last:
+                    break
+                b[d * k] -= ak * bd
     return DirichletSeries._adopt(b)
 
 

@@ -385,12 +385,18 @@ def test_refutation_needs_a_fact_of_its_modes_kind():
     payload = json.loads(emit_report(cmd_check("claim4", None, {"s": 30.0}), "structured"))
     payload["verdict"] = "REFUTED"
     payload["evidence"] = [f for f in payload["evidence"] if f["name"] != "reason"]
-    with pytest.raises(ValueError, match="without a discrepancy exceeding its combined"):
+    with pytest.raises(ValueError, match="^REFUTED verdict on evidence that carries INCONCLUSIVE$"):
         parse_report(json.dumps(payload))
     # nor can a SYMBOLIC report rest on a gap beyond its bound
     gap = {"name": "gap", "value": 2.0, "combined_error_bound": 1.0, "exceeds_bound": True}
-    with pytest.raises(ValueError, match="without an exact mismatch, which a SYMBOLIC"):
+    with pytest.raises(ValueError, match="^REFUTED verdict on evidence that carries CONSISTENT$"):
         ClaimReport("CLAIM2_3", "SYMBOLIC", "REFUTED", {}, [gap])
+    # beside a reason the mismatch is there, and the reason leaves it undecided
+    mismatch = {"name": "first_mismatch", "index": 30, "lhs_coefficient": "-2",
+                "rhs_coefficient": "0", "exact": True}
+    reason = {"name": "reason", "detail": "precision failure"}
+    with pytest.raises(ValueError, match="^REFUTED verdict on evidence that carries INCONCLUSIVE$"):
+        ClaimReport("CLAIM2_3", "SYMBOLIC", "REFUTED", {}, [mismatch, reason])
 
 
 def test_symbolic_verdict_must_be_the_one_its_evidence_carries():
@@ -404,6 +410,20 @@ def test_symbolic_verdict_must_be_the_one_its_evidence_carries():
     (bound,) = [f for f in payload["evidence"] if f["name"] == "migotti_bound"]
     bound["all_heights_one"] = False
     with pytest.raises(ValueError, match="^CONSISTENT verdict on evidence that carries REFUTED"):
+        parse_report(json.dumps(payload))
+
+
+@pytest.mark.parametrize("mode, params, verdict", [
+    ("numeric", {"s": 2.5}, "CONSISTENT"),
+    ("numeric", {"s": 2.5}, "INCONCLUSIVE"),
+    ("probe", {}, "CONSISTENT"),
+])
+def test_bounded_verdict_must_be_the_one_its_evidence_carries(mode, params, verdict):
+    # NUMERIC and PROBE reports are checked both ways too: a gap far
+    # beyond its bound printed as anything but REFUTED does not parse
+    payload = json.loads(emit_report(cmd_check("claim2_3", mode, params), "structured"))
+    payload["verdict"] = verdict
+    with pytest.raises(ValueError, match=f"^{verdict} verdict on evidence that carries REFUTED$"):
         parse_report(json.dumps(payload))
 
 
@@ -474,8 +494,9 @@ def test_parse_report_recomputes_exceeds_bound():
     payload["evidence"][0].update(value=2.0, exceeds_bound=False)
     with pytest.raises(ValueError):
         parse_report(json.dumps(payload))
+    payload["verdict"] = "REFUTED"
     payload["evidence"][0]["exceeds_bound"] = True
-    assert parse_report(json.dumps(payload)).verdict == "INCONCLUSIVE"
+    assert parse_report(json.dumps(payload)).verdict == "REFUTED"
     # a bound that is not a number cannot be compared with the gap
     payload["evidence"][0]["combined_error_bound"] = "1.0"
     with pytest.raises(ValueError):
@@ -492,14 +513,14 @@ def test_report_validation_rejects_unknown_fields():
 
 
 def test_replace_builds_a_checked_report():
-    report = ClaimReport("CLAIM2_3", "NUMERIC", "CONSISTENT")
+    report = ClaimReport("CLAIM2_3", "NUMERIC", "INCONCLUSIVE")
     # None fills in as it does in the constructor, so the report renders
     cleared = report._replace(parameters=None)
     assert cleared.parameters == {}
     assert emit_report(cleared, "text").splitlines()[2] == "parameters: "
-    with pytest.raises(ValueError, match="unknown verdict"):
+    with pytest.raises(ValueError, match="^MAYBE verdict on evidence that carries INCONCLUSIVE$"):
         report._replace(verdict="MAYBE")
-    with pytest.raises(ValueError, match="REFUTED verdict without"):
+    with pytest.raises(ValueError, match="^REFUTED verdict on evidence that carries INCONCLUSIVE$"):
         report._replace(verdict="REFUTED")
 
 
@@ -507,8 +528,9 @@ def test_unpickling_builds_a_checked_report():
     # unpickling rebuilds through __new__, so a report forged past it
     # does not load back
     forged = tuple.__new__(ClaimReport, ("CLAIM2_3", "NUMERIC", "REFUTED", {}, []))
+    message = "^REFUTED verdict on evidence that carries INCONCLUSIVE$"
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
-        with pytest.raises(ValueError, match="REFUTED verdict without"):
+        with pytest.raises(ValueError, match=message):
             pickle.loads(pickle.dumps(forged, protocol))
 
 
@@ -520,7 +542,7 @@ def test_unpickling_builds_a_checked_report():
     ("evidence", {"name": "reason"}),
 ])
 def test_parse_report_refuses_shapes_it_cannot_render(field, value):
-    payload = {"claim_id": "CLAIM2_3", "mode": "NUMERIC", "verdict": "CONSISTENT",
+    payload = {"claim_id": "CLAIM2_3", "mode": "NUMERIC", "verdict": "INCONCLUSIVE",
                "parameters": {}, "evidence": []}
     payload[field] = value
     with pytest.raises(ValueError, match=field):

@@ -246,7 +246,7 @@ _RECORDS = {
     "Claim4Result": (("radical_value", "prime_zeta_value"), {},
                      lambda: pzcheck.Claim4Result(_eval(), _eval(0.25))),
     "ClaimReport": (("claim_id", "mode", "verdict", "parameters", "evidence"), {},
-                    lambda: ClaimReport("CLAIM2_3", "NUMERIC", "CONSISTENT", {"s": 2.0})),
+                    lambda: ClaimReport("CLAIM2_3", "NUMERIC", "INCONCLUSIVE", {"s": 2.0})),
 }
 
 
@@ -276,9 +276,9 @@ def test_checked_records_check_every_construction_path():
             pickle.loads(pickle.dumps(forged, protocol))
     # ClaimReport's __new__ gives each report its own parameters and
     # evidence; _make builds from all five fields and checks their count
-    report = ClaimReport("CLAIM2_3", "NUMERIC", "CONSISTENT")
+    report = ClaimReport("CLAIM2_3", "NUMERIC", "INCONCLUSIVE")
     assert report.parameters == {} and report.evidence == []
-    assert report.parameters is not ClaimReport("CLAIM4", "NUMERIC", "CONSISTENT").parameters
+    assert report.parameters is not ClaimReport("CLAIM4", "NUMERIC", "INCONCLUSIVE").parameters
     assert ClaimReport._make(report) == report
     with pytest.raises(TypeError):
         ClaimReport._make(report[:3])

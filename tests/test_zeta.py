@@ -460,7 +460,7 @@ def test_eval_result_is_frozen():
         (table, "limit"),
         (factorize(12, table), "n"),
         (claim4_check(2.0, 3), "radical_value"),
-        (ClaimReport("CLAIM2_3", "NUMERIC", "CONSISTENT"), "verdict"),
+        (ClaimReport("CLAIM2_3", "NUMERIC", "INCONCLUSIVE"), "verdict"),
     ]
     for record, field in others:
         with pytest.raises(AttributeError):
