@@ -26,7 +26,7 @@ from .cyclotomic import height as cyclotomic_height
 from .report import (CLAIM_IDS, MODES, ClaimReport, _by_bound, _discrepancy, _eval_fact,
                      _fmt_value, _mismatch_fact, _r, emit_report, verdict_of)
 
-_SERIES_MAX_N = 10**6  # exact claim2_3 series; 10^6 already takes seconds and ~100 MB
+_SERIES_MAX_N = 10**6  # exact claim2_3 series; 10^6 already takes seconds and ~150 MB
 
 
 class UsageError(ValueError):
@@ -266,8 +266,8 @@ def _claim4(params: dict) -> list:
 def _migotti(params: dict) -> list:
     limit = params["max_n"]
     phi105 = cyclotomic_poly(105)
-    # cross-check the one-byte height against the two-byte Phi_105, read
-    # back from cyclotomic's one-entry cache
+    # cross-check the counted height against the decoded coefficients of
+    # the same checked digits, read back from cyclotomic's one-entry cache
     h105 = cyclotomic_height(105)
     if h105 != max(map(abs, cyclotomic_poly(105).coeffs)):
         raise ArithmeticError(f"packed height {h105} of Phi_105 disagrees with its coefficients")

@@ -5,22 +5,20 @@ phi(n), so the product is carried modulo x^(phi(n) + 2), one slot past
 the degree (Arnold & Monagan, Math. Comp. 80 (2011)).  _packed_digits
 evaluates it at a power of the byte base in one int, so each factor is
 a shift and an add, not a loop over coefficients, and Phi_1 = x - 1 is
-the one sign flip.  Two readouts decode its digits.  cyclotomic(n)
-takes two bytes per coefficient, which holds every Phi_n with
-n <= 10^4, and decodes them in pairs.  height(n) builds no Phi_n of
-full degree: Phi_n(x) = Phi_r(x^(n/r)) with r = rad(n), and
-Phi_2m(x) = Phi_m(-x) for odd m > 1, so Phi_n has the coefficients of
-Phi_k up to sign and spacing, where k, the product of n's odd primes,
-is n's odd squarefree kernel.  Phi_k takes one byte per coefficient,
-and its height is read by counting bytes, never decoding them; for the
-nine four-prime kernels <= 10^4 whose bound passes a byte, it is read
-off cyclotomic(k).  A proved height bound (never Migotti's theorem,
-which the scan tests) shows that the digits are wide enough, and a
-wrong product shows as a coefficient past that bound or in the four
-checked post-conditions: a nonzero slot past phi(n), a leading
-coefficient not 1, a Phi_n (n > 1) that is not palindromic, or a wrong
-Phi_n(1).  Heights are memoised per kernel as ints; cyclotomic() keeps
-only the last polynomial it built.
+the one sign flip.  One readout, _readout, checks its digits: a proved
+height bound (never Migotti's theorem, which the scan tests) picks one
+signed byte per coefficient when it is below 128 and two bytes
+otherwise, and the height and Phi_n(1) are read by counting the digits
+at each distance from zero.  A wrong product shows as a digit past that
+bound or in the four checked post-conditions: a nonzero slot past
+phi(n), a leading coefficient not 1, a Phi_n (n > 1) that is not
+palindromic, or a wrong Phi_n(1).  cyclotomic(n) decodes the checked
+digits.  height(n) builds no polynomial: Phi_n(x) = Phi_r(x^(n/r)) with
+r = rad(n), and Phi_2m(x) = Phi_m(-x) for odd m > 1, so Phi_n has the
+coefficients of Phi_k up to sign and spacing, where k, the product of
+n's odd primes, is n's odd squarefree kernel, and the readout of Phi_k
+gives the height.  Heights are memoised per kernel as ints; cyclotomic()
+keeps only the last polynomial it built.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import prod
 
-from .arith import factorize, sieve
+from .arith import FactoredInteger, factorize, sieve
 
 _MAX_N = 10**4
 
@@ -75,32 +73,23 @@ def _table():
     return sieve(_MAX_N)
 
 
-# One entry: heights come from the packed product or, at nine kernels, from
-# one build each, so only cli._migotti's Phi_105 cross-check reads one twice.
+# One entry: heights never build a Phi_n, so only cli._migotti's Phi_105
+# cross-check reads one twice.
 @lru_cache(maxsize=1)
 def cyclotomic(n: int) -> IntPolynomial:
     """Phi_n as an exact IntPolynomial, for 1 <= n <= 10^4.
 
-    Decoded from two bytes per coefficient of the packed product, which
-    _height_bound proves wide enough: no Phi_n with n <= 10^4 has a
-    coefficient past 680 < 2^15, and one past the bound of n's odd
-    squarefree kernel is refused.  Four post-conditions are checked on
-    every construction: the slot past phi(n) is 0, so the series stops;
-    the leading coefficient is 1; Phi_n is palindromic for n > 1; and
-    Phi_n(1) is 0 at n = 1, p at n = p^k and 1 otherwise.
+    Decoded from the digits _readout has checked against the proved
+    bound of n's odd squarefree kernel (no Phi_n with n <= 10^4 has a
+    coefficient past 680 < 2^15) and the four post-conditions: the slot
+    past phi(n) is 0, so the series stops; the leading coefficient is 1;
+    Phi_n is palindromic for n > 1; and Phi_n(1) is 0 at n = 1, p at
+    n = p^k and 1 otherwise.
     """
     if not 1 <= n <= _MAX_N:
         raise ValueError(f"cyclotomic index must be in [1, {_MAX_N}], got {n}")
-    factored = factorize(n, _table())
-    primes = [p for p, _ in factored.factors]
-    digits = _packed_digits(n, primes, factored.totient + 2, 2)
-    zero = 1 << 15
-    coeffs = [256 * high + low - zero for low, high in zip(digits[::2], digits[1::2])]
-    bound = _height_bound([p for p in primes if p != 2])
-    if max(map(abs, coeffs)) > bound:
-        raise ArithmeticError(f"Phi_{n} has a coefficient past its proved bound {bound}")
-    _check(n, primes, coeffs[-2:], sum(coeffs), n == 1 or coeffs[:-1] == coeffs[-2::-1])
-    return IntPolynomial(coeffs)
+    digits, zero, _ = _readout(factorize(n, _table()))
+    return IntPolynomial([d - zero for d in digits])
 
 
 def _mobius_factors(n: int, primes: list[int]) -> list[tuple[int, int]]:
@@ -139,16 +128,6 @@ def _packed_digits(n: int, primes: list[int], slots: int, size: int) -> bytes:
     return ((packed + offset) & mask).to_bytes(size * slots, "little")
 
 
-def _check(n: int, primes: list[int], top: list[int], at_one: int, palindromic: bool) -> None:
-    """Refuse a Phi_n whose top two slots, value at 1 or symmetry is wrong."""
-    want = 0 if n == 1 else primes[0] if len(primes) == 1 else 1
-    if top != [1, 0] or at_one != want or not palindromic:
-        raise ArithmeticError(
-            f"Phi_{n} failed invariants: top coefficients {top} (want [1, 0]), "
-            f"Phi_n(1) = {at_one} (want {want}), palindromic {palindromic}"
-        )
-
-
 def height(n: int) -> int:
     """Largest absolute coefficient of Phi_n, for 1 <= n <= 10^4.
 
@@ -183,19 +162,26 @@ def _height_bound(primes: list[int]) -> int:
 
 @lru_cache(maxsize=None)  # one int per odd squarefree k <= 10^4
 def _kernel_height(k: int) -> int:
-    """Height of Phi_k for odd squarefree k, from one byte per coefficient.
+    """Height of Phi_k for odd squarefree k, counted by _readout."""
+    return _readout(factorize(k, _table()))[2]
 
-    _height_bound proves a signed byte wide enough for every kernel
-    <= 10^4 but nine four-prime ones from 5005 to 9867, read off
-    cyclotomic(k) instead.  Each byte is c + 128, so the height and
-    Phi_k(1) are read by counting the bytes at each distance from 128.
+
+def _readout(factored: FactoredInteger) -> tuple:
+    """Phi_n's checked digits, their zero and its height, n = factored.n.
+
+    The digits are one signed byte each when n's odd primes have a
+    proved bound below 128 and two bytes otherwise, each c plus the zero
+    for the coefficient c.  Counting the digits at each distance from the
+    zero gives the height and Phi_n(1); a digit past the bound, or a
+    broken post-condition, is refused.
     """
-    primes = [p for p, _ in factorize(k, _table()).factors]
-    bound = _height_bound(primes)
-    if bound > 127:  # a byte cannot hold the proved bound: two bytes each
-        return max(map(abs, cyclotomic(k).coeffs))
-    digits = _packed_digits(k, primes, prod(p - 1 for p in primes) + 2, 1)
-    zero = 128
+    n, primes, slots = factored.n, [p for p, _ in factored.factors], factored.totient + 2
+    bound = _height_bound([p for p in primes if p != 2])
+    size = 1 if bound < 128 else 2
+    digits = _packed_digits(n, primes, slots, size)
+    if size == 2:
+        digits = [low + 256 * high for low, high in zip(digits[::2], digits[1::2])]
+    zero = 1 << (8 * size - 1)
     left = len(digits) - digits.count(zero)
     at_one = distance = 0
     while left and distance < bound:
@@ -204,7 +190,13 @@ def _kernel_height(k: int) -> int:
         left -= up + down
         at_one += distance * (up - down)
     if left:
-        raise ArithmeticError(f"Phi_{k} has {left} coefficients past its proved bound {bound}")
+        raise ArithmeticError(f"Phi_{n} has {left} coefficients past its proved bound {bound}")
     top = [digits[-2] - zero, digits[-1] - zero]
-    _check(k, primes, top, at_one, k == 1 or digits[:-1] == digits[-2::-1])
-    return distance
+    want = 0 if n == 1 else primes[0] if len(primes) == 1 else 1
+    palindromic = n == 1 or digits[:-1] == digits[-2::-1]
+    if top != [1, 0] or at_one != want or not palindromic:
+        raise ArithmeticError(
+            f"Phi_{n} failed invariants: top coefficients {top} (want [1, 0]), "
+            f"Phi_n(1) = {at_one} (want {want}), palindromic {palindromic}"
+        )
+    return digits, zero, distance

@@ -123,6 +123,8 @@ def test_polynomial_equality_and_hash():
     p = IntPolynomial([1, 0, -1, 1])  # 1 - x^2 + x^3
     assert p == IntPolynomial((1, 0, -1, 1, 0))
     assert hash(p) == hash(IntPolynomial([1, 0, -1, 1]))
+    assert repr(p) == "IntPolynomial([1, 0, -1, 1])"
+    assert p != p.coeffs  # another type: __eq__ returns NotImplemented
 
 
 # -- small closed forms --------------------------------------------------
@@ -339,15 +341,32 @@ def test_packed_heights_match_the_slice_path_within_a_proved_bound():
 
 def test_digit_width_follows_the_proved_bound(monkeypatch):
     # Bloom's bound passes 127 at 5 * 7 * 11 * 13 and 3 * 11 * 13 * 17,
-    # not at 3 * 5 * 7 * 11 or 3 * 7 * 11 * 13 (bound 120)
-    built = []
-    real = cyclotomic_module.cyclotomic.__wrapped__
+    # not at 3 * 5 * 7 * 11 or 3 * 7 * 11 * 13 (bound 120); a height at
+    # either width reads the packed digits and builds no Phi
+    sizes, built = [], []
+    packed, real = cyclotomic_module._packed_digits, cyclotomic_module.cyclotomic.__wrapped__
+    monkeypatch.setattr(cyclotomic_module, "_packed_digits",
+                        lambda n, primes, slots, size: sizes.append((n, size))
+                        or packed(n, primes, slots, size))
     monkeypatch.setattr(cyclotomic_module, "cyclotomic", lambda n: built.append(n) or real(n))
     heights = {k: cyclotomic_module._kernel_height.__wrapped__(k) for k in (1155, 3003, 5005, 7293)}
-    assert built == [5005, 7293]
+    assert sizes == [(1155, 1), (3003, 1), (5005, 2), (7293, 2)]
+    assert built == []
     assert heights == {k: max(map(abs, _slice_cyclotomic(k))) for k in heights}
+    sizes.clear()
+    for n in (105, 5005):
+        assert real(n).coeffs == _slice_cyclotomic(n), n
+    assert sizes == [(105, 1), (5005, 2)]
     with pytest.raises(ValueError, match="5 primes"):
         cyclotomic_module._height_bound([3, 5, 7, 11, 13])
+
+
+def test_a_digit_past_the_proved_bound_is_refused(monkeypatch):
+    # Phi_105's two coefficients -2 do not fit a bound of 1, at either readout
+    monkeypatch.setattr(cyclotomic_module, "_height_bound", lambda primes: 1)
+    for build in (cyclotomic.__wrapped__, cyclotomic_module._kernel_height.__wrapped__):
+        with pytest.raises(ArithmeticError, match="past its proved bound 1"):
+            build(105)
 
 
 def test_domain_errors():

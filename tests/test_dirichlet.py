@@ -342,3 +342,10 @@ def test_integral_values_may_come_back_as_fractions_and_compare_exactly():
     want = DirichletSeries([Fraction(1, 2), -1, Fraction(-3, 2), 0])
     assert inv == want
     assert first_mismatch(inv, want) is None
+    # Fraction(0, 1) hashes as 0, so equal series hash alike
+    assert hash(inv) == hash(want)
+    assert repr(inv) == "DirichletSeries(N=4; 1/2, -1, -3/2, 0)"
+    assert repr(DirichletSeries(list(range(1, 10)))) == "DirichletSeries(N=9; 1, 2, 3, 4, 5, 6, 7, 8, ...)"
+    assert inv != inv.coefficients()  # another type: __eq__ returns NotImplemented
+    with pytest.raises(ValueError, match="at least coefficient a_1"):
+        DirichletSeries([])

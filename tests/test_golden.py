@@ -6,11 +6,11 @@ status, standard output and standard error, byte for byte.  The set
 covers every claim/mode pair, every table selector, Migotti scans to
 3000 and to 10^4 (check-migotti_remark-10000), a height table over
 2000..2200, one at the four-prime kernels 1155, 5005, 6545 and 7293
-(table-cyclotomic-height-four-primes: the one-byte height at 1155, the
-two-byte Phi at the wide-bound kernels 5005, 6545 and 7293, and the
+(table-cyclotomic-height-four-primes: one-byte digits at 1155,
+two-byte digits at the wide-bound kernels 5005, 6545 and 7293, and the
 largest kernel height to 10^4, 9 at 6545) and one at all nine
-wide-bound kernels to 10^4, whose heights read off the two-byte Phi
-(table-cyclotomic-height-wide-kernels), a failing probe row, a
+wide-bound kernels to 10^4, whose heights are counted on two-byte
+digits (table-cyclotomic-height-wide-kernels), a failing probe row, a
 probe check whose every row fails on precision
 (check-claim2_3-probe-tol1e-16), a zeta table with one row too close
 to the pole, a radical table with non-existent truncations, a radical
