@@ -17,8 +17,9 @@ radical.
 Evaluation is a single right-to-left fold that returns the full
 depth-n value as an EvalResult.  Each level's zeta comes from the
 zeta module's Euler-Maclaurin core, cached there by argument alone, so
-repeated folds at one s sum each zeta once; zeta.two_over turns each
-level's zeta, clamped to 1.0 there past 1000, into 2/zeta with its bound.
+repeated folds at one s sum each zeta once.  Each level's 2/zeta (1.0
+past zeta's clamp at 1000), subtraction and square root propagate their
+bounds through EvalResult's operators: truncation only, not rounding.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .zeta import EvalResult, _euler_maclaurin, prime_zeta, two_over
+from .zeta import EvalResult, _euler_maclaurin, prime_zeta
 
 _MAX_DEPTH = 64
 
@@ -60,22 +61,13 @@ def eval_nested(s: float, depth: int, tail: float) -> EvalResult:
     if not 0.0 <= tail < math.inf:
         raise ValueError(f"tail seed must be finite and >= 0, got {tail!r}")
 
-    partial = tail
-    partial_err = 0.0
+    partial = EvalResult(tail, 0.0)
     for level in range(depth, 0, -1):
-        term = two_over(_euler_maclaurin(s * 2.0 ** (level - 1)))
-        radicand = term.value - partial
-        radicand_err = term.error_bound + partial_err
-        if radicand < 0.0:
-            raise NegativeRadicandError(level, radicand)
-        partial = math.sqrt(radicand)
-        if radicand_err < radicand:
-            # |sqrt(x) - sqrt(y)| = |x-y| / (sqrt(x)+sqrt(y))
-            partial_err = radicand_err / (partial + math.sqrt(radicand - radicand_err))
-        else:
-            # the interval reaches 0; sqrt(err) covers [0, rad+err]
-            partial_err = math.sqrt(radicand_err)
-    return EvalResult(value=partial, error_bound=partial_err)
+        radicand = _euler_maclaurin(s * 2.0 ** (level - 1)).over(2.0) - partial
+        if radicand.value < 0.0:
+            raise NegativeRadicandError(level, radicand.value)
+        partial = radicand.sqrt()
+    return partial
 
 
 def convergence_report(s: float, max_depth: int) -> list[tuple[int, float, float]]:

@@ -142,7 +142,7 @@ def _fmt_value(v) -> str:
 
 
 # Evidence facts.  ev, a and b are zeta.EvalResult records, annotated as
-# the tuples they are: only their value and error_bound are read.
+# tuples; a - b propagates in EvalResult's operators, truncation only.
 
 
 def _eval_fact(name: str, ev: tuple, **extra) -> dict:
@@ -152,8 +152,9 @@ def _eval_fact(name: str, ev: tuple, **extra) -> dict:
 
 
 def _discrepancy(name: str, a: tuple, b: tuple, key: str = "value", **extra) -> dict:
-    # the one place two bounded values are compared: gap against summed bounds
-    gap, bound = _r(abs(a.value - b.value)), _r(a.error_bound + b.error_bound)
+    # the one place two bounded values are compared: a - b against its own bound
+    difference = a - b
+    gap, bound = _r(abs(difference.value)), _r(difference.error_bound)
     return {"name": name, **extra, key: gap, "combined_error_bound": bound,
             "exceeds_bound": gap > bound}
 

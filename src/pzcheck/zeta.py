@@ -26,12 +26,13 @@ zeta(x) - 1 < 2^(2-x) for x >= 2:
 
     sum_{k>K} |log zeta(ks)|/k  <=  4 * 2^(-(K+1)s) / ((K+1)(1 - 2^(-s))).
 
-Every EvalResult's error_bound covers truncation only — what the
-formulas above cut off — not double rounding, at ~16 significant
-digits.  Where a compared difference is itself near rounding, a verdict
-can rest on rounding: `check claim2_3 --mode numeric --s 20` is REFUTED
-on a one-ulp difference of 2.2e-16 against a combined bound of 2.3e-18.
-Bounds that count rounding are ROADMAP item 2.
+Every error_bound covers truncation only, what the formulas above cut
+off, and bounds combine only in EvalResult's operators; neither counts
+double rounding, at ~16 significant digits.
+Where a compared difference is near rounding, a verdict can rest on it:
+`check claim2_3 --mode numeric --s 20` is REFUTED on a one-ulp
+difference of 2.2e-16 against a combined bound of 2.3e-18.  Bounds that
+count rounding are ROADMAP item 2, a change to those operators.
 """
 
 from __future__ import annotations
@@ -63,8 +64,9 @@ class PrecisionError(ValueError):
 class EvalResult(namedtuple("EvalResult", "value error_bound")):
     """A numeric value plus an upper bound on its truncation error.
 
-    error_bound is derived from the tail estimate of whichever series
-    was truncated; it does not include double-precision rounding.
+    Bounds propagate only through the operators below, each the first-order
+    rule of its operation with numbers as exact operands (any other operand
+    is a TypeError, never tuple concatenation); they leave out rounding.
     """
 
     __slots__ = ()
@@ -74,7 +76,7 @@ class EvalResult(namedtuple("EvalResult", "value error_bound")):
             raise ValueError(f"non-finite value {value!r}")
         if not (math.isfinite(error_bound) and error_bound >= 0.0):
             raise ValueError(f"bad error bound {error_bound!r}")
-        return super().__new__(cls, value, error_bound)
+        return tuple.__new__(cls, (value, error_bound))
 
     @classmethod
     def _make(cls, iterable):  # so _replace runs the checks too
@@ -82,6 +84,42 @@ class EvalResult(namedtuple("EvalResult", "value error_bound")):
 
     def __reduce__(self):  # protocols 0 and 1 too unpickle through __new__
         return type(self), tuple(self)
+
+    def __add__(self, other: EvalResult) -> EvalResult:
+        if not isinstance(other, EvalResult):
+            return NotImplemented
+        return EvalResult(self.value + other.value, self.error_bound + other.error_bound)
+
+    def __sub__(self, other: EvalResult) -> EvalResult:
+        if not isinstance(other, EvalResult):
+            return NotImplemented
+        return EvalResult(self.value - other.value, self.error_bound + other.error_bound)
+
+    def __rsub__(self, c: float) -> EvalResult:  # c - x
+        return EvalResult(c - self.value, self.error_bound)
+
+    def __mul__(self, c: float) -> EvalResult:  # c * x, with c on either side
+        return EvalResult(c * self.value, abs(c) * self.error_bound)
+
+    __rmul__ = __mul__
+
+    def square(self) -> EvalResult:
+        value, e = self
+        return EvalResult(value * value, (2.0 * abs(value) + e) * e)
+
+    def over(self, c: float) -> EvalResult:  # c/x for c >= 0 and x > e
+        value, e = self
+        return EvalResult(c / value, c * e / (value * (value - e)))
+
+    def log(self) -> EvalResult:  # for x > 1 + e
+        return EvalResult(log(self.value), self.error_bound / (self.value - self.error_bound))
+
+    def sqrt(self) -> EvalResult:  # for x >= 0
+        value, e = self
+        root = math.sqrt(value)
+        if e < value:  # |sqrt(x) - sqrt(y)| = |x - y| / (sqrt(x) + sqrt(y))
+            return EvalResult(root, e / (root + math.sqrt(value - e)))
+        return EvalResult(root, math.sqrt(e))  # x's interval reaches 0; sqrt(e) covers [0, x + e]
 
 
 # B_{2j}/(2j)! for j = 1..J + 1, each the exact rational rounded once
@@ -191,38 +229,21 @@ def prime_zeta(s: float, tol: float = 1e-12) -> EvalResult:
         k_stop += 1
 
     mu = _mobius_small()
-    terms = []
-    eval_error = 0.0
-    for k in range(1, k_stop + 1):
-        if mu[k] == 0:
-            continue
-        zk = _euler_maclaurin(k * s)
-        terms.append(mu[k] / k * log(zk.value))
-        # |d log z| <= e / (z - e); z > 1 and e <= 1.3e-23 keep this sane
-        eval_error += zk.error_bound / (k * (zk.value - zk.error_bound))
-    return EvalResult(
-        value=fsum(terms),
-        error_bound=_pz_tail_bound(k_stop, s) + eval_error,
-    )
-
-
-def two_over(z: EvalResult) -> EvalResult:
-    """2/z for a zeta value z > 1, with bound 2e/(z(z-e)) from z's bound e."""
-    bound = 2.0 * z.error_bound / (z.value * (z.value - z.error_bound))
-    return EvalResult(value=2.0 / z.value, error_bound=bound)
+    terms = [mu[k] / k * _euler_maclaurin(k * s).log() for k in range(1, k_stop + 1) if mu[k]]
+    return EvalResult(fsum(term.value for term in terms),
+                      _pz_tail_bound(k_stop, s) + sum(term.error_bound for term in terms))
 
 
 def claim_lhs(s: float) -> EvalResult:
     """Left side of the identity under test: 2/zeta(s)."""
-    return two_over(_euler_maclaurin(s))
+    return _euler_maclaurin(s).over(2.0)
 
 
 def claim_rhs(s: float, tol: float = 1e-12) -> EvalResult:
     """Right side of the identity under test: 2 - 2P(s) + P(s)^2 - P(2s).
 
-    First-order error propagation: the P(s)^2 term contributes
-    (2|P| + e) * e, the linear terms 2e, the dilated term its own bound.
-    Both P values first get tol/8.  Near the pole 2|P(s)| can carry that
+    The bounds of P(s) and P(2s) propagate through EvalResult's operators,
+    each first getting tol/8.  Near the pole 2|P(s)| can carry the sum
     past tol; there both are evaluated again to tol/(4 + 2|P(s)|), which
     keeps the bound within tol, or PrecisionError if that is under MIN_TOL.
     """
@@ -240,11 +261,7 @@ def claim_rhs(s: float, tol: float = 1e-12) -> EvalResult:
 def _rhs_at(s: float, split: float) -> tuple[EvalResult, float]:
     # claim_rhs with both P values evaluated to split; also returns P(s)
     p1 = prime_zeta(s, split)
-    p2 = prime_zeta(2.0 * s, split)
-    value = 2.0 - 2.0 * p1.value + p1.value * p1.value - p2.value
-    bound = (2.0 + 2.0 * abs(p1.value) + p1.error_bound) * p1.error_bound
-    bound += p2.error_bound
-    return EvalResult(value=value, error_bound=bound), p1.value
+    return 2.0 - 2.0 * p1 + p1.square() - prime_zeta(2.0 * s, split), p1.value
 
 
 class ProbeRow(namedtuple("ProbeRow", "eps lhs rhs note", defaults=("",))):

@@ -290,7 +290,7 @@ _BOUNDED = {
     "prime_zeta": lambda: pzcheck.prime_zeta(2.0),
     "claim_lhs": lambda: pzcheck.claim_lhs(2.0),
     "claim_rhs": lambda: pzcheck.claim_rhs(2.0),
-    "two_over": lambda: pzcheck.zeta.two_over(pzcheck.zeta_real(2.0)),
+    "two_over": lambda: pzcheck.zeta_real(2.0).over(2.0),
     "eval_nested": lambda: pzcheck.eval_nested(2.0, 3, 1.0),
     "claim4_check.radical_value": lambda: pzcheck.claim4_check(2.0, 3).radical_value,
     "claim4_check.prime_zeta_value": lambda: pzcheck.claim4_check(2.0, 3).prime_zeta_value,

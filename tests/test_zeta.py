@@ -15,6 +15,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import oracle_bernoulli, prime_zeta_direct
 from pzcheck import (
@@ -31,7 +33,7 @@ from pzcheck import (
     zeta,
     zeta_real,
 )
-from pzcheck.report import ClaimReport
+from pzcheck.report import ClaimReport, _discrepancy, _r
 from pzcheck.zeta import _EM_COEFFICIENTS, MIN_TOL, ProbeRow, _euler_maclaurin
 
 
@@ -448,6 +450,90 @@ def test_eval_result_replace_checks_its_fields():
         r._replace(value=math.nan)
     with pytest.raises(ValueError):
         EvalResult._make([1.0, -1.0])
+
+
+# -- EvalResult operators: each is the hand formula it replaced ---------
+
+_VALUES = st.floats(-1e6, 1e6)
+_BOUNDS = st.floats(0.0, 1e3)
+_SCALARS = st.floats(-1e3, 1e3) | st.integers(-64, 64)
+
+
+def _bits(result):
+    return type(result), result.value.hex(), result.error_bound.hex()
+
+
+def _same(result, value, bound):
+    # bit for bit, and an EvalResult: a tuple here would mean concatenation
+    return _bits(result) == (EvalResult, float(value).hex(), float(bound).hex())
+
+
+@given(_VALUES, _BOUNDS, _VALUES, _BOUNDS, _SCALARS)
+def test_linear_operators_add_bounds_and_scale_them(v, e, w, f, c):
+    x, y = EvalResult(v, e), EvalResult(w, f)
+    assert _same(x + y, v + w, e + f)
+    assert _same(x - y, v - w, e + f)  # the fold's radicand 2/zeta - partial
+    assert _same(c - x, c - v, e)
+    assert _same(c * x, c * v, abs(c) * e)
+    assert _same(x * c, c * v, abs(c) * e)
+
+
+@given(_VALUES, _BOUNDS)
+def test_square_carries_the_first_order_bound(v, e):
+    assert _same(EvalResult(v, e).square(), v * v, (2.0 * abs(v) + e) * e)
+
+
+@given(st.floats(1.0, 1e6), st.floats(0.0, 1e-3))
+def test_over_and_log_are_the_zeta_formulas(z, e):
+    # two_over's 2/z and prime_zeta's per-term log zeta, each as once written out
+    x = EvalResult(z, e)
+    assert _same(x.over(2.0), 2.0 / z, 2.0 * e / (z * (z - e)))
+    assert _same(x.log(), math.log(z), e / (z - e))
+
+
+@given(st.floats(0.0, 1e6), _BOUNDS)
+def test_sqrt_keeps_both_branches(v, e):
+    root = math.sqrt(v)
+    if e < v:  # the interval stays above 0
+        assert _same(EvalResult(v, e).sqrt(), root, e / (root + math.sqrt(v - e)))
+    else:  # it reaches 0, and sqrt(e) covers [0, v + e]
+        assert _same(EvalResult(v, e).sqrt(), root, math.sqrt(e))
+
+
+@given(_VALUES, _BOUNDS, _VALUES, _BOUNDS)
+def test_rhs_expression_keeps_its_value_and_moves_its_bound_by_rounding(p, e, q, f):
+    # _rhs_at's 2 - 2P(s) + P(s)^2 - P(2s); its bound once summed
+    # (2 + 2|P| + e)e + f, which rounds differently from 2e + (2|P| + e)e + f
+    p1, p2 = EvalResult(p, e), EvalResult(q, f)
+    rhs = 2.0 - 2.0 * p1 + p1.square() - p2
+    assert rhs.value.hex() == (2.0 - 2.0 * p + p * p - q).hex()
+    assert rhs.error_bound == pytest.approx((2.0 + 2.0 * abs(p) + e) * e + f, rel=2.0**-50)
+
+
+@given(_VALUES, _BOUNDS, _VALUES, _BOUNDS)
+def test_discrepancy_is_the_difference_against_its_bound(v, e, w, f):
+    gap, bound = _r(abs(v - w)), _r(e + f)
+    assert _discrepancy("gap", EvalResult(v, e), EvalResult(w, f)) == {
+        "name": "gap", "value": gap, "combined_error_bound": bound, "exceeds_bound": gap > bound}
+
+
+def test_operators_keep_tuple_semantics_out():
+    x = EvalResult(1.0, 0.5)
+    for result in (x + x, x - x, x * 2, 2 * x, 2.0 - x):
+        assert type(result) is EvalResult
+    for operation in (lambda: x + (1.0, 2.0), lambda: x - (1.0, 2.0), lambda: x * x,
+                      lambda: x * "2", lambda: (1.0, 2.0) - x):
+        with pytest.raises(TypeError):
+            operation()
+
+
+def test_operators_run_the_constructor_checks():
+    with pytest.raises(ValueError, match="bad error bound"):
+        EvalResult(1.0, 2.0).over(2.0)  # the bound interval reaches past 0
+    with pytest.raises(ValueError, match="bad error bound"):
+        EvalResult(1.5, 2.0).log()
+    with pytest.raises(ValueError, match="non-finite"):
+        EvalResult(1e300, 0.0).square()
 
 
 def test_eval_result_is_frozen():
