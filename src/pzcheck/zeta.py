@@ -28,11 +28,11 @@ zeta(x) - 1 < 2^(2-x) for x >= 2:
 
 Every error_bound covers truncation only, what the formulas above cut
 off, and bounds combine only in EvalResult's operators; neither counts
-double rounding, at ~16 significant digits.
-Where a compared difference is near rounding, a verdict can rest on it:
-`check claim2_3 --mode numeric --s 20` is REFUTED on a one-ulp
-difference of 2.2e-16 against a combined bound of 2.3e-18.  Bounds that
-count rounding are ROADMAP item 2, a change to those operators.
+double rounding, at ~16 significant digits.  Where a compared
+difference is near rounding, a verdict can rest on it: `check claim2_3
+--mode numeric --s 20` is REFUTED on a one-ulp difference of 2.2e-16
+against a combined bound of 2.3e-18.  Bounds that count rounding are
+ROADMAP item 2, a change to those operators.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ class EvalResult(namedtuple("EvalResult", "value error_bound")):
         value, e = self
         return EvalResult(c / value, c * e / (value * (value - e)))
 
-    def log(self) -> EvalResult:  # for x > 1 + e
+    def log(self) -> EvalResult:  # for x > e
         return EvalResult(log(self.value), self.error_bound / (self.value - self.error_bound))
 
     def sqrt(self) -> EvalResult:  # for x >= 0
@@ -119,7 +119,7 @@ class EvalResult(namedtuple("EvalResult", "value error_bound")):
         root = math.sqrt(value)
         if e < value:  # |sqrt(x) - sqrt(y)| = |x - y| / (sqrt(x) + sqrt(y))
             return EvalResult(root, e / (root + math.sqrt(value - e)))
-        return EvalResult(root, math.sqrt(e))  # x's interval reaches 0; sqrt(e) covers [0, x + e]
+        return EvalResult(root, math.sqrt(e))  # x - e <= 0: sqrt(e) covers [0, x + e]
 
 
 # B_{2j}/(2j)! for j = 1..J + 1, each the exact rational rounded once

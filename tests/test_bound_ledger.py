@@ -43,13 +43,14 @@ def _between(lo, hi):
     return {s for s in GRID if lo <= s <= hi}
 
 
-def _bits(s):
+def _truth_bits(s):  # the truths' precision, as the module docstring gives it
     return max(166, int(s) + 100)
 
 
-def _fold(zetas, seed):
-    # the radical fold, outermost level's zeta first; None once a radicand goes negative
-    partial = mpmath.mpf(seed)
+def _fold(zetas):
+    # the radical fold seeded with 1, outermost level's zeta first; None once
+    # a radicand goes negative
+    partial = mpmath.mpf(1)
     for z in reversed(zetas):
         radicand = 2 / z - partial
         if radicand < 0:
@@ -71,10 +72,10 @@ def truths():
 
     table = {}
     for s in GRID:
-        with mpmath.workprec(_bits(s)):
+        with mpmath.workprec(_truth_bits(s)):
             zetas = [memo(mpmath.zeta, s * 2.0**k) for k in range(64)]
             table[s] = (zetas[0], memo(mpmath.primezeta, s), memo(mpmath.primezeta, 2.0 * s),
-                        _fold(zetas[:20], 1), _fold(zetas, 1))
+                        _fold(zetas[:20]), _fold(zetas))
     return table
 
 
@@ -106,7 +107,7 @@ def test_bound_ledger(name, truths):
     compute, truth_of, ledger = _LEDGERS[name]
     rows = set()
     for s in GRID:
-        with mpmath.workprec(_bits(s)):
+        with mpmath.workprec(_truth_bits(s)):
             truth = truth_of(truths[s])
             try:
                 result = compute(s)
@@ -125,7 +126,7 @@ def _refuted_within_bound(claim, gap_name, true_gap, truths):
         report = cmd_check(claim, "numeric", {"s": s})
         if report.verdict == "REFUTED":
             gap, = (fact for fact in report.evidence if fact["name"] == gap_name)
-            with mpmath.workprec(_bits(s)):
+            with mpmath.workprec(_truth_bits(s)):
                 if abs(true_gap(truths[s])) <= gap["combined_error_bound"]:
                     points.append(s)
     return sorted(points)

@@ -15,7 +15,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import oracle_bernoulli, prime_zeta_direct
@@ -459,13 +459,10 @@ _BOUNDS = st.floats(0.0, 1e3)
 _SCALARS = st.floats(-1e3, 1e3) | st.integers(-64, 64)
 
 
-def _bits(result):
-    return type(result), result.value.hex(), result.error_bound.hex()
-
-
 def _same(result, value, bound):
     # bit for bit, and an EvalResult: a tuple here would mean concatenation
-    return _bits(result) == (EvalResult, float(value).hex(), float(bound).hex())
+    return (type(result), result.value.hex(), result.error_bound.hex()) == (
+        EvalResult, float(value).hex(), float(bound).hex())
 
 
 @given(_VALUES, _BOUNDS, _VALUES, _BOUNDS, _SCALARS)
@@ -492,6 +489,8 @@ def test_over_and_log_are_the_zeta_formulas(z, e):
 
 
 @given(st.floats(0.0, 1e6), _BOUNDS)
+@example(4.0, 1.0)
+@example(1.0, 4.0)
 def test_sqrt_keeps_both_branches(v, e):
     root = math.sqrt(v)
     if e < v:  # the interval stays above 0
@@ -507,7 +506,7 @@ def test_rhs_expression_keeps_its_value_and_moves_its_bound_by_rounding(p, e, q,
     p1, p2 = EvalResult(p, e), EvalResult(q, f)
     rhs = 2.0 - 2.0 * p1 + p1.square() - p2
     assert rhs.value.hex() == (2.0 - 2.0 * p + p * p - q).hex()
-    assert rhs.error_bound == pytest.approx((2.0 + 2.0 * abs(p) + e) * e + f, rel=2.0**-50)
+    assert rhs.error_bound == pytest.approx((2.0 + 2.0 * abs(p) + e) * e + f, rel=2.0**-48)
 
 
 @given(_VALUES, _BOUNDS, _VALUES, _BOUNDS)
