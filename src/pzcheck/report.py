@@ -1,10 +1,12 @@
 """The claim report: its vocabulary, verdict rule, record, validation rules and rendering.
 
 A ClaimReport is what `pzcheck check` prints, in text or as one JSON
-object.  verdict_of reads its verdict off its evidence, validate() holds
-every rule a report obeys, and emit_report and parse_report render and
-read it back.  The module imports no layer module, so the rules can be
-used and tested without running a check.
+object.  verdict_of reads its verdict off its evidence, one FACT_RULES
+row per fact name deciding whether a fact refutes (a fact whose name
+has no row refutes nothing), validate() holds every rule a report
+obeys, and emit_report and parse_report render and read it back.  The
+module imports no layer module, so the rules can be used and tested
+without running a check.
 """
 
 from __future__ import annotations
@@ -33,26 +35,34 @@ def _bound_agrees(fact: dict) -> bool:
         return False
 
 
+# fact name -> (kind, refutes): the kind of mode that reads the fact, exact in
+# SYMBOLIC and bound in NUMERIC and PROBE, and whether it records a disagreement:
+# unequal coefficients, a Migotti counterexample (c_7 or c_41 of Phi_105 not -2, or a
+# height above one), or a gap beyond its bound beside both numbers _bound_agrees reads.
+# Keys are read by presence: a malformed fact refutes nothing and raises nothing.
+_UNEQUAL = ("exact", lambda fact: fact.keys() >= {"lhs_coefficient", "rhs_coefficient"}
+            and fact["lhs_coefficient"] != fact["rhs_coefficient"])
+_BEYOND = ("bound", lambda fact: fact.get("exceeds_bound") is True
+           and "combined_error_bound" in fact and ("value" in fact or "difference" in fact))
+FACT_RULES = {"first_mismatch": _UNEQUAL, "series_mismatch": _UNEQUAL,
+              "difference": _BEYOND, "divergence": _BEYOND, "gap": _BEYOND,
+              "phi_105_coefficients": ("exact", lambda fact: any(
+                  fact.get(key, -2) != -2 for key in ("degree_7", "degree_41"))),
+              "migotti_bound": ("exact", lambda fact: fact.get("all_heights_one") is False)}
+
+
 def verdict_of(mode: str, evidence: list) -> str:
-    """The verdict evidence carries in mode: INCONCLUSIVE beside a reason
-    fact, else REFUTED by a fact that records a disagreement of the mode's
-    kind, else CONSISTENT if the evidence is exact and INCONCLUSIVE if bounded."""
+    """INCONCLUSIVE beside a reason fact, else REFUTED by a fact whose FACT_RULES row has the
+    mode's kind and reads a disagreement (an exact row's fact marked "exact": true), else
+    CONSISTENT in SYMBOLIC and INCONCLUSIVE otherwise; a name with no row refutes nothing."""
     if any(fact["name"] == "reason" for fact in evidence):
         return "INCONCLUSIVE"
+    mode_kind = "exact" if mode == "SYMBOLIC" else "bound"
     for fact in evidence:
-        if mode != "SYMBOLIC":  # a gap beyond its bound, with both numbers _bound_agrees read
-            refutes = (fact.get("exceeds_bound") is True and "combined_error_bound" in fact
-                       and ("value" in fact or "difference" in fact))
-        elif fact.get("exact") is not True:
-            refutes = False
-        elif "lhs_coefficient" in fact:  # unequal exact coefficients
-            refutes = fact["lhs_coefficient"] != fact.get("rhs_coefficient")
-        else:  # a Migotti counterexample: a height above one, or c_7 or c_41 of Phi_105 not -2
-            refutes = fact.get("all_heights_one") is False or any(
-                fact.get(key, -2) != -2 for key in ("degree_7", "degree_41"))
-        if refutes:
+        kind, refutes = FACT_RULES.get(fact["name"], (None, None))
+        if kind == mode_kind and (kind == "bound" or fact.get("exact") is True) and refutes(fact):
             return "REFUTED"
-    return "CONSISTENT" if mode == "SYMBOLIC" else "INCONCLUSIVE"
+    return "CONSISTENT" if mode_kind == "exact" else "INCONCLUSIVE"
 
 
 class ClaimReport(namedtuple("ClaimReport", "claim_id mode verdict parameters evidence")):

@@ -450,6 +450,14 @@ _MISMATCH = {"name": "series_mismatch", "index": 30, "lhs_coefficient": "-2",
     ("SYMBOLIC", [], "CONSISTENT"),
     ("NUMERIC", [], "INCONCLUSIVE"),
     ("PROBE", [], "INCONCLUSIVE"),
+    # half a coefficient pair records no disagreement, and reading it raises nothing
+    ("SYMBOLIC", [{"name": "first_mismatch", "index": 30, "lhs_coefficient": "-2", "exact": True}],
+     "CONSISTENT"),
+    ("SYMBOLIC", [{"name": "first_mismatch", "index": 30, "rhs_coefficient": "0", "exact": True}],
+     "CONSISTENT"),
+    # a refuting-looking fact whose name has no FACT_RULES row refutes nothing
+    ("SYMBOLIC", [{"name": "scan", "exact": True, "all_heights_one": False}], "CONSISTENT"),
+    ("NUMERIC", [dict(_GAP, name="lhs")], "INCONCLUSIVE"),
 ])
 def test_verdict_of_reads_the_verdict_off_the_evidence(mode, evidence, verdict):
     assert verdict_of(mode, evidence) == verdict

@@ -45,9 +45,12 @@ test_structured_goldens_are_strict_json that every structured stdout
 parses as JSON without NaN or Infinity,
 test_check_goldens_round_trip_through_report that pzcheck.report reads
 every check's structured stdout back, renders both of its stdouts from
-it and reads the recorded verdict off the recorded evidence, and
-test_table_list_parameters_name_their_rows that every list option a
-structured table echoes names its rows, one per value in order.
+it and reads the recorded verdict off the recorded evidence,
+test_every_fact_rule_is_recorded_in_a_check_golden that every fact
+name report.FACT_RULES holds a row for occurs in some check's
+evidence, and test_table_list_parameters_name_their_rows that every
+list option a structured table echoes names its rows, one per value in
+order.
 
 Re-record after an intended output change with
 
@@ -69,7 +72,7 @@ import pytest
 sys.dont_write_bytecode = True  # re-recording leaves no bytecode in src/ to skew a later timing
 from pzcheck import cli
 from pzcheck.cli import main
-from pzcheck.report import emit_report, parse_report, verdict_of
+from pzcheck.report import FACT_RULES, emit_report, parse_report, verdict_of
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -238,6 +241,13 @@ def test_check_goldens_round_trip_through_report(stem):
     assert parsed.verdict == verdict_of(parsed.mode, parsed.evidence)
     assert emit_report(parsed, "structured") + "\n" == stdout["structured"]
     assert emit_report(parsed, "text") + "\n" == stdout["text"]
+
+
+def test_every_fact_rule_is_recorded_in_a_check_golden():
+    # a FACT_RULES row that no recorded check carries is dead, so each new row lands with a golden
+    recorded = {fact["name"] for command, stdout in _structured_stdouts()
+                if command.startswith("check ") for fact in json.loads(stdout)["evidence"]}
+    assert FACT_RULES.keys() <= recorded
 
 
 def test_table_list_parameters_name_their_rows():
