@@ -18,8 +18,9 @@ Evaluation is a single right-to-left fold that returns the full
 depth-n value as an EvalResult.  Each level's zeta comes from the
 zeta module's Euler-Maclaurin core, cached there by argument alone, so
 repeated folds at one s sum each zeta once.  Each level's 2/zeta (1.0
-past zeta's clamp at 1000), subtraction and square root propagate their
-bounds through EvalResult's operators: truncation only, not rounding.
+past zeta's clamp at 1000), subtraction and square root, and
+claim4_check's error terms, EvalResults centred on 0, combine their
+bounds in EvalResult's operators: truncation only, not rounding.
 """
 
 from __future__ import annotations
@@ -101,22 +102,18 @@ class Claim4Result(namedtuple("Claim4Result", "radical_value prime_zeta_value"))
 def claim4_check(s: float, depth: int, tol: float = 1e-12) -> Claim4Result:
     """The two sides of the radical claim: 1 - f_one(depth) and prime_zeta(s).
 
-    The radical side's bound adds a depth-stability margin — evaluate
-    at depth min(depth + 5, 64) and charge twice the drift — on top of
-    the propagated zeta errors.  From depth 60 that fold is fewer than
-    five levels deeper, and at depth 64 it is the same fold, so the
-    drift term is 0; ROADMAP item 2's enclosure replaces this margin.
-    (The exact-series cross-check that squaring the radical identity
-    reproduces the claimed identity's structure is written out in
-    cli._claim4 with dirichlet's operations.)
+    The radical side is 1 - fold plus two error terms, EvalResults
+    centred on 0: the bound of the fold at depth min(depth + 5, 64), and
+    twice the drift to it.  From depth 60 that fold is fewer than five
+    levels deeper, and at depth 64 it is the same fold, so the drift is
+    0; ROADMAP item 2's enclosure replaces this margin.  (cli._claim4
+    checks with dirichlet's operations that squaring the radical identity
+    reproduces the claimed identity's structure.)
     """
     fold = eval_nested(s, depth, 1.0)
     deeper = eval_nested(s, min(depth + 5, _MAX_DEPTH), 1.0)
     drift = abs(deeper.value - fold.value)
-    radical = EvalResult(
-        value=1.0 - fold.value,
-        error_bound=fold.error_bound + deeper.error_bound + 2.0 * drift,
-    )
+    radical = (1.0 - fold) + EvalResult(0.0, deeper.error_bound) + EvalResult(0.0, 2.0 * drift)
     return Claim4Result(radical_value=radical, prime_zeta_value=prime_zeta(s, tol))
 
 

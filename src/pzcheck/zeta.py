@@ -27,12 +27,12 @@ zeta(x) - 1 < 2^(2-x) for x >= 2:
     sum_{k>K} |log zeta(ks)|/k  <=  4 * 2^(-(K+1)s) / ((K+1)(1 - 2^(-s))).
 
 Every error_bound covers truncation only, what the formulas above cut
-off, and bounds combine only in EvalResult's operators; neither counts
-double rounding, at ~16 significant digits.  Where a compared
-difference is near rounding, a verdict can rest on it: `check claim2_3
---mode numeric --s 20` is REFUTED on a one-ulp difference of 2.2e-16
-against a combined bound of 2.3e-18.  Bounds that count rounding are
-ROADMAP item 2, a change to those operators.
+off.  Bounds combine only in EvalResult's operators (fsum among them;
+an error term such as P(s)'s tail joins as EvalResult(0.0, term)), and
+none counts double rounding, so a verdict can rest on it: `check
+claim2_3 --mode numeric --s 20` is REFUTED on a one-ulp difference of
+2.2e-16 against a combined bound of 2.3e-18.  Bounds that count
+rounding are ROADMAP item 2, a change to EvalResult alone.
 """
 
 from __future__ import annotations
@@ -64,9 +64,10 @@ class PrecisionError(ValueError):
 class EvalResult(namedtuple("EvalResult", "value error_bound")):
     """A numeric value plus an upper bound on its truncation error.
 
-    Bounds propagate only through the operators below, each the first-order
-    rule of its operation with numbers as exact operands (any other operand
-    is a TypeError, never tuple concatenation); they leave out rounding.
+    Bounds combine only in the operators below, fsum among them, each the
+    first-order rule of its operation with numbers as exact operands (any
+    other operand is a TypeError, never tuple concatenation); an error
+    term joins as EvalResult(0.0, term).  None counts rounding.
     """
 
     __slots__ = ()
@@ -89,6 +90,13 @@ class EvalResult(namedtuple("EvalResult", "value error_bound")):
         if not isinstance(other, EvalResult):
             return NotImplemented
         return EvalResult(self.value + other.value, self.error_bound + other.error_bound)
+
+    def __radd__(self, other):  # runs before tuple + x could concatenate
+        raise TypeError(f"cannot add EvalResult to {type(other).__name__!r}")
+
+    @staticmethod
+    def fsum(terms: list[EvalResult]) -> EvalResult:  # bounds added left to right
+        return EvalResult(fsum(t.value for t in terms), sum(t.error_bound for t in terms))
 
     def __sub__(self, other: EvalResult) -> EvalResult:
         if not isinstance(other, EvalResult):
@@ -217,8 +225,7 @@ def prime_zeta(s: float, tol: float = 1e-12) -> EvalResult:
     tol/2 or K*s exceeds 60 (there 2^{-Ks} is below 1e-18 and the tail
     bound is far under any accepted tol).  Each log zeta(ks) is an
     Euler-Maclaurin evaluation, whose remainder bound is at most 1.3e-23;
-    the reported bound is the tail bound plus the propagated per-term
-    evaluation errors.
+    EvalResult.fsum adds the terms and the tail as EvalResult(0.0, bound).
     """
     if not s > 1.0:
         raise ValueError(f"prime_zeta needs s > 1, got {s}")
@@ -230,8 +237,7 @@ def prime_zeta(s: float, tol: float = 1e-12) -> EvalResult:
 
     mu = _mobius_small()
     terms = [mu[k] / k * _euler_maclaurin(k * s).log() for k in range(1, k_stop + 1) if mu[k]]
-    return EvalResult(fsum(term.value for term in terms),
-                      _pz_tail_bound(k_stop, s) + sum(term.error_bound for term in terms))
+    return EvalResult.fsum(terms + [EvalResult(0.0, _pz_tail_bound(k_stop, s))])
 
 
 def claim_lhs(s: float) -> EvalResult:

@@ -12,6 +12,10 @@ truths carry 50 digits, and from s = 66 up s + 100 bits, so that
 zeta(s) - 1 ~ 2^-s stays resolved beside 1 and a bound of 0.0 beside
 it reads as the violation it is.
 
+A ledger full of rows cannot see a bound shrink there, so each value
+also records the grid points where its error_bound reads exactly 0.0,
+from its own computation alone.
+
 Two verdict lists ride along: the grid points from s = 1.8 up where
 `check claim2_3 --mode numeric` or `check claim4` reads REFUTED although
 the true gap lies within the printed combined bound.
@@ -118,6 +122,32 @@ def test_bound_ledger(name, truths):
                 rows.add(s)
     assert sorted(rows - ledger) == [], "new violations"
     assert sorted(ledger - rows) == [], "rows made honest: remove them from the ledger"
+
+
+# value -> the grid points where its error_bound is 0.0: the bounds
+# underflow there, and ROADMAP item 17's floor empties these rows
+_ZERO_BOUNDS = {
+    "zeta_real": {300.0, 1000.0, 1e4},
+    "prime_zeta": {1000.0, 1e4},
+    "claim_lhs": {300.0, 1000.0, 1e4},
+    "claim_rhs": {1000.0, 1e4},
+    "eval_nested": {300.0, 1000.0, 1e4},
+    "claim4_check.radical_value": {300.0, 1000.0, 1e4},
+}
+
+
+@pytest.mark.parametrize("name", list(_LEDGERS))
+def test_zero_bounds(name):
+    compute = _LEDGERS[name][0]
+    rows = set()
+    for s in GRID:
+        try:
+            result = compute(s)
+        except NegativeRadicandError:
+            continue
+        if result.error_bound == 0.0:
+            rows.add(s)
+    assert sorted(rows) == sorted(_ZERO_BOUNDS[name])
 
 
 def _refuted_within_bound(claim, gap_name, true_gap, truths):

@@ -14,7 +14,9 @@ into src/.
 The package's seven records share one contract: each is a tuple with
 named fields, no per-instance __dict__, _asdict and pickling, and the
 records that check their fields check them on every path that builds one.
-Every bounded float the layers return is an EvalResult.
+Every bounded float the layers return is an EvalResult, and outside
+that class no arithmetic reads an error_bound: bounds combine only in
+its operators.
 Every annotation in the package resolves, given only Fraction.
 
 Every function the package defines runs in some golden command line
@@ -22,6 +24,7 @@ Every function the package defines runs in some golden command line
 except the few listed in _NOT_RUN_BY_COMMANDS, each with its reason.
 """
 
+import ast
 import fractions
 import inspect
 import json
@@ -175,6 +178,7 @@ _NOT_RUN_BY_COMMANDS = {
     "pzcheck.dirichlet.DirichletSeries.__repr__": "value semantics of the exported series",
     "pzcheck.zeta.EvalResult._make": "record contract: _replace runs the field checks",
     "pzcheck.zeta.EvalResult.__reduce__": "record contract: unpickling runs the field checks",
+    "pzcheck.zeta.EvalResult.__radd__": "refuses tuple + EvalResult, which would concatenate",
     "pzcheck.report.ClaimReport._make": "record contract: _replace runs validate()",
     "pzcheck.report.ClaimReport.__reduce__": "record contract: unpickling runs validate()",
     "pzcheck.report.parse_report":
@@ -302,3 +306,33 @@ _BOUNDED = {
 @pytest.mark.parametrize("name", sorted(_BOUNDED))
 def test_bounded_values_are_eval_results(name):
     assert type(_BOUNDED[name]()) is pzcheck.EvalResult
+
+
+def _bound_arithmetic(node, path, in_arithmetic=False):
+    """path:line of each .error_bound that arithmetic reads outside class EvalResult.
+
+    A bound passed to EvalResult(...) inside an expression is an error
+    term joining through the operators, not arithmetic on the bound.
+    """
+    if isinstance(node, ast.ClassDef) and node.name == "EvalResult":
+        return
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "EvalResult":
+        in_arithmetic = False
+    elif isinstance(node, (ast.BinOp, ast.AugAssign)):
+        in_arithmetic = True
+    elif in_arithmetic and isinstance(node, ast.Attribute) and node.attr == "error_bound":
+        yield f"{path}:{node.lineno}"
+    for child in ast.iter_child_nodes(node):
+        yield from _bound_arithmetic(child, path, in_arithmetic)
+
+
+def test_bounds_combine_only_in_eval_result():
+    # an error term joins as EvalResult(0.0, term); comparing a bound or
+    # copying it into a fact is not arithmetic and stays allowed
+    package = os.path.dirname(pzcheck.__file__)
+    found = set()
+    for path in os.listdir(package):
+        if path.endswith(".py"):
+            with open(os.path.join(package, path)) as source:
+                found.update(_bound_arithmetic(ast.parse(source.read()), path))
+    assert sorted(found) == []

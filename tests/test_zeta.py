@@ -475,6 +475,16 @@ def test_linear_operators_add_bounds_and_scale_them(v, e, w, f, c):
     assert _same(x * c, c * v, abs(c) * e)
 
 
+@given(st.lists(st.tuples(_VALUES, _BOUNDS), min_size=1), _VALUES, _BOUNDS, _BOUNDS)
+def test_fsum_and_error_terms_keep_every_value_and_bound(pairs, v, e, f):
+    # prime_zeta's terms plus its tail, and claim4_check's 1 - fold plus its margins
+    values, bounds = zip(*pairs)
+    assert _same(EvalResult.fsum([EvalResult(w, b) for w, b in pairs]),
+                 math.fsum(values), sum(bounds))
+    v = v or 0.0  # x + 0.0 is x for every x but -0.0, which 1.0 - fold never is
+    assert _same(EvalResult(v, e) + EvalResult(0.0, f), v, e + f)
+
+
 @given(_VALUES, _BOUNDS)
 def test_square_carries_the_first_order_bound(v, e):
     assert _same(EvalResult(v, e).square(), v * v, (2.0 * abs(v) + e) * e)
@@ -520,7 +530,8 @@ def test_operators_keep_tuple_semantics_out():
     x = EvalResult(1.0, 0.5)
     for result in (x + x, x - x, x * 2, 2 * x, 2.0 - x):
         assert type(result) is EvalResult
-    for operation in (lambda: x + (1.0, 2.0), lambda: x - (1.0, 2.0), lambda: x * x,
+    for operation in (lambda: x + (1.0, 2.0), lambda: (1.0, 2.0) + x, lambda: 0 + x,
+                      lambda: 1.0 + x, lambda: x - (1.0, 2.0), lambda: x * x,
                       lambda: x * "2", lambda: (1.0, 2.0) - x):
         with pytest.raises(TypeError):
             operation()
