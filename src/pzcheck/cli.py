@@ -5,12 +5,12 @@
     pzcheck table <selector> [--s LIST] [--n RANGE] [--eps RANGE]
                   [--depth D] [--tol T] [--format text|structured]
 
-Exit status encodes run success (0), a closed standard output (1) or
-usage error (2), never the mathematical verdict: REFUTED is a result,
-not a failure, so scripted pipelines can consume reports without error
-handling.  Structured output is one UTF-8 JSON object with stable key
-order; identical invocations produce byte-identical output.  A check's
-verdict, its report's validation and rendering live in pzcheck.report.
+Exit status is 0 on success whatever the verdict, 1 on a closed
+standard output and 2 on a usage error: argparse's, or a UsageError
+from a flag's converter, an unread flag or an unsupported claim or
+mode.  Any other exception is a bug: a traceback and Python's status 1.
+Structured output is one UTF-8 JSON object with stable key order and
+byte-identical reruns; pzcheck.report holds the report's rules.
 """
 
 from __future__ import annotations
@@ -71,8 +71,6 @@ def _parse_list(spec: str, kind=float) -> list:
     values = [kind(part) for part in spec.split(",") if part.strip()]
     if not values:
         raise ValueError(f"list {spec!r} is empty")
-    if not all(map(math.isfinite, values)):
-        raise ValueError(f"list {spec!r} has a non-finite value")
     return values
 
 
@@ -103,15 +101,19 @@ def _n_range(spec: str) -> list[int]:
 
 
 def _eps_grid(spec: str) -> list[float]:
-    # "1e-2..1e-5" walks down a decade at a time; commas list explicitly
-    if ".." not in spec:
-        return [_r(e) for e in _parse_list(spec)]
-    start, end = map(float, spec.split("..", 1))
-    # an end that is not positive and finite has no power of 10
-    hi, lo = (round(math.log10(e)) if 0.0 < e < math.inf else math.nan for e in (start, end))
-    if not (math.isclose(start, 10.0**hi) and math.isclose(end, 10.0**lo) and lo <= hi):
-        raise ValueError(f"range {spec!r} must run from a larger to a smaller power of 10")
-    return [_r(10.0**k) for k in range(hi, lo - 1, -1)]
+    # "1e-2..1e-5" walks down a decade at a time, written out as its list
+    if ".." in spec:
+        start, end = map(float, spec.split("..", 1))
+        # an end that is not positive and finite has no power of 10
+        hi, lo = (round(math.log10(e)) if 0.0 < e < math.inf else math.nan for e in (start, end))
+        if not (math.isclose(start, 10.0**hi) and math.isclose(end, 10.0**lo) and lo <= hi):
+            raise ValueError(f"range {spec!r} must run from a larger to a smaller power of 10")
+        spec = ",".join(f"1e{k}" for k in range(hi, lo - 1, -1))
+    grid = [_r(e) for e in _parse_list(spec)]
+    fault = zeta._probe_grid_fault(grid)
+    if fault:
+        raise ValueError(fault)
+    return grid
 
 
 _PROBE_EPS = ("1e-2..1e-5", _eps_grid)  # the probe table's default, the probe check's grid
@@ -200,9 +202,7 @@ def _claim23_numeric(params: dict) -> list:
 
 def _claim23_probe(params: dict) -> list:
     rows = zeta.singularity_probe(params["eps_grid"], params["tol"])
-    evidence = [
-        {"name": "probe_row", **_json_row(_probe_dict(row, "_value"))} for row in rows
-    ]
+    evidence = [{"name": "probe_row", **_json_row(_probe_dict(row, "_value"))} for row in rows]
     if any(r.lhs is None or r.note for r in rows):
         return evidence + [{"name": "reason", "detail": "precision failure on probe rows"}]
 
@@ -352,8 +352,6 @@ def cmd_check(claim_id: str, mode: str | None, options: dict) -> ClaimReport:
         # where the radical stops being real is a finding, not bad input
         evidence = [{"name": "negative_radicand", "level": exc.level,
                      "radicand": _r(exc.radicand)}]
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
     return ClaimReport(claim_id, mode, verdict_of(mode, evidence), params, evidence)
 
 
@@ -393,10 +391,7 @@ def _cyclotomic_table(params: dict):
 
 
 def _probe_table(params: dict):
-    try:
-        rows = list(map(_probe_dict, zeta.singularity_probe(params["eps"], params["tol"])))
-    except ValueError as exc:  # its grid check; a row's PrecisionError becomes its note
-        raise ValueError("--eps " + str(exc).removeprefix("probe eps ")) from exc
+    rows = list(map(_probe_dict, zeta.singularity_probe(params["eps"], params["tol"])))
     return ["eps", "lhs", "lhs_error_bound", "rhs", "rhs_error_bound", "note"], rows, None
 
 
@@ -484,10 +479,7 @@ def cmd_table(selector: str, options: dict) -> str:
         raise UsageError(f"unknown table selector {selector!r}")
     table, declared = _TABLES[selector]
     params = _used_options(selector, declared, options, _TABLE_FLAGS)
-    try:
-        columns, rows, summary = table(params)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    columns, rows, summary = table(params)
 
     if options.get("format") == "structured":
         import json

@@ -281,6 +281,17 @@ class ProbeRow(namedtuple("ProbeRow", "eps lhs rhs note", defaults=("",))):
     __slots__ = ()
 
 
+def _probe_grid_fault(epsilons: list[float]) -> str | None:
+    # why an eps grid is refused, without its subject, or None if it is not
+    for eps in epsilons:
+        if not 0.0 < eps <= 0.5:
+            return f"must lie in (0, 0.5], got {eps}"
+        if not 1.0 + eps > 1.0:
+            return f"{eps} is at most half the double spacing at 1, so 1 + eps rounds to 1"
+    descending = all(a > b for a, b in zip(epsilons, epsilons[1:]))
+    return None if descending else "grid must be strictly descending"
+
+
 def singularity_probe(epsilons: list[float], tol: float = 1e-12) -> list[ProbeRow]:
     """Evaluate both sides at s = 1 + eps along a descending eps grid.
 
@@ -294,14 +305,9 @@ def singularity_probe(epsilons: list[float], tol: float = 1e-12) -> list[ProbeRo
     eps_list = list(epsilons)
     if not eps_list:
         raise ValueError("empty epsilon grid")
-    for eps in eps_list:
-        if not 0.0 < eps <= 0.5:
-            raise ValueError(f"probe eps must lie in (0, 0.5], got {eps}")
-        if not 1.0 + eps > 1.0:
-            raise ValueError(f"probe eps {eps} is at most half the double spacing at 1, "
-                             "so 1 + eps rounds to 1")
-    if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-        raise ValueError("probe eps grid must be strictly descending")
+    fault = _probe_grid_fault(eps_list)
+    if fault:
+        raise ValueError("probe eps " + fault)
 
     rows = []
     for eps in eps_list:

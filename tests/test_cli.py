@@ -1,6 +1,8 @@
 """cli: claim pipelines, the report contract of pzcheck.report, tables, exit codes."""
 
 import argparse
+import ast
+import inspect
 import json
 import math
 import os
@@ -277,7 +279,7 @@ def test_non_finite_options_are_usage_errors():
 
 
 _OUT_OF_DOMAIN = {"s": (1.0, 0.5, -3.0), "tol": (0.0, -1.0), "depth": (0, 65),
-                  "n": ("0..3", "9999..10001"), "eps": ("0.9", "1e-3,1e-2")}
+                  "n": ("0..3", "9999..10001"), "eps": ("0.9", "1e-3,1e-2", "1e-16")}
 
 
 @pytest.mark.parametrize("command,target,mode,key,value", [
@@ -301,6 +303,85 @@ def test_out_of_domain_s_and_tol_name_the_flag(command, target, mode, key, value
         else:
             cmd_table(target, {key: str(value) if key == "s" else value})
     assert str(info.value).startswith(f"--{key} ")
+
+
+# each eps grid the probe refuses, and its reason without a subject
+_PROBE_GRID_REFUSALS = [
+    ("1e-3,1e-2", "grid must be strictly descending"),
+    ("0.9", "must lie in (0, 0.5], got 0.9"),
+    ("1e-16", "1e-16 is at most half the double spacing at 1, so 1 + eps rounds to 1"),
+]
+
+
+@pytest.mark.parametrize("eps,reason", _PROBE_GRID_REFUSALS)
+def test_the_probe_grid_rule_refuses_alike_in_converter_and_library(eps, reason):
+    # one rule in zeta: the --eps converter names its flag, the library
+    # its own subject
+    with pytest.raises(UsageError) as info:
+        cmd_table("probe", {"eps": eps})
+    assert str(info.value) == "--eps " + reason
+    with pytest.raises(ValueError) as info:
+        zeta.singularity_probe([float(e) for e in eps.split(",")])
+    assert str(info.value) == "probe eps " + reason
+
+
+@pytest.mark.parametrize("command,target", [("check", "claim4"), ("table", "zeta")])
+def test_a_value_error_past_the_converters_propagates_as_a_bug(command, target, monkeypatch,
+                                                                capsys):
+    # only a converter's ValueError is bad input: one raised by a pipeline
+    # or a table leaves cmd_check, cmd_table and main as itself, with no
+    # usage error, exit status 2 or error line
+    boom = ValueError("boom")
+
+    def fail(params):
+        raise boom
+
+    if command == "check":
+        entries, key, run = cli._PIPELINES["CLAIM4"], "NUMERIC", lambda: cmd_check(target, None, {})
+    else:
+        entries, key, run = cli._TABLES, target, lambda: cmd_table(target, {})
+    monkeypatch.setitem(entries, key, (fail, entries[key][1]))
+    for call in (run, lambda: main([command, target])):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert info.value is boom
+    assert capsys.readouterr() == ("", "")
+
+
+def test_an_internal_error_ends_in_a_traceback_and_status_one():
+    # what the exit-status contract promises for a bug: Python's own exit
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c",
+         "import sys\n"
+         "from pzcheck import cli\n"
+         "def fail(params):\n"
+         "    raise ValueError('boom')\n"
+         "cli._TABLES['zeta'] = (fail, cli._TABLES['zeta'][1])\n"
+         "sys.exit(cli.main(['table', 'zeta']))\n"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("Traceback (most recent call last):")
+    assert proc.stderr.endswith("ValueError: boom\n")
+    assert "error:" not in proc.stderr
+
+
+def test_only_a_converter_call_turns_a_value_error_into_a_usage_error():
+    # read off cli.py: the one handler that catches ValueError, or anything
+    # broader, is _used_options's around a single converter call
+    broad = {"ValueError", "Exception", "BaseException"}
+    catches = [
+        (function.name, [ast.unparse(statement) for statement in node.body])
+        for function in ast.parse(inspect.getsource(cli)).body
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function) if isinstance(node, ast.Try)
+        if any(handler.type is None or broad & {n.id for n in ast.walk(handler.type)
+                                                if isinstance(n, ast.Name)}
+               for handler in node.handlers)
+    ]
+    assert catches == [("_used_options",
+                        ["used[key] = convert(default if value is None else value)"])]
 
 
 def test_mismatch_scan_flag_needs_exactly_the_paper_set():
