@@ -23,8 +23,8 @@ import sys
 from . import arith, cyclotomic, dirichlet, radical, zeta
 from .cyclotomic import cyclotomic as cyclotomic_poly
 from .cyclotomic import height as cyclotomic_height
-from .report import (CLAIM_IDS, MODES, ClaimReport, _by_bound, _discrepancy, _eval_fact,
-                     _fmt_value, _mismatch_fact, _r, emit_report, verdict_of)
+from .report import (ClaimReport, _by_bound, _discrepancy, _eval_fact, _fmt_value,
+                     _mismatch_fact, _r, emit_report, verdict_of)
 
 _SERIES_MAX_N = 10**6  # exact claim2_3 series; 10^6 already takes seconds and ~150 MB
 
@@ -304,7 +304,8 @@ def _migotti(params: dict) -> list:
 # the flags a check accepts, in --help and usage-error order, with their
 # help, and claim -> mode -> (pipeline, each parameter it reads after claim
 # and mode, in report order, with its default and the converter that
-# parses the typed string); the first mode listed is the claim's default
+# parses the typed string); the first mode listed is the claim's default,
+# and report.CHECKS lists the same claims and modes in the same order
 _CHECK_FLAGS = {"s": "evaluation point", "max_n": "series truncation / scan limit",
                 "tol": "error-bound target", "depth": "radical depth"}
 _PIPELINES = {
@@ -404,7 +405,7 @@ def _radical_table(params: dict):
         # fold leaves the reals is the finding
         return columns, [], (
             f"no gaps: the depth-{params['depth']} ONE_TAIL reference fold leaves "
-            f"the reals at level {exc.level} (radicand {exc.radicand:.15g})"
+            f"the reals at level {exc.level} (radicand {_fmt_value(exc.radicand)})"
         )
     except zeta.PrecisionError as exc:  # the reference fold cannot be evaluated
         return columns, [], f"no gaps: {exc}"
@@ -417,7 +418,7 @@ def _radical_domain_table(params: dict):
                                lambda s: radical.domain_scan(s, params["depth"]))
     valid = [row["s"] for row in rows if row.get("all_radicands_positive")]
     summary = (
-        f"smallest grid s with all ONE_TAIL radicands positive: {min(valid):.15g}"
+        f"smallest grid s with all ONE_TAIL radicands positive: {_fmt_value(min(valid))}"
         if valid
         else "no grid s kept all ONE_TAIL radicands positive"
     )
@@ -464,10 +465,7 @@ def _text_cell(row: dict, column: str) -> str:
 
 
 def _text_table(headers: list[str], rows: list[list[str]]) -> str:
-    widths = [
-        max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
-        for i, h in enumerate(headers)
-    ]
+    widths = [max([len(h), *(len(r[i]) for r in rows)]) for i, h in enumerate(headers)]
     def render(cells):
         return "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
     return "\n".join([render(headers)] + [render(r) for r in rows])
@@ -506,8 +504,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     check = sub.add_parser("check", help="run a claim check and print its report")
-    check.add_argument("claim", choices=[c.lower() for c in CLAIM_IDS], help="claim to check")
-    check.add_argument("--mode", choices=[m.lower() for m in MODES])
+    check.add_argument("claim", choices=[c.lower() for c in _PIPELINES], help="claim to check")
+    modes = dict.fromkeys(m.lower() for pipelines in _PIPELINES.values() for m in pipelines)
+    check.add_argument("--mode", choices=list(modes))  # in first-seen order
     table = sub.add_parser("table", help="print an evaluation table")
     table.add_argument("selector", choices=list(_TABLES))
     for command, flags in ((check, _CHECK_FLAGS), (table, _TABLE_FLAGS)):

@@ -1,21 +1,21 @@
 """The claim report: its vocabulary, verdict rule, record, validation rules and rendering.
 
 A ClaimReport is what `pzcheck check` prints, in text or as one JSON
-object.  verdict_of reads its verdict off its evidence, one FACT_RULES
-row per fact name deciding whether a fact refutes (a fact whose name
-has no row refutes nothing), validate() holds every rule a report
-obeys, and emit_report and parse_report render and read it back.  The
-module imports no layer module, so the rules can be used and tested
-without running a check.
+object, for a claim and mode that CHECKS lists.  verdict_of reads its
+verdict off its evidence, one FACT_RULES row per fact name deciding
+whether a fact refutes (a name with no row refutes nothing), validate()
+holds every rule a report obeys, and emit_report and parse_report
+render and read it back.  The module imports no layer module, so the
+rules can be used and tested without running a check.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-# the claims and modes cli registers pipelines for, modes in first-seen order
-CLAIM_IDS = ("CLAIM2_3", "CLAIM4", "MIGOTTI_REMARK")
-MODES = ("SYMBOLIC", "NUMERIC", "PROBE")
+# the checks pzcheck has: claim -> its modes in cli._PIPELINES order, default first
+CHECKS = {"CLAIM2_3": ("SYMBOLIC", "NUMERIC", "PROBE"), "CLAIM4": ("NUMERIC",),
+          "MIGOTTI_REMARK": ("SYMBOLIC",)}
 
 
 def _r(v: float) -> float:
@@ -93,10 +93,9 @@ class ClaimReport(namedtuple("ClaimReport", "claim_id mode verdict parameters ev
         return type(self), tuple(self)
 
     def validate(self) -> "ClaimReport":
-        if self.claim_id not in CLAIM_IDS:
-            raise ValueError(f"unknown claim_id {self.claim_id!r}")
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
+        # compared by ==, so a parsed claim_id that is a list or dict is refused, not hashed
+        if not any(self.claim_id == c and self.mode in modes for c, modes in CHECKS.items()):
+            raise ValueError(f"no check of claim_id {self.claim_id!r} in mode {self.mode!r}")
         if not isinstance(self.parameters, dict) or not isinstance(self.evidence, list):
             raise ValueError("parameters must be a dict and evidence a list")
         for fact in self.evidence:
@@ -138,7 +137,7 @@ def parse_report(text: str) -> ClaimReport:
     import json
 
     payload = json.loads(text)
-    if not isinstance(payload, dict) or not payload.keys() >= set(ClaimReport._fields):
+    if not isinstance(payload, dict) or payload.keys() != set(ClaimReport._fields):
         raise ValueError(f"not a structured report: {text[:60]!r}")
     return ClaimReport(*map(payload.get, ClaimReport._fields))
 

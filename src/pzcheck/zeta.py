@@ -31,8 +31,8 @@ off.  Bounds combine only in EvalResult's operators (fsum among them;
 an error term such as P(s)'s tail joins as EvalResult(0.0, term)), and
 none counts double rounding, so a verdict can rest on it: `check
 claim2_3 --mode numeric --s 20` is REFUTED on a one-ulp difference of
-2.2e-16 against a combined bound of 2.3e-18.  Bounds that count
-rounding are ROADMAP item 2, a change to EvalResult alone.
+2.2e-16 against a combined bound of 2.3e-18.  zeta's own rounding is
+ROADMAP item 17, in _euler_maclaurin; the rest is item 2, in EvalResult.
 """
 
 from __future__ import annotations

@@ -14,7 +14,10 @@ it reads as the violation it is.
 
 A ledger full of rows cannot see a bound shrink there, so each value
 also records the grid points where its error_bound reads exactly 0.0,
-from its own computation alone.
+from its own computation alone, and its tightness band at every grid
+point, floor(log2(error_bound / |error|)) clipped to [-8, 8]: a bound
+that shrinks, or grows 2^8-fold, moves a band even where no ledger row
+or zero changes.
 
 Two verdict lists ride along: the grid points from s = 1.8 up where
 `check claim2_3 --mode numeric` or `check claim4` reads REFUTED although
@@ -148,6 +151,52 @@ def test_zero_bounds(name):
         if result.error_bound == 0.0:
             rows.add(s)
     assert sorted(rows) == sorted(_ZERO_BOUNDS[name])
+
+
+# value -> its band at each GRID point, one character each: "a" to "h" for
+# bands -1 to -8 (its ledger rows), "0" to "8" for bands 0 to 8, and "."
+# where the fold leaves the reals; an error of 0 reads 8 and a bound of 0
+# beside a nonzero error -8.  The split strings break at s = 2, 12, 22 and 32.
+_BAND_CHARS = "hgfedcba012345678"
+_BANDS = {
+    "zeta_real": "h" * 173,
+    "prime_zeta": ("3333334522242"
+                   "4442226222668882222222212222222128888885"
+                   "845552aa122122221211201102adcadeffhh1111"
+                   "212121111212212112710aba0cacddecdfgghghh" + "h" * 40),
+    "claim_lhs": "h" * 173,
+    "claim_rhs": ("4532224454758"
+                  "44362823226875855221326773122221200a8333"
+                  "2233210bc2d12222222111001a11deegfhhhhhhh"
+                  "hh2121121212222114200abaacbcddecefgghghh" + "h" * 40),
+    "eval_nested": "." * 11 + "h" * 162,
+    "claim4_check.radical_value": "." * 11 + "h" * 162,
+}
+
+
+def _band(result, truth):
+    error = abs(mpmath.mpf(result.value) - truth)
+    if error == 0:
+        return 8
+    if result.error_bound == 0.0:
+        return -8
+    # frexp's exponent e puts the ratio in [2^(e-1), 2^e): its floor(log2) is e - 1
+    return max(-8, min(8, mpmath.frexp(result.error_bound / error)[1] - 1))
+
+
+@pytest.mark.parametrize("name", list(_LEDGERS))
+def test_tightness_bands(name, truths):
+    compute, truth_of, _ = _LEDGERS[name]
+    bands = []
+    for s in GRID:
+        with mpmath.workprec(_truth_bits(s)):
+            try:
+                result = compute(s)
+            except NegativeRadicandError:
+                bands.append(".")
+                continue
+            bands.append(_BAND_CHARS[_band(result, truth_of(truths[s])) + 8])
+    assert "".join(bands) == _BANDS[name]
 
 
 def _refuted_within_bound(claim, gap_name, true_gap, truths):

@@ -410,11 +410,36 @@ def test_check_is_case_insensitive():
 
 
 def test_report_vocabulary_is_the_pipeline_registry():
-    # argparse's choices come from report's tuples, and validate() and
-    # the golden coverage test read them too
-    assert tuple(cli._PIPELINES) == report.CLAIM_IDS
-    modes = dict.fromkeys(mode for modes in cli._PIPELINES.values() for mode in modes)
-    assert tuple(modes) == report.MODES
+    # validate() reads report.CHECKS, and argparse's choices and cmd_check
+    # read _PIPELINES: both list the same claims and modes in the same
+    # order, so each claim's default mode too
+    registry = [(claim, tuple(modes)) for claim, modes in cli._PIPELINES.items()]
+    assert registry == list(report.CHECKS.items())
+
+
+_REAL_CHECKS = {("CLAIM2_3", "SYMBOLIC"), ("CLAIM2_3", "NUMERIC"), ("CLAIM2_3", "PROBE"),
+                ("CLAIM4", "NUMERIC"), ("MIGOTTI_REMARK", "SYMBOLIC")}
+
+
+@pytest.mark.parametrize("mode", ["SYMBOLIC", "NUMERIC", "PROBE"])
+@pytest.mark.parametrize("claim", ["CLAIM2_3", "CLAIM4", "MIGOTTI_REMARK"])
+def test_every_path_builds_only_a_check_pzcheck_has(claim, mode):
+    # the constructor, _replace, unpickling and parse_report accept the five
+    # checks and refuse the four pairs no command produces
+    verdict = verdict_of(mode, [])
+    payload = {"claim_id": claim, "mode": mode, "verdict": verdict,
+               "parameters": {}, "evidence": []}
+    forged = tuple.__new__(ClaimReport, payload.values())
+    builds = [lambda: ClaimReport(claim, mode, verdict),
+              lambda: ClaimReport("CLAIM2_3", mode, verdict)._replace(claim_id=claim),
+              lambda: pickle.loads(pickle.dumps(forged)),
+              lambda: parse_report(json.dumps(payload))]
+    for build in builds:
+        if (claim, mode) in _REAL_CHECKS:
+            assert build() == forged
+        else:
+            with pytest.raises(ValueError, match=f"^no check of claim_id '{claim}' in mode"):
+                build()
 
 
 def test_structured_report_round_trips():
@@ -629,6 +654,8 @@ def test_unpickling_builds_a_checked_report():
     ("evidence", [{}]),
     ("evidence", [{"name": 1}]),
     ("evidence", {"name": "reason"}),
+    ("claim_id", ["CLAIM2_3"]),
+    ("mode", ["NUMERIC"]),
 ])
 def test_parse_report_refuses_shapes_it_cannot_render(field, value):
     payload = {"claim_id": "CLAIM2_3", "mode": "NUMERIC", "verdict": "INCONCLUSIVE",
@@ -638,10 +665,17 @@ def test_parse_report_refuses_shapes_it_cannot_render(field, value):
         parse_report(json.dumps(payload))
 
 
-@pytest.mark.parametrize("text", ['{"claim_id": "CLAIM2_3"}', "[]", '"CLAIM2_3"', "{"])
+def _with_extra_key():
+    # a REFUTED report with one field too many: parsing it would drop the field
+    payload = json.loads(emit_report(cmd_check("claim2_3", None, {"max_n": "40"}), "structured"))
+    return json.dumps({**payload, "note": "forged"})
+
+
+@pytest.mark.parametrize("text", ['{"claim_id": "CLAIM2_3"}', "[]", '"CLAIM2_3"', "{",
+                                  pytest.param(_with_extra_key, id="extra-key")])
 def test_parse_report_refuses_text_that_is_not_a_report(text):
     with pytest.raises(ValueError):
-        parse_report(text)
+        parse_report(text() if callable(text) else text)
 
 
 # -- tables ---------------------------------------------------------------
