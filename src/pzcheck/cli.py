@@ -1,6 +1,6 @@
 """Command-line front end: claim checks and evaluation tables.
 
-    pzcheck check <claim> [--mode symbolic|numeric|probe] [--s S]
+    pzcheck check <claim> [--mode MODE] [--s S]
                   [--max-n N] [--tol T] [--depth D] [--format text|structured]
     pzcheck table <selector> [--s LIST] [--n RANGE] [--eps RANGE]
                   [--depth D] [--tol T] [--format text|structured]
@@ -23,10 +23,10 @@ import sys
 from . import arith, cyclotomic, dirichlet, radical, zeta
 from .cyclotomic import cyclotomic as cyclotomic_poly
 from .cyclotomic import height as cyclotomic_height
-from .report import (ClaimReport, _by_bound, _discrepancy, _eval_fact, _fmt_value,
+from .report import (CHECKS, ClaimReport, _by_bound, _discrepancy, _eval_fact, _fmt_value,
                      _mismatch_fact, _r, emit_report, verdict_of)
 
-_SERIES_MAX_N = 10**6  # exact claim2_3 series; 10^6 already takes seconds and ~150 MB
+_SERIES_MAX_N = 10**6  # exact claim series; 10^6 already takes seconds and ~150 MB
 
 
 class UsageError(ValueError):
@@ -48,7 +48,7 @@ def _finite_above(low: float):
     return convert
 
 
-_POSITIVE, _ABOVE_ONE = _finite_above(0.0), _finite_above(1.0)
+_ABOVE_ONE = _finite_above(1.0)
 
 
 def _count_to(most: int, domain: str):
@@ -65,6 +65,7 @@ def _count_to(most: int, domain: str):
 
 
 _DEPTH = (20, _count_to(radical._MAX_DEPTH, "radical depth"))  # default and converter
+_TOL = (1e-12, _finite_above(0.0))  # the error-bound target's default and converter
 
 
 def _parse_list(spec: str, kind=float) -> list:
@@ -302,23 +303,20 @@ def _migotti(params: dict) -> list:
 
 
 # the flags a check accepts, in --help and usage-error order, with their
-# help, and claim -> mode -> (pipeline, each parameter it reads after claim
+# help, and (claim, mode) -> (pipeline, each parameter it reads after claim
 # and mode, in report order, with its default and the converter that
-# parses the typed string); the first mode listed is the claim's default,
-# and report.CHECKS lists the same claims and modes in the same order
+# parses the typed string), one entry per check report.CHECKS lists; the
+# claims, their modes, their order and each default are CHECKS's alone
 _CHECK_FLAGS = {"s": "evaluation point", "max_n": "series truncation / scan limit",
                 "tol": "error-bound target", "depth": "radical depth"}
 _PIPELINES = {
-    "CLAIM2_3": {
-        "SYMBOLIC": (_claim23_symbolic,
-                     {"max_n": (10**4, _count_to(_SERIES_MAX_N, "exact series work"))}),
-        "NUMERIC": (_claim23_numeric, {"s": (2.0, _ABOVE_ONE), "tol": (1e-12, _POSITIVE)}),
-        "PROBE": (_claim23_probe, {"tol": (1e-12, _POSITIVE), "eps_grid": _PROBE_EPS}),
-    },
-    "CLAIM4": {"NUMERIC": (_claim4, {"s": (2.0, _ABOVE_ONE), "tol": (1e-12, _POSITIVE),
-                                     "depth": _DEPTH})},
-    "MIGOTTI_REMARK": {"SYMBOLIC": (
-        _migotti, {"max_n": (200, _count_to(cyclotomic._MAX_N, "cyclotomic domain"))})},
+    ("CLAIM2_3", "SYMBOLIC"): (
+        _claim23_symbolic, {"max_n": (10**4, _count_to(_SERIES_MAX_N, "exact series work"))}),
+    ("CLAIM2_3", "NUMERIC"): (_claim23_numeric, {"s": (2.0, _ABOVE_ONE), "tol": _TOL}),
+    ("CLAIM2_3", "PROBE"): (_claim23_probe, {"tol": _TOL, "eps_grid": _PROBE_EPS}),
+    ("CLAIM4", "NUMERIC"): (_claim4, {"s": (2.0, _ABOVE_ONE), "tol": _TOL, "depth": _DEPTH}),
+    ("MIGOTTI_REMARK", "SYMBOLIC"): (
+        _migotti, {"max_n": (200, _count_to(cyclotomic._MAX_N, "cyclotomic domain"))}),
 }
 
 
@@ -327,21 +325,20 @@ def cmd_check(claim_id: str, mode: str | None, options: dict) -> ClaimReport:
 
     options keys (all optional): the names in _CHECK_FLAGS, with the
     strings argparse passes or numbers as values; the report's parameters
-    are the claim, the mode and the parameters the pipeline's entry
-    declares.  Unknown claim, unsupported claim/mode pairing, an
-    option the pipeline does not use, or out-of-domain parameter values
-    raise UsageError.  The verdict is report.verdict_of's reading of the
-    evidence; a precision shortfall inside a pipeline, or a radical fold
-    that leaves the reals, is evidence it reads as INCONCLUSIVE.
+    are the claim, the mode, by default the claim's first, and the
+    parameters its entry declares.  A claim or mode report.CHECKS does
+    not list, an option the pipeline does not use, or out-of-domain
+    parameter values raise UsageError.  The verdict is verdict_of's
+    reading of the evidence; a precision shortfall inside a pipeline, or
+    a radical fold that leaves the reals, is evidence it reads as INCONCLUSIVE.
     """
     claim_id = claim_id.upper()
-    if claim_id not in _PIPELINES:
+    if claim_id not in CHECKS:
         raise UsageError(f"unknown claim {claim_id!r}")
-    pipelines = _PIPELINES[claim_id]
-    mode = mode.upper() if mode else next(iter(pipelines))
-    if mode not in pipelines:
-        raise UsageError(f"{claim_id} supports modes {'/'.join(pipelines)}, not {mode}")
-    pipeline, declared = pipelines[mode]
+    mode = mode.upper() if mode else CHECKS[claim_id][0]
+    if mode not in CHECKS[claim_id]:
+        raise UsageError(f"{claim_id} supports modes {'/'.join(CHECKS[claim_id])}, not {mode}")
+    pipeline, declared = _PIPELINES[claim_id, mode]
     params = {"claim": claim_id, "mode": mode,
               **_used_options(f"{claim_id} [{mode}]", declared, options, _CHECK_FLAGS)}
 
@@ -401,8 +398,8 @@ def _radical_table(params: dict):
     try:
         report = radical.convergence_report(params["s"], params["depth"])
     except radical.NegativeRadicandError as exc:
-        # no reference value, so no gaps; as in check claim4, where the
-        # fold leaves the reals is the finding
+        # no reference value, so no gaps; as in the radical claim's check,
+        # where the fold leaves the reals is the finding
         return columns, [], (
             f"no gaps: the depth-{params['depth']} ONE_TAIL reference fold leaves "
             f"the reals at level {exc.level} (radicand {_fmt_value(exc.radicand)})"
@@ -435,12 +432,11 @@ _TABLE_FLAGS = {"s": "comma-separated s values", "n": "n range, e.g. 1..120 or 3
                 "eps": "eps grid, e.g. 1e-2..1e-5", "depth": "radical depth",
                 "tol": "error-bound target"}
 _TABLES = {
-    "zeta": (lambda p: _value_table(zeta.zeta_real, p),
-             {"tol": (1e-12, _POSITIVE), "s": ("2,3,4", _s_list)}),
+    "zeta": (lambda p: _value_table(zeta.zeta_real, p), {"tol": _TOL, "s": ("2,3,4", _s_list)}),
     "prime-zeta": (lambda p: _value_table(zeta.prime_zeta, p),
-                   {"tol": (1e-12, _POSITIVE), "s": ("2,3,4", _s_list)}),
+                   {"tol": _TOL, "s": ("2,3,4", _s_list)}),
     "cyclotomic-height": (_cyclotomic_table, {"n": ("1..120", _n_range)}),
-    "probe": (_probe_table, {"tol": (1e-12, _POSITIVE), "eps": _PROBE_EPS}),
+    "probe": (_probe_table, {"tol": _TOL, "eps": _PROBE_EPS}),
     "radical": (_radical_table, {"s": ("2", _one_s), "depth": _DEPTH}),
     "radical-domain": (_radical_domain_table,
                        {"s": ("1.05,1.1,1.2,1.3,1.4,1.5,1.6,1.8,2,3", _s_list),
@@ -504,8 +500,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     check = sub.add_parser("check", help="run a claim check and print its report")
-    check.add_argument("claim", choices=[c.lower() for c in _PIPELINES], help="claim to check")
-    modes = dict.fromkeys(m.lower() for pipelines in _PIPELINES.values() for m in pipelines)
+    check.add_argument("claim", choices=[c.lower() for c in CHECKS], help="claim to check")
+    modes = dict.fromkeys(m.lower() for claim_modes in CHECKS.values() for m in claim_modes)
     check.add_argument("--mode", choices=list(modes))  # in first-seen order
     table = sub.add_parser("table", help="print an evaluation table")
     table.add_argument("selector", choices=list(_TABLES))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-# the checks pzcheck has: claim -> its modes in cli._PIPELINES order, default first
+# the checks pzcheck has, stated only here: claim -> its modes in --help order, default first
 CHECKS = {"CLAIM2_3": ("SYMBOLIC", "NUMERIC", "PROBE"), "CLAIM4": ("NUMERIC",),
           "MIGOTTI_REMARK": ("SYMBOLIC",)}
 

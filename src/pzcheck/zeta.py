@@ -16,6 +16,8 @@ the sign of the M^{-s}/2 term: with the sum running through n = M the
 correction is subtracted; folding it into a sum through M-1 flips it
 to the + form some references print.  Past s = 1000 the rising factorial
 overflows; there zeta(s) is 1.0 with the bound zeta(s) - 1 < 2^(1-s).
+Both bounds underflow to 0.0, which claims an exact value: the remainder
+from s ~ 231.7 to 1000, and 2^(1-s) from s = 1074 on (ROADMAP item 17).
 
 P(s) uses the Mobius-weighted log-zeta series
 
@@ -160,7 +162,8 @@ def _euler_maclaurin(s: float) -> EvalResult:
 
     Every zeta evaluation runs through here, so this alone decides the
     domain: s <= 1 is a ValueError, s - 1 below _MIN_POLE_GAP a
-    PrecisionError, s past _CLAMP_EXPONENT 1.0 with bound 2^(1-s).
+    PrecisionError, s past _CLAMP_EXPONENT 1.0 with bound 2^(1-s).  The
+    bound underflows to 0.0 from s ~ 231.7 to 1000 and from s = 1074 on.
 
     The remainder bound is at most 1.3e-23 for every s > 1, below every
     tolerance the callers accept, so the result depends on s alone and

@@ -285,8 +285,8 @@ _OUT_OF_DOMAIN = {"s": (1.0, 0.5, -3.0), "tol": (0.0, -1.0), "depth": (0, 65),
 @pytest.mark.parametrize("command,target,mode,key,value", [
     (command, target, mode, key, value)
     for command, entries in (
-        ("check", [(claim, mode, defaults) for claim, modes in cli._PIPELINES.items()
-                   for mode, (_, defaults) in modes.items()]),
+        ("check", [(claim, mode, defaults)
+                   for (claim, mode), (_, defaults) in cli._PIPELINES.items()]),
         ("table", [(selector, None, defaults) for selector, (_, defaults) in cli._TABLES.items()]),
     )
     for target, mode, defaults in entries
@@ -337,7 +337,7 @@ def test_a_value_error_past_the_converters_propagates_as_a_bug(command, target, 
         raise boom
 
     if command == "check":
-        entries, key, run = cli._PIPELINES["CLAIM4"], "NUMERIC", lambda: cmd_check(target, None, {})
+        entries, key, run = cli._PIPELINES, ("CLAIM4", "NUMERIC"), lambda: cmd_check(target, None, {})
     else:
         entries, key, run = cli._TABLES, target, lambda: cmd_table(target, {})
     monkeypatch.setitem(entries, key, (fail, entries[key][1]))
@@ -410,11 +410,25 @@ def test_check_is_case_insensitive():
 
 
 def test_report_vocabulary_is_the_pipeline_registry():
-    # validate() reads report.CHECKS, and argparse's choices and cmd_check
-    # read _PIPELINES: both list the same claims and modes in the same
-    # order, so each claim's default mode too
-    registry = [(claim, tuple(modes)) for claim, modes in cli._PIPELINES.items()]
-    assert registry == list(report.CHECKS.items())
+    # report.CHECKS alone states the claims, their modes, their order and
+    # each default; _PIPELINES holds one entry per check it lists, no other
+    assert set(cli._PIPELINES) == {(c, m) for c, ms in report.CHECKS.items() for m in ms}
+
+
+def test_cli_spells_claims_and_modes_only_in_the_pipeline_keys():
+    # read off cli.py: a string that names a claim or a mode, in either case,
+    # is one of _PIPELINES's (claim, mode) keys ("probe" also names a table)
+    names = set(report.CHECKS).union(*report.CHECKS.values())
+    tree = ast.parse(inspect.getsource(cli))
+    (registry,) = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                   and list(map(ast.unparse, node.targets)) == ["_PIPELINES"]]
+    keys = {id(name) for key in registry.keys for name in key.elts}
+    spelled = [node.value for node in ast.walk(tree)
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)
+               and node.value.upper() in names and node.value not in cli._TABLES
+               and id(node) not in keys]
+    assert len(keys) == 2 * len(cli._PIPELINES)
+    assert spelled == []
 
 
 _REAL_CHECKS = {("CLAIM2_3", "SYMBOLIC"), ("CLAIM2_3", "NUMERIC"), ("CLAIM2_3", "PROBE"),
@@ -425,7 +439,8 @@ _REAL_CHECKS = {("CLAIM2_3", "SYMBOLIC"), ("CLAIM2_3", "NUMERIC"), ("CLAIM2_3", 
 @pytest.mark.parametrize("claim", ["CLAIM2_3", "CLAIM4", "MIGOTTI_REMARK"])
 def test_every_path_builds_only_a_check_pzcheck_has(claim, mode):
     # the constructor, _replace, unpickling and parse_report accept the five
-    # checks and refuse the four pairs no command produces
+    # checks and refuse the four pairs no command produces; cmd_check has a
+    # pipeline for the five and refuses the four alike, naming the claim's modes
     verdict = verdict_of(mode, [])
     payload = {"claim_id": claim, "mode": mode, "verdict": verdict,
                "parameters": {}, "evidence": []}
@@ -440,6 +455,13 @@ def test_every_path_builds_only_a_check_pzcheck_has(claim, mode):
         else:
             with pytest.raises(ValueError, match=f"^no check of claim_id '{claim}' in mode"):
                 build()
+    if (claim, mode) in _REAL_CHECKS:
+        assert (claim, mode) in cli._PIPELINES
+    else:
+        with pytest.raises(UsageError) as info:
+            cmd_check(claim.lower(), mode.lower(), {})
+        modes = "/".join(report.CHECKS[claim])
+        assert str(info.value) == f"{claim} supports modes {modes}, not {mode}"
 
 
 def test_structured_report_round_trips():
@@ -843,7 +865,7 @@ def test_table_rejects_an_option_it_does_not_read(selector, key):
         cmd_table(selector, {key: _TABLE_FLAG_VALUES[key]})
 
 
-_ENTRIES = ([("check", claim, mode) for claim, modes in cli._PIPELINES.items() for mode in modes]
+_ENTRIES = ([("check", claim, mode) for claim, modes in report.CHECKS.items() for mode in modes]
             + [("table", selector, None) for selector in cli._TABLES])
 
 
@@ -852,7 +874,7 @@ def test_entry_declares_every_parameter_it_echoes(command, target, mode):
     # a command echoes exactly its registry entry's parameters, converted
     # from their defaults in order, and its pipeline or table only reads them
     if command == "check":
-        run, declared = cli._PIPELINES[target][mode]
+        run, declared = cli._PIPELINES[target, mode]
         echoed = cmd_check(target, mode, {}).parameters
         want = {"claim": target, "mode": mode}
     else:
@@ -872,7 +894,7 @@ def test_unread_flags_are_named_in_help_order(command, target, mode, capsys):
     # every flag the entry does not read, passed at once, is named in the
     # order the subcommand's --help prints it, whether its value is well
     # formed or not
-    _, declared = cli._PIPELINES[target][mode] if command == "check" else cli._TABLES[target]
+    _, declared = cli._PIPELINES[target, mode] if command == "check" else cli._TABLES[target]
     (subparsers,) = [a for a in cli._build_parser()._actions
                      if isinstance(a, argparse._SubParsersAction)]
     unread = [a.option_strings[0] for a in subparsers.choices[command]._actions
@@ -887,7 +909,7 @@ def test_unread_flags_are_named_in_help_order(command, target, mode, capsys):
 @pytest.mark.parametrize("command,target,mode,flag,value", [
     (command, target, mode, key.replace("_", "-"), value)
     for command, target, mode in _ENTRIES
-    for key in (cli._PIPELINES[target][mode] if command == "check" else cli._TABLES[target])[1]
+    for key in (cli._PIPELINES[target, mode] if command == "check" else cli._TABLES[target])[1]
     if key in (cli._CHECK_FLAGS if command == "check" else cli._TABLE_FLAGS)
     # a table's list flags also refuse a list of no values
     for value in (("x", ",") if command == "table" and key in ("s", "n", "eps") else ("x",))

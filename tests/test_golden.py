@@ -72,7 +72,7 @@ import pytest
 sys.dont_write_bytecode = True  # re-recording leaves no bytecode in src/ to skew a later timing
 from pzcheck import cli
 from pzcheck.cli import main
-from pzcheck.report import FACT_RULES, emit_report, parse_report, verdict_of
+from pzcheck.report import CHECKS, FACT_RULES, emit_report, parse_report, verdict_of
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -191,12 +191,11 @@ def test_golden_set_covers_every_selector_and_pipeline():
     selectors = {argv[1] for argv in ran if argv[0] == "table"}
     pipelines = {
         (argv[1].upper(), argv[argv.index("--mode") + 1].upper() if "--mode" in argv
-         else next(iter(cli._PIPELINES[argv[1].upper()])))
+         else CHECKS[argv[1].upper()][0])
         for argv in ran if argv[0] == "check"
     }
     assert set(cli._TABLES) <= selectors
-    registered = {(claim, mode) for claim, modes in cli._PIPELINES.items() for mode in modes}
-    assert registered <= pipelines
+    assert set(cli._PIPELINES) <= pipelines
 
 
 def test_golden_set_has_no_stale_files():

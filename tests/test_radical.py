@@ -228,6 +228,29 @@ def test_domain_scan_reports_failures():
     assert rows[1][1] is True and rows[1][2] is None
 
 
+def _level_one_radicand(s: float, depth: int):
+    # 2/zeta(s) - R(2s), R(2s) the depth-(depth - 1) fold seeded with 1, at
+    # 30 digits: the radicand whose sign decides the ONE_TAIL fold's level 1
+    import mpmath  # test-only oracle
+
+    with mpmath.workdps(30):
+        partial = mpmath.mpf(1)
+        for level in range(depth, 1, -1):
+            partial = mpmath.sqrt(2 / mpmath.zeta(mpmath.mpf(s) * 2 ** (level - 1)) - partial)
+        return 2 / mpmath.zeta(s) - partial
+
+
+@pytest.mark.parametrize("depth", [20, 64])
+def test_the_fold_turns_real_between_1_5719226_and_1_5719227(depth):
+    # the level-1 radicand changes sign once, at s* ~ 1.5719226620536: the
+    # fold leaves the reals at level 1 just below it and stays real just above
+    below, above = 1.5719226, 1.5719227
+    assert domain_scan(below, depth) == (below, False, 1)
+    assert domain_scan(above, depth) == (above, True, None)
+    assert float(_level_one_radicand(below, depth)) == pytest.approx(-5.00e-8, rel=1e-3)
+    assert float(_level_one_radicand(above, depth)) == pytest.approx(3.06e-8, rel=1e-3)
+
+
 # -- tail fixed point ----------------------------------------------------
 
 
