@@ -52,6 +52,17 @@ evidence, and test_table_list_parameters_name_their_rows that every
 list option a structured table echoes names its rows, one per value in
 order.
 
+tests/golden/traffic-seed1.json pins the benchmark's traffic the same
+way, more briefly: for each distinct command line of the two seed-1
+plans, bench/workloads.plan(workload, 1, 44) for interactive and
+compute, in first-seen order, it stores the first 16 hex digits of the
+SHA-256 of that command line's run() text.  The command lines were
+taken from the plans once; re-recording re-hashes the stored list, so
+the test reads only this file and a change to the workloads needs no
+test change.  test_benchmark_traffic_matches_its_hashes runs every
+stored command line through main() in this process and names the
+first whose hash moved.
+
 Re-record after an intended output change with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -61,6 +72,7 @@ diff of tests/golden/ before committing it.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -75,6 +87,7 @@ from pzcheck.cli import main
 from pzcheck.report import CHECKS, FACT_RULES, emit_report, parse_report, verdict_of
 
 GOLDEN = Path(__file__).parent / "golden"
+TRAFFIC = GOLDEN / "traffic-seed1.json"
 
 # (file stem, argv without --format); each runs in both formats
 _FORMATTED = (
@@ -263,11 +276,35 @@ def test_table_list_parameters_name_their_rows():
                           for stem, argv in _FORMATTED)
 
 
+def _digest(argv: list[str]) -> str:
+    return hashlib.sha256(run(argv).encode("utf-8")).hexdigest()[:16]
+
+
+def test_benchmark_traffic_matches_its_hashes():
+    traffic = json.loads(TRAFFIC.read_text(encoding="utf-8"))
+    for workload, runs in traffic.items():
+        for argv, digest in runs:
+            assert _digest(argv) == digest, f"{workload}: pzcheck {' '.join(argv)}"
+
+
 def _record() -> None:
     GOLDEN.mkdir(exist_ok=True)
     for name, argvs in INVOCATIONS:
         (GOLDEN / f"{name}.txt").write_text(render(argvs), encoding="utf-8")
         print(name, file=sys.stderr)
+    traffic = json.loads(TRAFFIC.read_text(encoding="utf-8"))
+    rehashed = {workload: [[argv, _digest(argv)] for argv, _ in runs]
+                for workload, runs in traffic.items()}
+    TRAFFIC.write_text(_traffic_json(rehashed), encoding="utf-8")
+    print(TRAFFIC.stem, file=sys.stderr)
+
+
+def _traffic_json(traffic: dict) -> str:
+    # one command line per line, so a re-recorded hash shows as a one-line diff
+    blocks = [f"  {json.dumps(workload)}: [\n"
+              + ",\n".join(f"    {json.dumps(entry)}" for entry in runs) + "\n  ]"
+              for workload, runs in traffic.items()]
+    return "{\n" + ",\n".join(blocks) + "\n}\n"
 
 
 if __name__ == "__main__":
