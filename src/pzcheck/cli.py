@@ -24,7 +24,7 @@ from . import arith, cyclotomic, dirichlet, radical, zeta
 from .cyclotomic import cyclotomic as cyclotomic_poly
 from .cyclotomic import height as cyclotomic_height
 from .report import (CHECKS, ClaimReport, _by_bound, _discrepancy, _eval_fact, _fmt_value,
-                     _mismatch_fact, _r, emit_report, verdict_of)
+                     _migotti_evidence, _mismatch_fact, _r, _reason, emit_report, verdict_of)
 
 _SERIES_MAX_N = 10**6  # exact claim series; 10^6 already takes seconds and ~150 MB
 
@@ -65,7 +65,7 @@ def _count_to(most: int, domain: str):
 
 
 _DEPTH = (20, _count_to(radical._MAX_DEPTH, "radical depth"))  # default and converter
-_TOL = (1e-12, _finite_above(0.0))  # the error-bound target's default and converter
+_TOL = (zeta.DEFAULT_TOL, _finite_above(0.0))  # the error-bound target's default and converter
 
 
 def _parse_list(spec: str, kind=float) -> list:
@@ -141,7 +141,8 @@ def _used_options(label: str, declared: dict, options: dict, flags: dict) -> dic
 # ---------------------------------------------------------------- check
 #
 # A pipeline takes the converted parameters and returns its evidence, a list of
-# facts; cmd_check reads the verdict off it with verdict_of into one ClaimReport.
+# facts; report builds each fact a verdict rule reads, and cmd_check reads the
+# verdict off the evidence with verdict_of into one ClaimReport.
 
 
 def _probe_dict(row: zeta.ProbeRow, suffix: str = "") -> dict:
@@ -205,7 +206,7 @@ def _claim23_probe(params: dict) -> list:
     rows = zeta.singularity_probe(params["eps_grid"], params["tol"])
     evidence = [{"name": "probe_row", **_json_row(_probe_dict(row, "_value"))} for row in rows]
     if any(r.lhs is None or r.note for r in rows):
-        return evidence + [{"name": "reason", "detail": "precision failure on probe rows"}]
+        return evidence + [_reason("precision failure on probe rows")]
 
     lhs_vals = [r.lhs.value for r in rows]
     rhs_vals = [r.rhs.value for r in rows]
@@ -231,7 +232,7 @@ def _claim23_probe(params: dict) -> list:
         divergence,
     ]
     if not (lhs_decreasing and rhs_increasing and fit.leading > 0.0 and fit.rel_residual < 0.1):
-        return evidence + [{"name": "reason", "detail": "probe shape checks failed"}]
+        return evidence + [_reason("probe shape checks failed")]
     return _by_bound(divergence, evidence, "divergence within combined error bounds")
 
 
@@ -281,25 +282,7 @@ def _migotti(params: dict) -> list:
         odd_omega.append(odd_omega[rest] + (p != 2 and spf[rest] != p))
     eligible = [n for n in range(1, limit + 1) if odd_omega[n] <= 2]
     violations = [n for n in eligible if cyclotomic_height(n) != 1]
-    evidence = [
-        {
-            "name": "phi_105_coefficients",
-            "degree_7": phi105.coefficient(7),
-            "degree_41": phi105.coefficient(41),
-            "height": h105,
-            "exact": True,
-        },
-        {
-            "name": "migotti_bound",
-            "scan_limit": limit,
-            "eligible_count": len(eligible),
-            "all_heights_one": not violations,
-            "exact": True,
-        },
-    ]
-    if violations:
-        evidence.append({"name": "violations", "indices": violations[:10]})
-    return evidence
+    return _migotti_evidence(phi105, h105, limit, len(eligible), violations)
 
 
 # the flags a check accepts, in --help and usage-error order, with their
@@ -345,7 +328,7 @@ def cmd_check(claim_id: str, mode: str | None, options: dict) -> ClaimReport:
     try:
         evidence = pipeline(params)
     except zeta.PrecisionError as exc:
-        evidence = [{"name": "reason", "detail": str(exc)}]
+        evidence = [_reason(str(exc))]
     except radical.NegativeRadicandError as exc:
         # where the radical stops being real is a finding, not bad input
         evidence = [{"name": "negative_radicand", "level": exc.level,

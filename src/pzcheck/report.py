@@ -12,6 +12,7 @@ rules can be used and tested without running a check.
 from __future__ import annotations
 
 from collections import namedtuple
+from math import isfinite
 
 # the checks pzcheck has, stated only here: claim -> its modes in --help order, default first
 CHECKS = {"CLAIM2_3": ("SYMBOLIC", "NUMERIC", "PROBE"), "CLAIM4": ("NUMERIC",),
@@ -22,6 +23,18 @@ def _r(v: float) -> float:
     # report floats at 15 significant digits; stored == printed, so
     # structured reports round-trip exactly
     return float(f"{v:.15g}")
+
+
+def _finite(value) -> bool:
+    # every float in value, in dicts and lists at any depth, is finite, so JSON can hold it
+    todo = [value]
+    while todo:
+        v = todo.pop()
+        if isinstance(v, (dict, list, tuple)):
+            todo.extend(v.values() if isinstance(v, dict) else v)
+        elif isinstance(v, float) and not isfinite(v):
+            return False
+    return True
 
 
 def _bound_agrees(fact: dict) -> bool:
@@ -98,6 +111,8 @@ class ClaimReport(namedtuple("ClaimReport", "claim_id mode verdict parameters ev
             raise ValueError(f"no check of claim_id {self.claim_id!r} in mode {self.mode!r}")
         if not isinstance(self.parameters, dict) or not isinstance(self.evidence, list):
             raise ValueError("parameters must be a dict and evidence a list")
+        if not _finite([self.parameters, self.evidence]):
+            raise ValueError("parameters and evidence must carry only finite numbers")
         for fact in self.evidence:
             if not isinstance(fact, dict) or not isinstance(fact.get("name"), str):
                 raise ValueError(f"evidence fact {fact!r} is not a dict with a string name")
@@ -150,7 +165,8 @@ def _fmt_value(v) -> str:
     return str(v)
 
 
-# Evidence facts.  ev, a and b are zeta.EvalResult records, annotated as
+# Evidence facts, every fact a verdict rule reads among them, built from values
+# the pipelines pass.  ev, a and b are zeta.EvalResult records, annotated as
 # tuples; a - b propagates in EvalResult's operators, truncation only.
 
 
@@ -173,7 +189,21 @@ def _mismatch_fact(name: str, index: int, a, b) -> dict:
             "rhs_coefficient": str(b), "exact": True}
 
 
+def _reason(detail: str) -> dict:
+    return {"name": "reason", "detail": detail}
+
+
 def _by_bound(discrepancy: dict, evidence: list, reason: str) -> list:
     # a discrepancy within its bound decides nothing, and the evidence says why
-    within = [] if discrepancy["exceeds_bound"] else [{"name": "reason", "detail": reason}]
-    return evidence + within
+    return evidence + ([] if discrepancy["exceeds_bound"] else [_reason(reason)])
+
+
+def _migotti_evidence(phi_105, height: int, scan_limit: int, eligible_count: int,
+                      violations: list) -> list:
+    # phi_105 is cyclotomic's Phi_105, read through coefficient(): report loads no layer module
+    evidence = [{"name": "phi_105_coefficients", "degree_7": phi_105.coefficient(7),
+                 "degree_41": phi_105.coefficient(41), "height": height, "exact": True},
+                {"name": "migotti_bound", "scan_limit": scan_limit,
+                 "eligible_count": eligible_count, "all_heights_one": not violations,
+                 "exact": True}]
+    return evidence + ([{"name": "violations", "indices": violations[:10]}] if violations else [])

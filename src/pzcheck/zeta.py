@@ -55,8 +55,9 @@ _MIN_POLE_GAP = 5e-7  # s - 1 below it is refused until bounds carry rounding
 
 _CLAMP_EXPONENT = 1000.0  # past it zeta(s) is 1.0 at working precision
 
-# Smallest tolerance zeta_real and prime_zeta accept.
+# Smallest tolerance zeta_real and prime_zeta accept, and every tol's default.
 MIN_TOL = 1e-15
+DEFAULT_TOL = 1e-12
 
 
 class PrecisionError(ValueError):
@@ -190,7 +191,7 @@ def _euler_maclaurin(s: float) -> EvalResult:
     return EvalResult(value=value, error_bound=_em_remainder_bound(s))
 
 
-def zeta_real(s: float, tol: float = 1e-12) -> EvalResult:
+def zeta_real(s: float, tol: float = DEFAULT_TOL) -> EvalResult:
     """zeta(s) for real s > 1 with truncation error <= tol.
 
     Only the tolerance is checked here; the summation core rejects
@@ -221,7 +222,7 @@ def _pz_tail_bound(k: int, s: float) -> float:
     return 4.0 * 2.0 ** (-(k + 1) * s) / ((k + 1) * (1.0 - 2.0 ** -s))
 
 
-def prime_zeta(s: float, tol: float = 1e-12) -> EvalResult:
+def prime_zeta(s: float, tol: float = DEFAULT_TOL) -> EvalResult:
     """P(s) = sum over primes of p^{-s} via the Mobius log-zeta series.
 
     Truncates at the first K where the geometric tail bound drops under
@@ -248,7 +249,7 @@ def claim_lhs(s: float) -> EvalResult:
     return _euler_maclaurin(s).over(2.0)
 
 
-def claim_rhs(s: float, tol: float = 1e-12) -> EvalResult:
+def claim_rhs(s: float, tol: float = DEFAULT_TOL) -> EvalResult:
     """Right side of the identity under test: 2 - 2P(s) + P(s)^2 - P(2s).
 
     The bounds of P(s) and P(2s) propagate through EvalResult's operators,
@@ -295,7 +296,7 @@ def _probe_grid_fault(epsilons: list[float]) -> str | None:
     return None if descending else "grid must be strictly descending"
 
 
-def singularity_probe(epsilons: list[float], tol: float = 1e-12) -> list[ProbeRow]:
+def singularity_probe(epsilons: list[float], tol: float = DEFAULT_TOL) -> list[ProbeRow]:
     """Evaluate both sides at s = 1 + eps along a descending eps grid.
 
     Each row calls claim_lhs and claim_rhs, whose zeta core sums the

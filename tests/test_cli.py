@@ -431,6 +431,18 @@ def test_cli_spells_claims_and_modes_only_in_the_pipeline_keys():
     assert spelled == []
 
 
+def test_cli_builds_no_fact_a_verdict_rule_reads():
+    # report builds every fact FACT_RULES or verdict_of reads, beside its rule;
+    # read off cli.py: no dict display there names one
+    read = {*report.FACT_RULES, "reason"}
+    tree = ast.parse(inspect.getsource(cli))
+    built = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Dict)
+             for key, value in zip(node.keys, node.values)
+             if isinstance(key, ast.Constant) and key.value == "name"
+             and isinstance(value, ast.Constant) and value.value in read]
+    assert built == []
+
+
 _REAL_CHECKS = {("CLAIM2_3", "SYMBOLIC"), ("CLAIM2_3", "NUMERIC"), ("CLAIM2_3", "PROBE"),
                 ("CLAIM4", "NUMERIC"), ("MIGOTTI_REMARK", "SYMBOLIC")}
 
@@ -685,6 +697,32 @@ def test_parse_report_refuses_shapes_it_cannot_render(field, value):
     payload[field] = value
     with pytest.raises(ValueError, match=field):
         parse_report(json.dumps(payload))
+
+
+def _nan_difference(payload):
+    next(f for f in payload["evidence"] if f["name"] == "difference")["value"] = math.nan
+
+
+@pytest.mark.parametrize("forge", [
+    _nan_difference, lambda payload: payload["parameters"].update(s=math.inf)],
+    ids=["difference-NaN", "s-Infinity"])
+def test_parse_report_refuses_a_non_finite_number(forge):
+    # json reads NaN and Infinity, which emit_report would print back as non-JSON
+    payload = json.loads(emit_report(cmd_check("claim2_3", "numeric", {"s": 50}), "structured"))
+    forge(payload)
+    with pytest.raises(ValueError, match="^parameters and evidence must carry only finite"):
+        parse_report(json.dumps(payload))
+
+
+def test_a_report_refuses_a_non_finite_number_inside_a_list():
+    deep = [-math.inf]
+    for _ in range(900):  # nested as deep as json reads, past a recursive walk's depth
+        deep = [deep]
+    with pytest.raises(ValueError, match="^parameters and evidence must carry only finite"):
+        ClaimReport("CLAIM2_3", "PROBE", "INCONCLUSIVE", {"eps_grid": [1e-2, deep]})
+    with pytest.raises(ValueError, match="^parameters and evidence must carry only finite"):
+        ClaimReport("CLAIM2_3", "PROBE", "INCONCLUSIVE", {},
+                    [{"name": "probe_row", "rows": [{"lhs_value": math.nan}]}])
 
 
 def _with_extra_key():

@@ -7,9 +7,12 @@ Oracles used here, independent of the implementation under test:
   form for zeta(2k) with B_2k from conftest's Bernoulli recurrence,
 * conftest's prime_zeta_direct (plain summation over a sieve) against
   the Mobius/log series route of prime_zeta,
-* mpmath.zeta at 30 digits (test-only) for the Euler-Maclaurin core.
+* mpmath.zeta at 30 digits (test-only) for the Euler-Maclaurin core,
+* the closed-form pole asymptote of the probe, from mpmath's euler,
+  mertens and primezeta(2) (test-only).
 """
 
+import inspect
 import math
 import subprocess
 import sys
@@ -25,6 +28,7 @@ from pzcheck import (
     claim4_check,
     claim_lhs,
     claim_rhs,
+    cli,
     factorize,
     fit_log_quadratic,
     prime_zeta,
@@ -89,6 +93,14 @@ def test_zeta_rejects_bad_tolerances():
         zeta_real(2.0, 0.0)
     with pytest.raises(ValueError):
         zeta_real(2.0, -1e-12)
+
+
+def test_every_tol_defaults_to_one_constant():
+    defaults = {f.__name__: inspect.signature(f).parameters["tol"].default
+                for f in (zeta_real, prime_zeta, claim_rhs, singularity_probe, claim4_check)}
+    defaults["cli._TOL"] = cli._TOL[0]
+    assert [name for name, tol in defaults.items() if tol is not zeta.DEFAULT_TOL] == []
+    assert zeta.DEFAULT_TOL == 1e-12
 
 
 def test_zeta_and_prime_zeta_share_one_tolerance_floor():
@@ -341,6 +353,27 @@ def test_probe_lhs_decreases_rhs_increases(default_probe):
     assert rhs_vals == sorted(rhs_vals)
     # divergence: the right side more than doubles over three decades
     assert rhs_vals[-1] > 2.0 * rhs_vals[0]
+
+
+def test_probe_sits_inside_its_closed_form_pole_asymptote():
+    # at s = 1 + eps, with L = log(1/eps): 1/eps < zeta(s) < 1/eps + 1 gives
+    # 2eps/(1+eps) < lhs < 2eps, and 0 < log zeta(s) - P(s) < 1/2 gives
+    # L - 1/2 < P(s) < L + log1p(eps), which P keeps 0.18 clear of; with
+    # B1 = gamma - M (Meissel-Mertens), rhs = L^2 - 2(1+B1)L + (1+B1)^2 + 1 - P(2)
+    # + O(eps L), where the remainder reads 2.10 to 2.48 times eps L
+    import mpmath  # test-only oracle
+
+    b1 = float(mpmath.euler - mpmath.mertens)
+    linear, constant = 2.0 * (1.0 + b1), (1.0 + b1) ** 2 + 1.0 - float(mpmath.primezeta(2))
+    assert (b1, linear, constant) == pytest.approx((0.31571845205389, 2.6314369041,
+                                                    2.2788676250), abs=1e-10)
+    for row in singularity_probe([1e-2, 1e-3, 1e-4, 1e-5, 1e-6]):
+        eps, big_l = row.eps, math.log(1.0 / row.eps)
+        assert 2.0 * eps / (1.0 + eps) < row.lhs.value < 2.0 * eps
+        p = prime_zeta(1.0 + eps).value
+        assert big_l - 0.5 + 0.18 < p < big_l + math.log1p(eps) - 0.18
+        closed = big_l**2 - linear * big_l + constant
+        assert 2.0 <= (row.rhs.value - closed) / (eps * big_l) <= 2.6
 
 
 def test_probe_survives_an_unreachable_row():
