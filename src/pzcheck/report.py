@@ -4,9 +4,10 @@ A ClaimReport is what `pzcheck check` prints, in text or as one JSON
 object, for a claim and mode that CHECKS lists.  verdict_of reads its
 verdict off its evidence, one FACT_RULES row per fact name deciding
 whether a fact refutes (a name with no row refutes nothing), validate()
-holds every rule a report obeys, and emit_report and parse_report
-render and read it back.  The module imports no layer module, so the
-rules can be used and tested without running a check.
+holds every rule a report obeys, among them one flat shape (_flat), and
+emit_report and parse_report render and read back every report it passes.
+The module imports no layer module, so the rules can be used and tested
+without running a check.
 """
 
 from __future__ import annotations
@@ -25,16 +26,14 @@ def _r(v: float) -> float:
     return float(f"{v:.15g}")
 
 
-def _finite(value) -> bool:
-    # every float in value, in dicts and lists at any depth, is finite, so JSON can hold it
-    todo = [value]
-    while todo:
-        v = todo.pop()
-        if isinstance(v, (dict, list, tuple)):
-            todo.extend(v.values() if isinstance(v, dict) else v)
-        elif isinstance(v, float) and not isfinite(v):
-            return False
-    return True
+def _scalar(v) -> bool:
+    return v is None or isinstance(v, (bool, int, str)) or isinstance(v, float) and isfinite(v)
+
+
+def _flat(fields: dict) -> bool:
+    # the shape rule: string keys, each value a scalar or a list of scalars, as JSON reads it back
+    return all(isinstance(k, str) and (_scalar(v) or isinstance(v, list) and all(map(_scalar, v)))
+               for k, v in fields.items())
 
 
 def _bound_agrees(fact: dict) -> bool:
@@ -83,10 +82,10 @@ class ClaimReport(namedtuple("ClaimReport", "claim_id mode verdict parameters ev
 
     The verdict must be the one verdict_of reads off the evidence, in
     every mode.  Every fact that carries exceeds_bound with its numbers
-    must agree with them.
-    validate() enforces both, and the shapes emit_report renders, on
-    every path that builds a report: the constructor, _make, _replace,
-    unpickling and parse_report.
+    must agree with them, and a claim or mode the parameters echo must
+    be the report's own.  validate() enforces these and the flat shape
+    on every path that builds a report: the constructor, _make,
+    _replace, unpickling and parse_report.
     """
 
     __slots__ = ()
@@ -111,16 +110,17 @@ class ClaimReport(namedtuple("ClaimReport", "claim_id mode verdict parameters ev
             raise ValueError(f"no check of claim_id {self.claim_id!r} in mode {self.mode!r}")
         if not isinstance(self.parameters, dict) or not isinstance(self.evidence, list):
             raise ValueError("parameters must be a dict and evidence a list")
-        if not _finite([self.parameters, self.evidence]):
-            raise ValueError("parameters and evidence must carry only finite numbers")
         for fact in self.evidence:
             if not isinstance(fact, dict) or not isinstance(fact.get("name"), str):
                 raise ValueError(f"evidence fact {fact!r} is not a dict with a string name")
-            if not _bound_agrees(fact):
-                raise ValueError(
-                    f"fact {fact['name']!r}: exceeds_bound disagrees with "
-                    "its own gap and combined error bound"
-                )
+        if not all(map(_flat, [self.parameters, *self.evidence])):
+            raise ValueError("parameters and evidence must carry only finite numbers, strings, "
+                             "booleans, None or lists of those, under string keys")
+        if any(self.parameters.get(key, own) != own for key, own in zip(("claim", "mode"), self)):
+            raise ValueError("parameters echo a claim or mode other than the report's own")
+        for fact in filter(lambda fact: not _bound_agrees(fact), self.evidence):
+            raise ValueError(f"fact {fact['name']!r}: exceeds_bound disagrees with its own gap "
+                             "and combined error bound")
         carried = verdict_of(self.mode, self.evidence)
         if self.verdict != carried:
             raise ValueError(f"{self.verdict} verdict on evidence that carries {carried}")
@@ -151,18 +151,20 @@ def parse_report(text: str) -> ClaimReport:
     """Inverse of emit_report(..., "structured"); a malformed report raises ValueError."""
     import json
 
-    payload = json.loads(text)
+    try:
+        payload = json.loads(text)
+    except RecursionError:  # nested deeper than json reads, so deeper than a report is
+        raise ValueError(f"not a structured report: {text[:60]!r}") from None
     if not isinstance(payload, dict) or payload.keys() != set(ClaimReport._fields):
         raise ValueError(f"not a structured report: {text[:60]!r}")
     return ClaimReport(*map(payload.get, ClaimReport._fields))
 
 
 def _fmt_value(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.15g}"
-    if isinstance(v, (list, tuple)):
-        return "[" + ",".join(_fmt_value(x) for x in v) + "]"
-    return str(v)
+    # a scalar, or a list of scalars one level deep: the shapes a report carries
+    text = ",".join(f"{x:.15g}" if isinstance(x, float) else str(x)
+                    for x in (v if isinstance(v, list) else [v]))
+    return f"[{text}]" if isinstance(v, list) else text
 
 
 # Evidence facts, every fact a verdict rule reads among them, built from values
@@ -171,9 +173,7 @@ def _fmt_value(v) -> str:
 
 
 def _eval_fact(name: str, ev: tuple, **extra) -> dict:
-    fact = {"name": name, "value": _r(ev.value), "error_bound": _r(ev.error_bound)}
-    fact.update(extra)
-    return fact
+    return {"name": name, "value": _r(ev.value), "error_bound": _r(ev.error_bound), **extra}
 
 
 def _discrepancy(name: str, a: tuple, b: tuple, key: str = "value", **extra) -> dict:

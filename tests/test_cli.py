@@ -15,12 +15,15 @@ import tracemalloc
 import types
 
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 from conftest import naive_totient
 from pzcheck import (DirichletSeries, arith, claim_lhs_series, claim_rhs_series, cli, report,
                      sieve, zeta)
 from pzcheck.cli import UsageError, _mismatch_scan, cmd_check, cmd_table, main
 from pzcheck.report import ClaimReport, emit_report, parse_report, verdict_of
+from test_golden import _structured_stdouts
 
 
 def _facts(report, name):
@@ -736,6 +739,80 @@ def _with_extra_key():
 def test_parse_report_refuses_text_that_is_not_a_report(text):
     with pytest.raises(ValueError):
         parse_report(text() if callable(text) else text)
+
+
+def test_a_report_echoes_only_its_own_claim_and_mode():
+    # a REFUTED report edited to echo another check does not parse, so a check
+    # re-run from a report's parameters is the one the report records
+    payload = json.loads(emit_report(cmd_check("claim2_3", None, {"max_n": "40"}), "structured"))
+    assert parse_report(json.dumps(payload)).verdict == "REFUTED"
+    for echo in ({"claim": "CLAIM4"}, {"mode": "NUMERIC"}, {"claim": "CLAIM4", "mode": "NUMERIC"}):
+        forged = {**payload, "parameters": {**payload["parameters"], **echo}}
+        with pytest.raises(ValueError, match="^parameters echo a claim or mode other than"):
+            parse_report(json.dumps(forged))
+    with pytest.raises(ValueError, match="^parameters echo a claim or mode other than"):
+        ClaimReport("CLAIM4", "NUMERIC", "INCONCLUSIVE", {"claim": "CLAIM2_3"})
+
+
+@pytest.mark.parametrize("parameters, evidence", [
+    ({1: 2.0}, []),
+    ({}, [{"name": "lhs", 1: 2.0}]),
+    ({"eps_grid": (1e-2, 1e-3)}, []),
+], ids=["int-key", "int-key-in-a-fact", "tuple"])
+def test_a_report_refuses_what_json_reads_back_as_another_report(parameters, evidence):
+    # JSON prints the key 1 as "1" and a tuple as a list, so such a report would not read back
+    with pytest.raises(ValueError, match="^parameters and evidence must carry only finite"):
+        ClaimReport("CLAIM2_3", "NUMERIC", "INCONCLUSIVE", parameters, evidence)
+
+
+def test_every_path_refuses_a_list_nested_400_deep():
+    # deep enough that rendering it recursively as text would meet Python's recursion limit
+    deep = []
+    for _ in range(399):
+        deep = [deep]
+    forged = tuple.__new__(ClaimReport, ("CLAIM2_3", "NUMERIC", "INCONCLUSIVE", {"x": deep}, []))
+    builds = [lambda: ClaimReport("CLAIM2_3", "NUMERIC", "INCONCLUSIVE", {"x": deep}),
+              lambda: ClaimReport("CLAIM2_3", "NUMERIC", "INCONCLUSIVE")._replace(
+                  parameters={"x": deep}),
+              lambda: pickle.loads(pickle.dumps(forged)),
+              lambda: parse_report(json.dumps(forged._asdict()))]
+    for build in builds:
+        with pytest.raises(ValueError, match="^parameters and evidence must carry only finite"):
+            build()
+
+
+_CHECK_REPORTS = [out for command, out in _structured_stdouts() if command.startswith("check ")]
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4))
+_SLOT = "\x00slot\x00"  # stands for the added value until the report is text
+
+
+def _nested(depth: int) -> str:
+    return "[" * depth + "]" * depth
+
+
+@given(st.sampled_from(_CHECK_REPORTS), st.integers(0, 20), st.text(), _JSON_VALUES.map(json.dumps))
+@example(_CHECK_REPORTS[0], 0, "x", _nested(400))
+@example(_CHECK_REPORTS[0], 1, "x", _nested(990))
+@example(_CHECK_REPORTS[0], 0, "x", _nested(2000))
+@example(_CHECK_REPORTS[0], 1, "x", _nested(100_000))
+def test_every_report_that_parses_renders_and_reads_back(golden, where, key, value):
+    # any JSON value, as text, under a new key of a golden report's parameters or of
+    # one of its facts: parse_report refuses the report with ValueError, or the report
+    # renders in both formats and its structured output parses back to an equal report
+    payload = json.loads(golden)
+    targets = [payload["parameters"], *payload["evidence"]]
+    fields = targets[where % len(targets)]
+    assume(key not in fields and _SLOT not in key)
+    fields[key] = _SLOT
+    text = json.dumps(payload).replace(json.dumps(_SLOT), value, 1)
+    try:
+        parsed = parse_report(text)
+    except ValueError:
+        return
+    emit_report(parsed, "text")
+    assert parse_report(emit_report(parsed, "structured")) == parsed
 
 
 # -- tables ---------------------------------------------------------------
