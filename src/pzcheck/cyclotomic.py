@@ -4,21 +4,23 @@ For n > 1, Phi_n(x) = prod_{d | n} (1 - x^d)^{mu(n/d)} has degree
 phi(n), so the product is carried modulo x^(phi(n) + 2), one slot past
 the degree (Arnold & Monagan, Math. Comp. 80 (2011)).  _packed_digits
 evaluates it at a power of the byte base in one int, so each factor is
-a shift and an add, not a loop over coefficients, and Phi_1 = x - 1 is
-the one sign flip.  One readout, _readout, checks its digits: a proved
-height bound (never Migotti's theorem, which the scan tests) picks one
-signed byte per coefficient when it is below 128 and two bytes
-otherwise, and the height and Phi_n(1) are read by counting the digits
-at each distance from zero.  A wrong product shows as a digit past that
-bound or in the four checked post-conditions: a nonzero slot past
-phi(n), a leading coefficient not 1, a Phi_n (n > 1) that is not
-palindromic, or a wrong Phi_n(1).  cyclotomic(n) decodes the checked
-digits.  height(n) builds no polynomial: Phi_n(x) = Phi_r(x^(n/r)) with
-r = rad(n), and Phi_2m(x) = Phi_m(-x) for odd m > 1, so Phi_n has the
-coefficients of Phi_k up to sign and spacing, where k, the product of
-n's odd primes, is n's odd squarefree kernel, and the readout of Phi_k
-gives the height.  Heights are memoised per kernel as ints; cyclotomic()
-keeps only the last polynomial it built.
+a shift and an add, not a loop over coefficients: the divisions first,
+by ascending d, then the multiplications, and no factor with
+d >= phi(n) + 2, which is 1 there.  Phi_1 = x - 1 is the one sign flip.
+One readout, _readout, checks its digits: a proved height bound (never
+Migotti's theorem, which the scan tests) picks one signed byte per
+coefficient when it is below 128 and two bytes otherwise, and the height
+and Phi_n(1) are read by counting the digits at each distance from zero.
+A wrong product shows as a digit past that bound or in the four checked
+post-conditions: a nonzero slot past phi(n), a leading coefficient not
+1, a Phi_n (n > 1) that is not palindromic, or a wrong Phi_n(1).
+cyclotomic(n) decodes the checked digits.  height(n) builds no
+polynomial: Phi_n(x) = Phi_r(x^(n/r)) with r = rad(n), and
+Phi_2m(x) = Phi_m(-x) for odd m > 1, so Phi_n has the coefficients of
+Phi_k up to sign and spacing, where k, the product of n's odd primes, is
+n's odd squarefree kernel, and the readout of Phi_k gives the height.
+Heights are memoised per kernel as ints; cyclotomic() keeps only the
+last polynomial it built.
 """
 
 from __future__ import annotations
@@ -92,29 +94,26 @@ def cyclotomic(n: int) -> IntPolynomial:
     return IntPolynomial([d - zero for d in digits])
 
 
-def _mobius_factors(n: int, primes: list[int]) -> list[tuple[int, int]]:
-    """(d, mu(n/d)) for every d | n with mu(n/d) != 0, given n's primes."""
-    signed = [(1, 1)]  # (squarefree e | n, mu(e))
-    for p in primes:
-        signed += [(e * p, -mu) for e, mu in signed]
-    return [(n // e, mu) for e, mu in signed]
-
-
 def _packed_digits(n: int, primes: list[int], slots: int, size: int) -> bytes:
     """Phi_n modulo x^slots, slots = phi(n) + 2, as little-endian digits.
 
     The truncated product is evaluated at x = 2^(8 size) modulo
-    2^(8 size slots), a ring homomorphism from Z[x]/(x^slots), so no
-    intermediate product needs a bound: only Phi_n's own coefficients
-    must fit a digit of size bytes.  Times 1 - x^d is one shifted
-    subtraction; over 1 - x^d, the product of 1 + x^(2^j d), is one
-    shifted addition per doubling.  Adding 2^(8 size - 1) to every digit
-    makes each one c + 2^(8 size - 1) for the coefficient c.
+    2^(8 size slots), a ring homomorphism from Z[x]/(x^slots), so the
+    factors commute and no intermediate product needs a bound: only
+    Phi_n's own coefficients must fit a digit of size bytes.  Over
+    1 - x^d, the product of 1 + x^(2^j d), is one shifted addition per
+    doubling; these divisions (mu(n/d) = -1) run first, by ascending d,
+    on an int grown from 1 before a subtraction's borrow fills every
+    digit.  Times 1 - x^d is one shifted subtraction, and no d >= slots,
+    where 1 - x^d is 1, is taken.  Digits are coefficients + 2^(8 size - 1).
     """
+    signed = [(1, 1)]  # (squarefree e | n, mu(e)), so d = n / e
+    for p in primes:
+        signed += [(e * p, -mu) for e, mu in signed]
     width = 8 * size * slots
     mask = (1 << width) - 1
     packed = 1
-    for d, mu in _mobius_factors(n, primes):
+    for mu, d in sorted((mu, n // e) for e, mu in signed if n // e < slots):
         shift = 8 * size * d
         if mu == 1:
             packed = (packed - (packed << shift)) & mask

@@ -27,7 +27,17 @@ def _r(v: float) -> float:
 
 
 def _scalar(v) -> bool:
-    return v is None or isinstance(v, (bool, int, str)) or isinstance(v, float) and isfinite(v)
+    return (v is None or isinstance(v, (bool, str)) or isinstance(v, float) and isfinite(v)
+            or isinstance(v, int) and _prints(v))
+
+
+def _prints(v: int) -> bool:
+    # str() and json refuse an int past sys.get_int_max_str_digits() digits, 4300 by default
+    try:
+        str(v)
+    except ValueError:
+        return False
+    return True
 
 
 def _flat(fields: dict) -> bool:
@@ -112,10 +122,12 @@ class ClaimReport(namedtuple("ClaimReport", "claim_id mode verdict parameters ev
             raise ValueError("parameters must be a dict and evidence a list")
         for fact in self.evidence:
             if not isinstance(fact, dict) or not isinstance(fact.get("name"), str):
-                raise ValueError(f"evidence fact {fact!r} is not a dict with a string name")
+                # named by its type: the repr of a deeply nested list would recurse
+                raise ValueError(f"evidence fact ({type(fact).__name__}) is not a dict with "
+                                 "a string name")
         if not all(map(_flat, [self.parameters, *self.evidence])):
-            raise ValueError("parameters and evidence must carry only finite numbers, strings, "
-                             "booleans, None or lists of those, under string keys")
+            raise ValueError("parameters and evidence must carry only finite numbers that "
+                             "print, strings, booleans, None or lists of those, under string keys")
         if any(self.parameters.get(key, own) != own for key, own in zip(("claim", "mode"), self)):
             raise ValueError("parameters echo a claim or mode other than the report's own")
         for fact in filter(lambda fact: not _bound_agrees(fact), self.evidence):

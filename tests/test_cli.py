@@ -2,7 +2,9 @@
 
 import argparse
 import ast
+import contextlib
 import inspect
+import io
 import json
 import math
 import os
@@ -15,7 +17,7 @@ import tracemalloc
 import types
 
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import naive_totient
@@ -781,6 +783,29 @@ def test_every_path_refuses_a_list_nested_400_deep():
             build()
 
 
+def test_a_report_refuses_an_int_it_cannot_print():
+    # str() and json print an int of at most sys.get_int_max_str_digits() digits, so a
+    # longer one would validate and then fail in emit_report
+    widest = -(10 ** sys.get_int_max_str_digits() - 1)
+    printable = ClaimReport("CLAIM2_3", "NUMERIC", "INCONCLUSIVE", {"x": widest})
+    assert parse_report(emit_report(printable, "structured")) == printable
+    for parameters, evidence in (({"x": 10**5000}, []), ({"x": [1, widest * 10]}, []),
+                                 ({}, [{"name": "lhs", "value": 10**5000}])):
+        with pytest.raises(ValueError, match="^parameters and evidence must carry only finite"):
+            ClaimReport("CLAIM2_3", "NUMERIC", "INCONCLUSIVE", parameters, evidence)
+
+
+def test_a_bad_fact_is_named_by_its_type():
+    # its repr would recurse through a list nested past Python's recursion limit
+    deep = []
+    for _ in range(100_000):
+        deep = [deep]
+    for fact, kind in ((deep, "list"), ({"name": 1}, "dict")):
+        with pytest.raises(ValueError, match=rf"^evidence fact \({kind}\) is not a dict with a "
+                                             "string name$"):
+            ClaimReport("CLAIM2_3", "NUMERIC", "INCONCLUSIVE", {}, [fact])
+
+
 _CHECK_REPORTS = [out for command, out in _structured_stdouts() if command.startswith("check ")]
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
@@ -1088,6 +1113,61 @@ def test_main_usage_error_exits_two(capsys):
 def test_main_bad_selector_is_an_argparse_error():
     with pytest.raises(SystemExit):
         main(["table", "nope"])
+
+
+# edge values of each flag, typed as --flag=VALUE so a leading "-" is a value;
+# sizes stay small: a --max-n that runs is at most 300, an --n range at most 200 wide
+_FLAG_VALUES = {
+    "s": ["2", "1.0000001", "1e300", repr(sys.float_info.max), "1", "nan", "x"],
+    "max_n": ["1", "30", "300", "0", "-5", "2.5", "1000001"],
+    "tol": ["1e-12", "5e-324", "1e300", "0", "inf"],
+    "depth": ["0", "1", "20", "64", "65"],
+    "n": ["1..200", "9801..10000", "200..1", "9990..10001", "0..3", "3,5,105", ""],
+    "eps": ["1e-2..1e-5", "1e-3", "1e-5..1e-2", "1e-2..1e-16", "0"],
+}
+
+
+@st.composite
+def _argv(draw):
+    # a check from report.CHECKS, in one of its own modes, any mode or by default, or a
+    # table from cli._TABLES; mostly with flags its entry declares, else with any flag
+    # of its subcommand, each at an edge value (a table's --s at a list of them)
+    if draw(st.booleans()):
+        claim = draw(st.sampled_from(list(report.CHECKS)))
+        every_mode = sorted({m for modes in report.CHECKS.values() for m in modes})
+        mode = draw(st.none() | st.sampled_from(report.CHECKS[claim]) | st.sampled_from(every_mode))
+        _, declared = cli._PIPELINES.get((claim, mode or report.CHECKS[claim][0]), (None, {}))
+        argv = ["check", claim.lower(), *(["--mode", mode.lower()] if mode else [])]
+        flags = cli._CHECK_FLAGS
+    else:
+        selector = draw(st.sampled_from(list(cli._TABLES)))
+        _, declared = cli._TABLES[selector]
+        argv, flags = ["table", selector], cli._TABLE_FLAGS
+    pool = [key for key in flags if key in declared] if draw(st.integers(0, 3)) else []
+    for key in draw(st.lists(st.sampled_from(pool or list(flags)), unique=True)):
+        values = st.lists(st.sampled_from(_FLAG_VALUES[key]), min_size=1,
+                          max_size=3 if argv[0] == "table" and key == "s" else 1)
+        argv.append(f"--{key.replace('_', '-')}={','.join(draw(values))}")
+    return argv + ["--format", draw(st.sampled_from(["text", "structured"]))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_argv())
+@example(["check", "claim2_3", "--mode", "numeric", "--s=1.0000001", "--tol=5e-324",
+          "--format", "structured"])
+@example(["check", "claim4", "--s=1e300", "--depth=64", "--format", "structured"])
+@example(["check", "migotti_remark", "--max-n=300", "--format", "structured"])
+@example(["table", "cyclotomic-height", "--n=9801..10000", "--format", "text"])
+def test_every_command_line_ends_in_output_or_one_error_line(argv):
+    # status 0 with nothing on stderr, or 2 with one error line, and every
+    # structured check report reads back equal
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert (status, err) == (0, "") or status == 2 and re.fullmatch(r"error: [^\n]*\n", err)
+    if status == 0 and argv[0] == "check" and argv[-1] == "structured":
+        assert emit_report(parse_report(out), "structured") + "\n" == out
 
 
 def test_main_table_path(capsys):
