@@ -46,9 +46,8 @@ from math import fsum, log
 
 from .arith import factorize, mobius, sieve
 
-# Euler-Maclaurin correction order J and cutoff M.  Together they keep
+# Euler-Maclaurin cutoff M.  With the order J (_EM_ORDER, below) it keeps
 # the first omitted term at most 1.3e-23 for every s > 1, under MIN_TOL.
-_EM_ORDER = 8
 _EM_CUTOFF = 20
 
 _MIN_POLE_GAP = 5e-7  # s - 1 below it is refused until bounds carry rounding
@@ -148,6 +147,7 @@ _EM_COEFFICIENTS = (
     -3.3896802963225827e-13,
     8.586062056277845e-15,
 )
+_EM_ORDER = len(_EM_COEFFICIENTS) - 1  # J, so the remainder reads B_{2J+2}/(2J+2)!
 
 
 def _em_remainder_bound(s: float) -> float:

@@ -19,10 +19,12 @@ radical-domain summary, a radical table and a radical-domain scan with
 an s too close to the pole (table-radical-near-pole and
 table-radical-domain-near-pole), a radical-domain scan with every s
 too close to the pole, a claim4 check and a radical table at s = 1.6
-and the depth cap 64 (check-claim4-s1.6-depth64, whose depth-stability
-drift is 0 because the deeper fold is the fold itself, and
-table-radical-s1.6-depth64, whose folds leave the reals at some
-depths), a numeric check too close to the pole, the
+and the depth cap 64 (check-claim4-s1.6-depth64, whose tail bracket
+2^(4 - 2^64 * 1.6) underflows to 0, and table-radical-s1.6-depth64,
+whose folds leave the reals at some depths), a claim4 check at depth 2
+whose tail bracket, 0.033 at s = 2, covers the gap of 0.0046
+(check-claim4-depth2, INCONCLUSIVE), a numeric check too close to the
+pole, the
 near-pole inputs the benchmark times (a probe table to eps = 1e-6, a
 zeta table at s - 1 = 1e-6, 1e-5 and 1e-4 and a numeric check at
 s = 1.000001), a numeric check at s = 20 that refutes on a one-ulp
@@ -48,9 +50,10 @@ every check's structured stdout back, renders both of its stdouts from
 it and reads the recorded verdict off the recorded evidence,
 test_every_fact_rule_is_recorded_in_a_check_golden that every fact
 name report.FACT_RULES holds a row for occurs in some check's
-evidence, and test_table_list_parameters_name_their_rows that every
+evidence, test_table_list_parameters_name_their_rows that every
 list option a structured table echoes names its rows, one per value in
-order.
+order, and test_paper_map_verdicts_hold that every command in README's
+paper map prints the verdict the map states.
 
 tests/golden/traffic-seed1.json pins the benchmark's traffic the same
 way, more briefly: for each distinct command line of the two seed-1
@@ -113,6 +116,7 @@ _FORMATTED = (
     ("check-claim4-s1e300", ["check", "claim4", "--s", "1e300"]),
     ("check-claim4-s1.6-depth64", ["check", "claim4", "--s", "1.6", "--depth", "64"]),
     ("check-claim4-s20", ["check", "claim4", "--s", "20"]),
+    ("check-claim4-depth2", ["check", "claim4", "--depth", "2"]),
     ("check-migotti_remark", ["check", "migotti_remark"]),
     ("check-migotti_remark-3000", ["check", "migotti_remark", "--max-n", "3000"]),
     ("check-migotti_remark-10000", ["check", "migotti_remark", "--max-n", "10000"]),
@@ -274,6 +278,27 @@ def test_table_list_parameters_name_their_rows():
     # every table but radical, whose --s is one value, reads a list option
     assert checked == sum(stem.startswith("table-") and argv[1] != "radical"
                           for stem, argv in _FORMATTED)
+
+
+def _paper_map() -> list[tuple[str, str, str]]:
+    # (statement, command, verdict) of each row of README's paper map
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## The paper, statement by statement\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.strip("| ").split(" | ") for line in section.splitlines() if line.startswith("| ")]
+    return [(row[0], row[2].strip("`"), row[3]) for row in rows[2:]]  # past header and rule
+
+
+def test_paper_map_verdicts_hold():
+    # every command README's paper map lists prints the verdict the map states
+    ran = 0
+    for statement, command, verdict in _paper_map():
+        if command == "—":  # not reproduced yet
+            assert verdict == "—", statement
+            continue
+        argv = command.removeprefix("pzcheck ").split()
+        assert f"\nverdict : {verdict}\n" in run(argv), statement
+        ran += 1
+    assert ran == 5
 
 
 def _digest(argv: list[str]) -> str:

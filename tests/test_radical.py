@@ -145,9 +145,10 @@ def test_fold_is_monotone_in_its_seed(t1, t2, s, depth):
         assert low <= high
 
 
-@pytest.mark.parametrize("tail", [math.nan, math.inf, -math.inf, -1e-300])
+@pytest.mark.parametrize("tail", [math.nan, math.inf, -math.inf, -1e-300, EvalResult(-0.5, 1.0)])
 def test_seed_must_be_finite_and_non_negative(tail):
-    with pytest.raises(ValueError, match=f"tail seed .*{tail!r}"):
+    value = tail.value if isinstance(tail, EvalResult) else tail
+    with pytest.raises(ValueError, match=f"tail seed .*{value!r}$"):
         eval_nested(2.0, 5, tail)
 
 
@@ -311,6 +312,59 @@ def test_claim4_sides_are_internally_consistent():
     assert res.radical_value.value == 1.0 - eval_nested(3.0, 15, 1.0).value
     direct = prime_zeta(3.0)
     assert res.prime_zeta_value.value == direct.value
+
+
+def _radical_50_digits(y: float):
+    # R(y) = sqrt(2/zeta(y) - R(2y)), folded 40 levels from seed 1 at 50
+    # digits; past level 40 the tail is within 2^(4 - 2^40 y) of 1
+    import mpmath  # test-only oracle
+
+    with mpmath.workdps(50):
+        partial = mpmath.mpf(1)
+        for level in range(40, 0, -1):
+            partial = mpmath.sqrt(2 / mpmath.zeta(mpmath.mpf(y) * 2 ** (level - 1)) - partial)
+        return partial
+
+
+def test_tail_bracket_holds():
+    # |R(y) - 1| <= 2^(4 - y), the bracket claim4_check seeds its fold with
+    import mpmath
+
+    with mpmath.workdps(50):
+        for y in (2.0 + 0.25 * k for k in range(249)):
+            assert abs(_radical_50_digits(y) - 1) <= mpmath.mpf(2) ** (4 - mpmath.mpf(y)), y
+
+
+@pytest.mark.parametrize("s", [1.6, 1.8, 2.0, 3.0, 6.0, 10.0])
+def test_radical_side_bound_covers_the_truncation(s):
+    # below 1e-12 the error is rounding, which no bound charges yet: at
+    # s = 1.6, depths 6 to 8, it is 1.1e-15 against a bound of 2.7e-23
+    import mpmath
+
+    with mpmath.workdps(50):
+        truth = 1 - _radical_50_digits(s)
+        covered = 0
+        for depth in range(1, 9):
+            try:
+                side = claim4_check(s, depth).radical_value
+            except NegativeRadicandError:
+                continue
+            error = abs(truth - mpmath.mpf(side.value))
+            if error > 1e-12:
+                assert error <= side.error_bound, (s, depth)
+                covered += 1
+        assert covered >= 1
+
+
+@given(st.floats(0.0, 1.5), st.floats(0.0, 1.0), st.floats(1.6, 6.0), st.integers(1, 10))
+def test_a_bounded_seed_changes_only_the_bound(seed, bound, s, depth):
+    try:
+        plain = eval_nested(s, depth, seed)
+    except NegativeRadicandError:
+        assume(False)
+    bounded = eval_nested(s, depth, EvalResult(seed, bound))
+    assert bounded.value == plain.value
+    assert bounded.error_bound >= plain.error_bound
 
 
 # -- validation ----------------------------------------------------------
