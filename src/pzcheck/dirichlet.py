@@ -1,4 +1,4 @@
-"""Truncated Dirichlet series with exact coefficients.
+"""Truncated Dirichlet series with integer coefficients.
 
 A series here is the coefficient vector (a_1, ..., a_N) of a formal sum
 sum_n a_n n^{-s}, carried to an explicit truncation N.  Products of the
@@ -6,11 +6,11 @@ underlying sums become Dirichlet convolution of coefficients,
 
     (a * b)_n = sum_{d | n} a_d * b_{n/d},
 
-which is what convolve() computes.  Input stores integral coefficients
-as ints, but an operation may return one as a Fraction (invert of
-[2, 4, 6, 8] ends in Fraction(0, 1)); equal values compare equal either
-way, so a mismatch between two series at some index is a theorem about
-the first N coefficients, not a floating-point observation.
+which is what convolve() computes.  Every coefficient is an int: a
+float or a rational is refused with TypeError, and invert() needs a_1 to
+be a unit of the integers, +1 or -1.  So a mismatch between two series
+at some index is a theorem about the first N coefficients, not a
+floating-point observation.
 
 Truncation discipline: an operation on inputs valid up to N produces an
 output valid up to its own (stated) truncation, never beyond; indices
@@ -19,17 +19,9 @@ past the truncation simply do not exist for the object.
 
 from __future__ import annotations
 
+from operator import index
+
 from .arith import PrimeTable
-
-
-def _exact(c) -> int | Fraction:
-    """c as an int when it is integral, else as a Fraction."""
-    if type(c) is int:
-        return c
-    from fractions import Fraction
-
-    c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
 
 
 class DirichletSeries:
@@ -37,27 +29,27 @@ class DirichletSeries:
 
     __slots__ = ("truncation", "_a")
 
-    def __init__(self, coefficients: list[int | Fraction]):
+    def __init__(self, coefficients: list[int]):
         """Build from the list [a_1, ..., a_N]; N = len(list) >= 1."""
         if len(coefficients) < 1:
             raise ValueError("a Dirichlet series needs at least coefficient a_1")
         self.truncation = len(coefficients)
         # index 0 is a permanent zero so that self._a[n] is a_n
-        self._a = [0] + [_exact(c) for c in coefficients]
+        self._a = [0] + [index(c) for c in coefficients]
 
     @classmethod
     def _adopt(cls, padded: list) -> DirichletSeries:
-        # takes over [0, a_1, ..., a_N], built by an operation from exact values
+        # takes over [0, a_1, ..., a_N], built by an operation from ints
         series = cls.__new__(cls)
         series.truncation, series._a = len(padded) - 1, padded
         return series
 
-    def __getitem__(self, n: int) -> int | Fraction:
+    def __getitem__(self, n: int) -> int:
         if not 1 <= n <= self.truncation:
             raise IndexError(f"coefficient index {n} outside [1, {self.truncation}]")
         return self._a[n]
 
-    def coefficients(self) -> list[int | Fraction]:
+    def coefficients(self) -> list[int]:
         """The list [a_1, ..., a_N]."""
         return self._a[1:]
 
@@ -126,26 +118,21 @@ def convolve(a: DirichletSeries, b: DirichletSeries) -> DirichletSeries:
 def invert(a: DirichletSeries) -> DirichletSeries:
     """Convolution inverse b with a * b = unit, truncated like a.
 
-    Needs a_1 != 0.  Uses the forward recurrence: b_m starts at unit_m;
-    once b_d is final and nonzero, subtract a_k * b_d from b_{d*k} for
-    every nonzero a_k with k >= 2, and b_m is final after its division by
-    a_1, in increasing m; the cost counts nonzero terms as convolve's does.
-    1/a_1 is a_1 itself when a_1 = +-1, so integer input stays integer.
+    Over the integers the inverse exists exactly when a_1 is a unit, +1
+    or -1, so any other a_1 is refused; 1/a_1 is then a_1 itself.  Uses
+    the forward recurrence: b_m starts at unit_m; once b_d is final and
+    nonzero, subtract a_k * b_d from b_{d*k} for every nonzero a_k with
+    k >= 2, and b_m is final after its multiplication by a_1, in
+    increasing m; the cost counts nonzero terms as convolve's does.
     """
     a1 = a._a[1]
-    if a1 == 0:
-        raise ValueError("series with a_1 = 0 has no convolution inverse")
+    if a1 not in (1, -1):
+        raise ValueError("a series has an integer convolution inverse only if a_1 is +1 or -1")
     n = a.truncation
-    if a1 in (1, -1):
-        inv_a1 = a1
-    else:
-        from fractions import Fraction
-
-        inv_a1 = Fraction(1, a1)
     support = [(k, ak) for k, ak in enumerate(a._a[2:], 2) if ak]
     b = [0, 1] + [0] * (n - 1)
     for d in range(1, n + 1):
-        bd = b[d] = b[d] * inv_a1
+        bd = b[d] = b[d] * a1
         if bd:
             last = n // d
             for k, ak in support:
@@ -173,7 +160,7 @@ def dilate(a: DirichletSeries, k: int, truncation: int) -> DirichletSeries:
     return DirichletSeries._adopt(out)
 
 
-def linear_combine(terms: list[tuple[int | Fraction, DirichletSeries]]) -> DirichletSeries:
+def linear_combine(terms: list[tuple[int, DirichletSeries]]) -> DirichletSeries:
     """Sum of c_i * series_i, truncated to the minimum truncation."""
     terms = list(terms)
     if not terms:
@@ -181,15 +168,13 @@ def linear_combine(terms: list[tuple[int | Fraction, DirichletSeries]]) -> Diric
     n = min(s.truncation for _, s in terms)
     out = [0] * (n + 1)
     for c, s in terms:
-        c = _exact(c)
+        c = index(c)
         if c:
             out = [o + c * x if x else o for o, x in zip(out, s._a)]
     return DirichletSeries._adopt(out)
 
 
-def first_mismatch(
-    a: DirichletSeries, b: DirichletSeries
-) -> tuple[int, int | Fraction, int | Fraction] | None:
+def first_mismatch(a: DirichletSeries, b: DirichletSeries) -> tuple[int, int, int] | None:
     """Smallest n with a_n != b_n, as (n, a_n, b_n); None if all agree.
 
     Comparing series of different truncations is refused rather than

@@ -18,6 +18,8 @@ Every bounded float the layers return is an EvalResult, and outside
 that class no arithmetic reads an error_bound: bounds combine only in
 its operators.
 Every annotation in the package resolves, given only Fraction.
+Dirichlet series are over the integers, so the only import of fractions
+in the package is the probe fit's, inside zeta.fit_log_quadratic.
 
 Every function the package defines runs in some golden command line
 (tests/test_golden.py), traced from before pzcheck.cli is imported,
@@ -324,6 +326,27 @@ def _bound_arithmetic(node, path, in_arithmetic=False):
         yield f"{path}:{node.lineno}"
     for child in ast.iter_child_nodes(node):
         yield from _bound_arithmetic(child, path, in_arithmetic)
+
+
+def _fractions_imports(node, scope):
+    """The enclosing module.function (or module) of each import of fractions."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        scope = f"{scope}.{node.name}"
+    if (isinstance(node, ast.Import) and any(alias.name == "fractions" for alias in node.names)
+            or isinstance(node, ast.ImportFrom) and node.module == "fractions"):
+        yield scope
+    for child in ast.iter_child_nodes(node):
+        yield from _fractions_imports(child, scope)
+
+
+def test_fractions_is_imported_only_by_the_probe_fit():
+    package = os.path.dirname(pzcheck.__file__)
+    found = []
+    for path in sorted(os.listdir(package)):
+        if path.endswith(".py"):
+            with open(os.path.join(package, path)) as source:
+                found.extend(_fractions_imports(ast.parse(source.read()), path[:-3]))
+    assert found == ["zeta.fit_log_quadratic"]
 
 
 def test_bounds_combine_only_in_eval_result():
