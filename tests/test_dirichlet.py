@@ -283,11 +283,38 @@ def test_invert_integer_series_stays_int(coeffs):
     assert _all_int(inv)
 
 
+@given(_series(_INTS, leading=_INTS.filter(bool))
+       | _series(_SPARSE, leading=_INTS.filter(bool)))
+def test_invert_rational_series_matches_reference(coeffs):
+    # the reference inverts over the rationals: where its inverse is
+    # integral (a_1 = +-1) invert returns it, and where b_1 = 1/a_1 is
+    # not an integer invert refuses the series
+    ref = _ref_invert(coeffs)
+    if coeffs[0] in (1, -1):
+        assert invert(DirichletSeries(coeffs)).coefficients() == ref
+    else:
+        assert ref[0].denominator != 1
+        with pytest.raises(ValueError, match="only if a_1 is"):
+            invert(DirichletSeries(coeffs))
+
+
 @given(_series(_INTS) | _series(_SPARSE), _series(_INTS) | _series(_SPARSE))
 def test_convolve_integer_series_matches_reference(a, b):
     got = convolve(DirichletSeries(a), DirichletSeries(b))
     assert got.coefficients() == naive_convolve(a, b)
     assert _all_int(got)
+
+
+@given(_series(_SPARSE), _series(_INTS) | _series(_SPARSE))
+def test_convolve_rational_series_matches_reference(a, b):
+    # the schoolbook product over the rationals agrees with the integer
+    # one, and the same series given as Fractions is refused outright
+    qa, qb = [Fraction(x) for x in a], [Fraction(x) for x in b]
+    got = convolve(DirichletSeries(a), DirichletSeries(b))
+    assert got.coefficients() == naive_convolve(qa, qb)
+    assert _all_int(got)
+    with pytest.raises(TypeError):
+        DirichletSeries(qa)
 
 
 @given(st.lists(st.tuples(_INTS, _series(_INTS | _SPARSE)), min_size=1, max_size=4))
