@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import prod
+from operator import index
 
 from .arith import FactoredInteger, factorize, sieve
 
@@ -36,14 +37,14 @@ _MAX_N = 10**4
 class IntPolynomial:
     """Dense integer polynomial; coeffs[i] multiplies x^i.
 
-    Trailing zeros are stripped at construction; the zero polynomial is
-    the empty tuple with degree -1.
+    Coefficients are ints (a float or a Fraction raises TypeError), with
+    trailing zeros stripped; the zero polynomial is () with degree -1.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        c = list(coeffs)
+        c = [index(x) for x in coeffs]
         while c and c[-1] == 0:
             c.pop()
         self.coeffs = tuple(c)

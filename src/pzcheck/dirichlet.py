@@ -19,6 +19,7 @@ past the truncation simply do not exist for the object.
 
 from __future__ import annotations
 
+from itertools import compress
 from operator import index
 
 from .arith import PrimeTable
@@ -68,7 +69,7 @@ class DirichletSeries:
 
 
 def _checked(truncation: int) -> int:
-    if truncation < 1:
+    if index(truncation) < 1:
         raise ValueError(f"truncation must be >= 1, got {truncation}")
     return truncation
 
@@ -104,14 +105,13 @@ def convolve(a: DirichletSeries, b: DirichletSeries) -> DirichletSeries:
     """
     n = min(a.truncation, b.truncation)
     out = [0] * (n + 1)
-    support = [(k, bk) for k, bk in enumerate(b._a[: n + 1]) if bk]
-    for d, ad in enumerate(a._a[: n + 1]):
-        if ad:
-            last = n // d
-            for k, bk in support:
-                if k > last:
-                    break
-                out[d * k] += ad * bk
+    support = list(compress(range(n + 1), b._a[: n + 1]))
+    for d in compress(range(n + 1), a._a[: n + 1]):
+        ad, last = a._a[d], n // d
+        for k in support:
+            if k > last:
+                break
+            out[d * k] += ad * b._a[k]
     return DirichletSeries._adopt(out)
 
 
@@ -129,16 +129,16 @@ def invert(a: DirichletSeries) -> DirichletSeries:
     if a1 not in (1, -1):
         raise ValueError("a series has an integer convolution inverse only if a_1 is +1 or -1")
     n = a.truncation
-    support = [(k, ak) for k, ak in enumerate(a._a[2:], 2) if ak]
+    support = list(compress(range(2, n + 1), a._a[2:]))
     b = [0, 1] + [0] * (n - 1)
     for d in range(1, n + 1):
         bd = b[d] = b[d] * a1
         if bd:
             last = n // d
-            for k, ak in support:
+            for k in support:
                 if k > last:
                     break
-                b[d * k] -= ak * bd
+                b[d * k] -= a._a[k] * bd
     return DirichletSeries._adopt(b)
 
 
@@ -149,7 +149,7 @@ def dilate(a: DirichletSeries, k: int, truncation: int) -> DirichletSeries:
     indices beyond a.truncation ** k would need source coefficients past
     the input's truncation.
     """
-    if k < 1:
+    if index(k) < 1:
         raise ValueError(f"dilation order must be >= 1, got {k}")
     n = min(_checked(truncation), a.truncation**k)
     out = [0] * (n + 1)

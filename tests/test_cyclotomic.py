@@ -9,6 +9,7 @@ height.  Neither packs coefficients into an int, as the package does.
 """
 
 import random
+from fractions import Fraction
 from itertools import accumulate
 from operator import add, sub
 
@@ -108,6 +109,14 @@ def test_polynomial_normalization():
     assert p.degree == 1
     assert IntPolynomial([]).degree == -1
     assert IntPolynomial([0, 0]).degree == -1
+
+
+def test_polynomial_holds_only_ints():
+    for coefficient in (0.5, Fraction(1, 3), 2.0):
+        with pytest.raises(TypeError):
+            IntPolynomial([coefficient])
+    p = IntPolynomial([True, 0, 1])
+    assert p.coeffs == (1, 0, 1) and all(type(c) is int for c in p.coeffs)
 
 
 def test_polynomial_coefficient_access():

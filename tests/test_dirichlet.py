@@ -1,6 +1,7 @@
 """dirichlet: truncated Dirichlet series algebra over the integers."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from pzcheck import (
     invert,
     linear_combine,
     prime_zeta_series,
+    sieve,
     unit_series,
     zeta_series,
 )
@@ -227,6 +229,23 @@ def test_claim_lhs_series_is_twice_mobius():
         assert lhs[n] == 2 * naive_mobius(n)
 
 
+def test_walks_hold_no_second_copy_of_the_coefficients():
+    # the inputs are built before tracing starts, so the peak counts the
+    # output list and the walk's support: an index list costs ~56 bytes a
+    # coefficient, and a list of (index, coefficient) tuples ~108
+    n = 200_000
+    table = sieve(n)
+    for op, args in ((invert, (zeta_series(n),)),
+                     (convolve, (prime_zeta_series(n, table), zeta_series(n)))):
+        tracemalloc.start()
+        try:
+            op(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 80 * n, (op.__name__, peak / n)
+
+
 # -- integer coefficients, against a Fraction reference -----------------
 #
 # The references are naive divisor sums over Fraction, and conftest's
@@ -347,7 +366,7 @@ def test_invert_refuses_every_leading_coefficient_but_a_unit():
     assert messages == {"a series has an integer convolution inverse only if a_1 is +1 or -1"}
 
 
-def test_non_integer_coefficients_are_refused():
+def test_non_integer_coefficients_are_refused(table_200):
     for coefficient in (0.5, Fraction(1, 2), 2.0):
         with pytest.raises(TypeError):
             DirichletSeries([coefficient])
@@ -355,6 +374,12 @@ def test_non_integer_coefficients_are_refused():
         linear_combine([(Fraction(1, 2), zeta_series(3))])
     flag = DirichletSeries([True])
     assert flag.coefficients() == [1] and type(flag[1]) is int
+    # sizes and the dilation order too: a float is never rounded into one
+    s = zeta_series(10)
+    for call in (lambda: dilate(s, 2, 1e9), lambda: dilate(s, 2.0, 10), lambda: zeta_series(10.0),
+                 lambda: unit_series(2.5), lambda: prime_zeta_series(10.0, table_200)):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            call()
 
 
 def test_equal_series_hash_alike_and_compare_exactly():
