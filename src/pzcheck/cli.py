@@ -252,7 +252,7 @@ def _claim4(params: dict) -> list:
     one_minus_p = dirichlet.linear_combine([(1, delta), (-1, p)])
     squared = dirichlet.convolve(one_minus_p, one_minus_p)
     structure_ok = dirichlet.linear_combine(
-        [(1, squared), (1, delta), (-1, dirichlet.dilate(p, 2, n))]
+        [(1, squared), (1, delta), (-1, dirichlet.dilate(p))]
     ) == rhs
 
     evidence = [

@@ -20,6 +20,7 @@ past the truncation simply do not exist for the object.
 from __future__ import annotations
 
 from itertools import compress
+from math import isqrt
 from operator import index
 
 from .arith import PrimeTable
@@ -142,21 +143,15 @@ def invert(a: DirichletSeries) -> DirichletSeries:
     return DirichletSeries._adopt(b)
 
 
-def dilate(a: DirichletSeries, k: int, truncation: int) -> DirichletSeries:
-    """Substitute s -> k*s: coefficient a_n moves to index n**k.
+def dilate(a: DirichletSeries) -> DirichletSeries:
+    """Substitute s -> 2s: coefficient a_m moves to index m*m.
 
-    The result is valid up to min(truncation, a.truncation ** k), since
-    indices beyond a.truncation ** k would need source coefficients past
-    the input's truncation.
+    The result keeps a's truncation N, which is always valid: a square
+    m*m <= N has m <= N, so every source coefficient it needs exists.
     """
-    if index(k) < 1:
-        raise ValueError(f"dilation order must be >= 1, got {k}")
-    n = min(_checked(truncation), a.truncation**k)
-    out = [0] * (n + 1)
-    m = 1
-    while m**k <= n:
-        out[m**k] = a._a[m]
-        m += 1
+    out = [0] * (a.truncation + 1)
+    for m in range(1, isqrt(a.truncation) + 1):
+        out[m * m] = a._a[m]
     return DirichletSeries._adopt(out)
 
 
@@ -203,6 +198,6 @@ def claim_rhs_series(truncation: int, table: PrimeTable) -> DirichletSeries:
             (2, unit_series(truncation)),
             (-2, p),
             (1, convolve(p, p)),
-            (-1, dilate(p, 2, truncation)),
+            (-1, dilate(p)),
         ]
     )

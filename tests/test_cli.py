@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import bisect
 import contextlib
 import inspect
 import io
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_totient
+from conftest import naive_mobius, naive_primes, naive_totient
 from pzcheck import (DirichletSeries, arith, claim_lhs_series, claim_rhs_series, cli, report,
                      sieve, zeta)
 from pzcheck.cli import UsageError, _mismatch_scan, cmd_check, cmd_table, main
@@ -403,6 +404,24 @@ def test_mismatch_scan_flag_needs_exactly_the_paper_set():
     for coefficients in (missing, extra):
         scan = _mismatch_scan(lhs, DirichletSeries(coefficients), table)
         assert scan[flag] is False
+
+
+def _mismatch_count_closed_form(n, primes):
+    # Q(n) - 1 - pi(n) - pi_2(n): the squarefree m <= n, less 1, the
+    # primes and the products pq of primes p < q, which leaves the
+    # squarefree m with three or more primes; Q(n) counts squarefree
+    # m <= n as sum over d <= sqrt(n) of mu(d) * (n // d^2)
+    squarefree = sum(naive_mobius(d) * (n // (d * d)) for d in range(1, math.isqrt(n) + 1))
+    semiprimes = sum(bisect.bisect_right(primes, n // p) - i - 1
+                     for i, p in enumerate(primes) if p * p <= n)
+    return squarefree - 1 - len(primes) - semiprimes
+
+
+@pytest.mark.parametrize("n, count", [(100, 5), (10**4, 2253), (21778, 5331), (48306, 12706)])
+def test_mismatch_count_is_the_closed_form(n, count):
+    report = cmd_check("claim2_3", "symbolic", {"max_n": n})
+    (scan,) = _facts(report, "mismatch_scan")
+    assert scan["mismatch_count"] == _mismatch_count_closed_form(n, naive_primes(n)) == count
 
 
 def test_check_is_case_insensitive():

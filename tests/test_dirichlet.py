@@ -1,5 +1,6 @@
 """dirichlet: truncated Dirichlet series algebra over the integers."""
 
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -69,39 +70,27 @@ def test_coefficient_indexing():
 
 
 def test_dilate_prime_squares(table_200):
-    d = dilate(prime_zeta_series(30, table_200), 2, 30)
+    d = dilate(prime_zeta_series(30, table_200))
     expected = {4, 9, 25}
     assert {n for n in range(1, 31) if d[n] != 0} == expected
     assert all(d[n] == 1 for n in expected)
 
 
-def test_dilate_identity_k1(table_200):
-    p = prime_zeta_series(20, table_200)
-    assert dilate(p, 1, 20) == p
-    # truncation shrinks to the requested N
-    assert dilate(p, 1, 7).truncation == 7
-
-
 def test_dilate_zeta_squares():
-    d = dilate(zeta_series(10), 2, 10)
+    d = dilate(zeta_series(10))
     assert {n for n in range(1, 11) if d[n] != 0} == {1, 4, 9}
 
 
 def test_dilate_never_hits_non_kth_powers(table_200):
+    # s -> 2s: every index that is not a square stays zero
     rng = random.Random(1)
     for _ in range(20):
         s = _random_series(rng, 40)
-        k = rng.randint(2, 4)
-        d = dilate(s, k, 40)
-        powers = {m**k for m in range(1, 41)}
+        d = dilate(s)
+        squares = {m * m for m in range(1, 41)}
         for n in range(1, 41):
-            if n not in powers:
+            if n not in squares:
                 assert d[n] == 0
-
-
-def test_dilate_rejects_bad_order():
-    with pytest.raises(ValueError):
-        dilate(zeta_series(5), 0, 5)
 
 
 def test_convolve_prime_squares_and_semiprimes(table_200):
@@ -221,6 +210,37 @@ def test_mismatch_indices_are_never_prime_power_pairs(table_1e4):
 
     for m in mismatches:
         assert factorize(m, table_1e4).omega >= 3
+
+
+def test_far_end_sum_settles_every_s_from_three(table_1e5):
+    # d_n = lhs_n - rhs_n.  RHS(s) - 2/zeta(s) = -sum d_n n^-s, and with
+    # d_30 = -2 first this is 30^-s (2 - sum_{n > 30} d_n (30/n)^s), which
+    # for s >= 3 is at least 30^-s (2 - S - tail), S the sum below to
+    # n = N and tail = 4 * 30^3 / (2 N^2) bounding the terms past N
+    n = 10**5
+    lhs, rhs = claim_lhs_series(n), claim_rhs_series(n, table_1e5)
+    d = {m: x - y for m, (x, y) in enumerate(zip(lhs.coefficients(), rhs.coefficients()), 1)
+         if x != y}
+    assert min(d) == 30 and d[30] == -2
+    past = {m: x for m, x in d.items() if m > 30}
+    assert len(past) == 27887
+    assert set(past.values()) == {2, -2}
+    total = math.fsum(abs(x) * (30 / m) ** 3 for m, x in past.items())
+    assert round(total, 6) == 1.583606
+    tail = 4 * 30**3 / (2 * n**2)
+    assert tail == pytest.approx(5.4e-6)
+    assert total + tail < 2
+
+
+@pytest.mark.parametrize("s", [1.05, 1.1, 1.2, 1.3, 3, 4, 6, 10])
+def test_claim_lhs_is_below_its_rhs(s):
+    import mpmath  # test-only oracle
+
+    with mpmath.workdps(40):
+        s = mpmath.mpf(s)
+        p = mpmath.primezeta(s)
+        rhs = 2 - 2 * p + p * p - mpmath.primezeta(2 * s)
+        assert 2 / mpmath.zeta(s) - rhs < 0
 
 
 def test_claim_lhs_series_is_twice_mobius():
@@ -343,10 +363,10 @@ def test_linear_combine_matches_reference(terms):
     assert _all_int(got)
 
 
-@given(_series(_INTS | _SPARSE), st.integers(1, 3), st.integers(1, 60))
-def test_dilate_matches_reference(coeffs, k, truncation):
-    got = dilate(DirichletSeries(coeffs), k, truncation)
-    assert got.coefficients() == _ref_dilate(coeffs, k, truncation)
+@given(_series(_INTS | _SPARSE))
+def test_dilate_matches_reference(coeffs):
+    got = dilate(DirichletSeries(coeffs))
+    assert got.coefficients() == _ref_dilate(coeffs, 2, len(coeffs))
     assert _all_int(got)
 
 
@@ -374,10 +394,9 @@ def test_non_integer_coefficients_are_refused(table_200):
         linear_combine([(Fraction(1, 2), zeta_series(3))])
     flag = DirichletSeries([True])
     assert flag.coefficients() == [1] and type(flag[1]) is int
-    # sizes and the dilation order too: a float is never rounded into one
-    s = zeta_series(10)
-    for call in (lambda: dilate(s, 2, 1e9), lambda: dilate(s, 2.0, 10), lambda: zeta_series(10.0),
-                 lambda: unit_series(2.5), lambda: prime_zeta_series(10.0, table_200)):
+    # sizes too: a float is never rounded into one
+    for call in (lambda: zeta_series(10.0), lambda: unit_series(2.5),
+                 lambda: prime_zeta_series(10.0, table_200)):
         with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
             call()
 
