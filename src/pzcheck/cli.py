@@ -248,12 +248,7 @@ def _claim4(params: dict) -> list:
     lhs = dirichlet.claim_lhs_series(n)  # 2/zeta(s)
     rhs = dirichlet.claim_rhs_series(n, table)
     p = dirichlet.prime_zeta_series(n, table)
-    delta = dirichlet.unit_series(n)
-    one_minus_p = dirichlet.linear_combine([(1, delta), (-1, p)])
-    squared = dirichlet.convolve(one_minus_p, one_minus_p)
-    structure_ok = dirichlet.linear_combine(
-        [(1, squared), (1, delta), (-1, dirichlet.dilate(p))]
-    ) == rhs
+    structure_ok = (1 - p).square() + dirichlet.unit_series(n) - dirichlet.dilate(p) == rhs
 
     evidence = [
         _eval_fact("radical_side", result.radical_value, depth=depth),

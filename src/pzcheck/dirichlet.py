@@ -6,11 +6,11 @@ underlying sums become Dirichlet convolution of coefficients,
 
     (a * b)_n = sum_{d | n} a_d * b_{n/d},
 
-which is what convolve() computes.  Every coefficient is an int: a
-float or a rational is refused with TypeError, and invert() needs a_1 to
-be a unit of the integers, +1 or -1.  So a mismatch between two series
-at some index is a theorem about the first N coefficients, not a
-floating-point observation.
+which is what convolve() computes.  Series take zeta.EvalResult's operators
+(+, -, c - a, int * and square), so rhs_form() spells the claim for both.
+Every coefficient is an int (a float or a rational raises TypeError), and
+invert() needs a_1 = +1 or -1, so a mismatch at some index is a theorem
+about the first N coefficients, not a floating-point observation.
 
 Truncation discipline: an operation on inputs valid up to N produces an
 output valid up to its own (stated) truncation, never beyond; indices
@@ -67,6 +67,30 @@ class DirichletSeries:
         head = ", ".join(str(c) for c in self._a[1 : min(self.truncation, 8) + 1])
         tail = ", ..." if self.truncation > 8 else ""
         return f"DirichletSeries(N={self.truncation}; {head}{tail})"
+
+    def __add__(self, other: DirichletSeries) -> DirichletSeries:  # truncated to the shorter
+        if not isinstance(other, DirichletSeries):
+            return NotImplemented
+        return DirichletSeries._adopt([x + y for x, y in zip(self._a, other._a)])
+
+    def __sub__(self, other: DirichletSeries) -> DirichletSeries:
+        if not isinstance(other, DirichletSeries):
+            return NotImplemented
+        return DirichletSeries._adopt([x - y for x, y in zip(self._a, other._a)])
+
+    def __rsub__(self, c: int) -> DirichletSeries:  # c - a: c times the unit series, minus a
+        out = [-x for x in self._a]
+        out[1] += index(c)
+        return DirichletSeries._adopt(out)
+
+    def __mul__(self, c: int) -> DirichletSeries:  # c * a, with c on either side
+        c = index(c)
+        return DirichletSeries._adopt([c * x for x in self._a])
+
+    __rmul__ = __mul__
+
+    def square(self) -> DirichletSeries:
+        return convolve(self, self)
 
 
 def _checked(truncation: int) -> int:
@@ -155,20 +179,6 @@ def dilate(a: DirichletSeries) -> DirichletSeries:
     return DirichletSeries._adopt(out)
 
 
-def linear_combine(terms: list[tuple[int, DirichletSeries]]) -> DirichletSeries:
-    """Sum of c_i * series_i, truncated to the minimum truncation."""
-    terms = list(terms)
-    if not terms:
-        raise ValueError("linear_combine needs at least one term")
-    n = min(s.truncation for _, s in terms)
-    out = [0] * (n + 1)
-    for c, s in terms:
-        c = index(c)
-        if c:
-            out = [o + c * x if x else o for o, x in zip(out, s._a)]
-    return DirichletSeries._adopt(out)
-
-
 def first_mismatch(a: DirichletSeries, b: DirichletSeries) -> tuple[int, int, int] | None:
     """Smallest n with a_n != b_n, as (n, a_n, b_n); None if all agree.
 
@@ -187,17 +197,16 @@ def claim_lhs_series(truncation: int) -> DirichletSeries:
     Coefficientwise this is 2*mu(n), which the tests check against an
     independent Mobius computation.
     """
-    return linear_combine([(2, invert(zeta_series(truncation)))])
+    return 2 * invert(zeta_series(truncation))
+
+
+def rhs_form(p, p2):
+    """2 - 2 P(s) + P(s)^2 - P(2s) from p = P(s) and p2 = P(2s), each a
+    series (exact) or a zeta.EvalResult (bounded): the claim's one right side."""
+    return 2 - 2 * p + p.square() - p2
 
 
 def claim_rhs_series(truncation: int, table: PrimeTable) -> DirichletSeries:
     """Series of 2 - 2 P(s) + P(s)^2 - P(2s), all terms exact."""
     p = prime_zeta_series(truncation, table)
-    return linear_combine(
-        [
-            (2, unit_series(truncation)),
-            (-2, p),
-            (1, convolve(p, p)),
-            (-1, dilate(p)),
-        ]
-    )
+    return rhs_form(p, dilate(p))

@@ -45,6 +45,7 @@ from functools import lru_cache
 from math import fsum, log
 
 from .arith import factorize, mobius, sieve
+from .dirichlet import rhs_form
 
 # Euler-Maclaurin cutoff M.  With the order J (_EM_ORDER, below) it keeps
 # the first omitted term at most 1.3e-23 for every s > 1, under MIN_TOL.
@@ -252,26 +253,21 @@ def claim_lhs(s: float) -> EvalResult:
 def claim_rhs(s: float, tol: float = DEFAULT_TOL) -> EvalResult:
     """Right side of the identity under test: 2 - 2P(s) + P(s)^2 - P(2s).
 
-    The bounds of P(s) and P(2s) propagate through EvalResult's operators,
-    each first getting tol/8.  Near the pole 2|P(s)| can carry the sum
-    past tol; there both are evaluated again to tol/(4 + 2|P(s)|), which
-    keeps the bound within tol, or PrecisionError if that is under MIN_TOL.
+    P(s) and P(2s), each first to tol/8, go through dirichlet.rhs_form's
+    EvalResult operators.  Near the pole 2|P(s)| can carry the sum past tol;
+    there both are evaluated again to tol/(4 + 2|P(s)|), which keeps the
+    bound within tol, or PrecisionError if that is under MIN_TOL.
     """
     _check_tol(tol, 8.0 * MIN_TOL)
-    rhs, p = _rhs_at(s, tol / 8.0)
+    p = prime_zeta(s, tol / 8.0)
+    rhs = rhs_form(p, prime_zeta(2.0 * s, tol / 8.0))
     if rhs.error_bound > tol:
-        split = tol / (4.0 + 2.0 * abs(p))
+        split = tol / (4.0 + 2.0 * abs(p.value))
         if split < MIN_TOL:
             raise PrecisionError(f"tol {tol} at s={s} needs P(s) to {split:.3g}, "
                                  f"below working-precision floor {MIN_TOL}")
-        rhs, _ = _rhs_at(s, split)
+        rhs = rhs_form(prime_zeta(s, split), prime_zeta(2.0 * s, split))
     return rhs
-
-
-def _rhs_at(s: float, split: float) -> tuple[EvalResult, float]:
-    # claim_rhs with both P values evaluated to split; also returns P(s)
-    p1 = prime_zeta(s, split)
-    return 2.0 - 2.0 * p1 + p1.square() - prime_zeta(2.0 * s, split), p1.value
 
 
 class ProbeRow(namedtuple("ProbeRow", "eps lhs rhs note", defaults=("",))):

@@ -1,9 +1,11 @@
 """dirichlet: truncated Dirichlet series algebra over the integers."""
 
 import math
+import operator
 import random
 import tracemalloc
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given
@@ -12,18 +14,19 @@ from hypothesis import strategies as st
 from conftest import naive_convolve, naive_factor, naive_mobius
 from pzcheck import (
     DirichletSeries,
+    EvalResult,
     claim_lhs_series,
     claim_rhs_series,
     convolve,
     dilate,
     first_mismatch,
     invert,
-    linear_combine,
     prime_zeta_series,
     sieve,
     unit_series,
     zeta_series,
 )
+from pzcheck.dirichlet import rhs_form
 
 
 def _random_series(rng, n, invertible=False):
@@ -153,18 +156,50 @@ def test_invert_requires_nonzero_leading():
         invert(DirichletSeries([0, 1]))
 
 
-def test_linear_combine_basics(table_200):
+def test_operator_basics(table_200):
     p = prime_zeta_series(10, table_200)
-    s = linear_combine([(2, unit_series(10)), (-2, p)])
+    s = 2 - 2 * p
     assert s[2] == -2
     assert s[1] == 2
-    zero = linear_combine([(0, zeta_series(10))])
+    assert s == unit_series(10) * 2 + p * -2
+    zero = 0 * zeta_series(10)
     assert zero.coefficients() == [0] * 10
+    assert p.square() == convolve(p, p)
 
 
-def test_linear_combine_rejects_empty():
-    with pytest.raises(ValueError):
-        linear_combine([])
+def test_sums_are_truncated_to_the_shorter_series():
+    a, b = DirichletSeries([1, 2, 3, 4]), DirichletSeries([5, 6])
+    assert (a + b).coefficients() == (b + a).coefficients() == [6, 8]
+    assert (a - b).coefficients() == [-4, -4]
+    assert (b - a).coefficients() == [4, 4]
+
+
+def test_int_minus_series_is_that_multiple_of_the_unit_minus_it():
+    a = DirichletSeries([3, -1, 0, 2])
+    assert (0 - a).coefficients() == [-3, 1, 0, -2]
+    assert 5 - a == 5 * unit_series(4) - a
+    assert (1 - unit_series(7)).coefficients() == [0] * 7
+
+
+def test_scalars_must_be_ints():
+    a = zeta_series(3)
+    for scalar in (0.5, 2.0, Fraction(1, 2), Fraction(2), a):
+        for call in (lambda: scalar * a, lambda: a * scalar):
+            with pytest.raises(TypeError):
+                call()
+    for c in (0.5, 2.0, Fraction(2)):  # c - a, with a non-int c
+        with pytest.raises(TypeError):
+            c - a
+
+
+def test_non_series_operands_are_refused():
+    # a number or an EvalResult never joins a series in a sum: each raises
+    # rather than returning one
+    p = zeta_series(4)
+    for other in (1, 1.0, [1, 1, 1, 1], EvalResult(1.0, 0.0)):
+        for call in (lambda: p + other, lambda: other + p, lambda: p - other):
+            with pytest.raises(TypeError):
+                call()
 
 
 def test_claim_rhs_vanishes_at_4(table_200):
@@ -357,9 +392,25 @@ def test_convolve_rational_series_matches_reference(a, b):
 
 
 @given(st.lists(st.tuples(_INTS, _series(_INTS | _SPARSE)), min_size=1, max_size=4))
-def test_linear_combine_matches_reference(terms):
-    got = linear_combine([(c, DirichletSeries(s)) for c, s in terms])
+def test_scaled_sum_matches_reference(terms):
+    got = reduce(operator.add, [c * DirichletSeries(s) for c, s in terms])
     assert got.coefficients() == _ref_combine(terms)
+    assert _all_int(got)
+
+
+def _ref_rhs(coeffs):
+    # the right side as claim_rhs_series summed it before rhs_form: four
+    # scaled terms, 2 * unit - 2 * p + p * p - dilate(p)
+    n = len(coeffs)
+    return _ref_combine([(2, [1] + [0] * (n - 1)), (-2, coeffs),
+                         (1, naive_convolve(coeffs, coeffs)), (-1, _ref_dilate(coeffs, 2, n))])
+
+
+@given(_series(_INTS) | _series(_SPARSE))
+def test_rhs_form_of_series_matches_the_four_term_expansion(coeffs):
+    p = DirichletSeries(coeffs)
+    got = rhs_form(p, dilate(p))
+    assert got.coefficients() == _ref_rhs(coeffs)
     assert _all_int(got)
 
 
@@ -391,7 +442,7 @@ def test_non_integer_coefficients_are_refused(table_200):
         with pytest.raises(TypeError):
             DirichletSeries([coefficient])
     with pytest.raises(TypeError):
-        linear_combine([(Fraction(1, 2), zeta_series(3))])
+        Fraction(1, 2) * zeta_series(3)
     flag = DirichletSeries([True])
     assert flag.coefficients() == [1] and type(flag[1]) is int
     # sizes too: a float is never rounded into one

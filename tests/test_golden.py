@@ -52,8 +52,10 @@ test_every_fact_rule_is_recorded_in_a_check_golden that every fact
 name report.FACT_RULES holds a row for occurs in some check's
 evidence, test_table_list_parameters_name_their_rows that every
 list option a structured table echoes names its rows, one per value in
-order, and test_paper_map_verdicts_hold that every command in README's
-paper map prints the verdict the map states.
+order, test_paper_map_verdicts_hold that every command in README's
+paper map prints the verdict the map states, and
+test_paper_map_smallest_catches_hold that each smallest catch the map
+states catches the error and nothing smaller does.
 
 tests/golden/traffic-seed1.json pins the benchmark's traffic the same
 way, more briefly: for each distinct command line of the two seed-1
@@ -79,6 +81,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -280,18 +283,19 @@ def test_table_list_parameters_name_their_rows():
                           for stem, argv in _FORMATTED)
 
 
-def _paper_map() -> list[tuple[str, str, str]]:
-    # (statement, command, verdict) of each row of README's paper map
+def _paper_map() -> list[tuple[str, str, str, str]]:
+    # (statement, command, verdict, smallest catch) of each row of README's paper map
     readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
     section = readme.split("## The paper, statement by statement\n", 1)[1].split("\n## ", 1)[0]
     rows = [line.strip("| ").split(" | ") for line in section.splitlines() if line.startswith("| ")]
-    return [(row[0], row[2].strip("`"), row[3]) for row in rows[2:]]  # past header and rule
+    assert rows[0][4] == "smallest catch"
+    return [(row[0], row[2].strip("`"), row[3], row[4]) for row in rows[2:]]  # past header and rule
 
 
 def test_paper_map_verdicts_hold():
     # every command README's paper map lists prints the verdict the map states
     ran = 0
-    for statement, command, verdict in _paper_map():
+    for statement, command, verdict, _ in _paper_map():
         if command == "—":  # not reproduced yet
             assert verdict == "—", statement
             continue
@@ -299,6 +303,41 @@ def test_paper_map_verdicts_hold():
         assert f"\nverdict : {verdict}\n" in run(argv), statement
         ran += 1
     assert ran == 5
+
+
+def _with_option(argv: list[str], option: str, value: str) -> list[str]:
+    # argv with option set to value, in place of any value it had
+    if option in argv:
+        at = argv.index(option)
+        argv = argv[:at] + argv[at + 2:]
+    return argv + [option, value]
+
+
+def _rounded_sides_differ(text: str, places: int) -> bool:
+    # the first two evidence values, the claim's two sides, rounded to places
+    first, second = re.findall(r"^  - \w+: value=(\S+)", text, re.MULTILINE)[:2]
+    return round(float(first), places) != round(float(second), places)
+
+
+def test_paper_map_smallest_catches_hold():
+    # "N = n": n coefficients refute and n - 1 do not; "k places at s = x":
+    # at s = x the printed sides, rounded to k places, differ, and to k - 1 agree
+    caught = 0
+    for statement, command, verdict, catch in _paper_map():
+        argv = command.removeprefix("pzcheck ").split()
+        if catch.startswith("N = "):
+            n = int(catch.removeprefix("N = "))
+            at, below = (run(_with_option(argv, "--max-n", str(m))) for m in (n, n - 1))
+            assert "\nverdict : REFUTED\n" in at, statement
+            assert "\nverdict : CONSISTENT\n" in below, statement
+            caught += 1
+        for k, s in re.findall(r"(\d+) places? at s = ([\d.]+)", catch):
+            text = run(_with_option(argv, "--s", s))
+            assert f"\nverdict : {verdict}\n" in text, (statement, s)
+            assert _rounded_sides_differ(text, int(k)), (statement, s)
+            assert not _rounded_sides_differ(text, int(k) - 1), (statement, s)
+            caught += 1
+    assert caught == 5
 
 
 def _digest(argv: list[str]) -> str:

@@ -328,25 +328,44 @@ def _bound_arithmetic(node, path, in_arithmetic=False):
         yield from _bound_arithmetic(child, path, in_arithmetic)
 
 
-def _fractions_imports(node, scope):
-    """The enclosing module.function (or module) of each import of fractions."""
+def _scopes(hit, node, scope):
+    """The enclosing module.function (or module) of each node that hit accepts."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
         scope = f"{scope}.{node.name}"
-    if (isinstance(node, ast.Import) and any(alias.name == "fractions" for alias in node.names)
-            or isinstance(node, ast.ImportFrom) and node.module == "fractions"):
+    if hit(node):
         yield scope
     for child in ast.iter_child_nodes(node):
-        yield from _fractions_imports(child, scope)
+        yield from _scopes(hit, child, scope)
 
 
-def test_fractions_is_imported_only_by_the_probe_fit():
+def _package_scopes(hit):
+    """_scopes over every module of the package, in file name order."""
     package = os.path.dirname(pzcheck.__file__)
     found = []
     for path in sorted(os.listdir(package)):
         if path.endswith(".py"):
             with open(os.path.join(package, path)) as source:
-                found.extend(_fractions_imports(ast.parse(source.read()), path[:-3]))
-    assert found == ["zeta.fit_log_quadratic"]
+                found.extend(_scopes(hit, ast.parse(source.read()), path[:-3]))
+    return found
+
+
+def test_fractions_is_imported_only_by_the_probe_fit():
+    def imports_fractions(node):
+        return (isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names)
+                or isinstance(node, ast.ImportFrom) and node.module == "fractions")
+
+    assert _package_scopes(imports_fractions) == ["zeta.fit_log_quadratic"]
+
+
+def test_square_is_called_only_where_a_claim_form_is_spelled():
+    # dirichlet.rhs_form writes the claim's right side once, for series and
+    # EvalResults alike, and cli._claim4 squares 1 - P for claim4's squared
+    # form; no other function spells a square of its own
+    def calls_square(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "square")
+
+    assert _package_scopes(calls_square) == ["cli._claim4", "dirichlet.rhs_form"]
 
 
 def test_bounds_combine_only_in_eval_result():

@@ -37,8 +37,10 @@ from pzcheck import (
     zeta,
     zeta_real,
 )
+from pzcheck.dirichlet import rhs_form
 from pzcheck.report import ClaimReport, _discrepancy, _r
 from pzcheck.zeta import _EM_COEFFICIENTS, MIN_TOL, ProbeRow, _euler_maclaurin
+from test_bound_ledger import GRID
 
 
 def _zeta_bracket(s, n):
@@ -544,12 +546,46 @@ def test_sqrt_keeps_both_branches(v, e):
 
 @given(_VALUES, _BOUNDS, _VALUES, _BOUNDS)
 def test_rhs_expression_keeps_its_value_and_moves_its_bound_by_rounding(p, e, q, f):
-    # _rhs_at's 2 - 2P(s) + P(s)^2 - P(2s); its bound once summed
+    # rhs_form's 2 - 2P(s) + P(s)^2 - P(2s); its bound once summed
     # (2 + 2|P| + e)e + f, which rounds differently from 2e + (2|P| + e)e + f
     p1, p2 = EvalResult(p, e), EvalResult(q, f)
-    rhs = 2.0 - 2.0 * p1 + p1.square() - p2
+    rhs = rhs_form(p1, p2)
+    assert rhs == 2.0 - 2.0 * p1 + p1.square() - p2
     assert rhs.value.hex() == (2.0 - 2.0 * p + p * p - q).hex()
     assert rhs.error_bound == pytest.approx((2.0 + 2.0 * abs(p) + e) * e + f, rel=2.0**-48)
+
+
+def _float_literal_rhs(s, tol):
+    # claim_rhs as it read before rhs_form, the expression spelled with
+    # float literals: (rhs, True) where P(s) and P(2s) were evaluated
+    # again, and PrecisionError where that split falls under MIN_TOL
+    def at(split):
+        p1 = prime_zeta(s, split)
+        return 2.0 - 2.0 * p1 + p1.square() - prime_zeta(2.0 * s, split), p1.value
+
+    rhs, p = at(tol / 8.0)
+    if rhs.error_bound <= tol:
+        return rhs, False
+    split = tol / (4.0 + 2.0 * abs(p))
+    return (PrecisionError if split < MIN_TOL else at(split)[0]), True
+
+
+def test_claim_rhs_is_bit_identical_to_the_float_literal_expression():
+    # on the bound ledger's grid, whose points within 1e-3 of the pole
+    # take the second split, at three tolerances
+    assert any(s - 1.0 <= 1e-3 for s in GRID)
+    again = {}
+    for tol in (1e-9, 1e-12, 1e-14):
+        for s in GRID:
+            want, split_again = _float_literal_rhs(s, tol)
+            again[tol] = again.get(tol, 0) + split_again
+            if want is PrecisionError:
+                with pytest.raises(PrecisionError):
+                    claim_rhs(s, tol)
+                continue
+            got = claim_rhs(s, tol)
+            assert [x.hex() for x in got] == [x.hex() for x in want], (s, tol)
+    assert again == {1e-9: 4, 1e-12: 3, 1e-14: 4}
 
 
 @given(_VALUES, _BOUNDS, _VALUES, _BOUNDS)
