@@ -19,6 +19,7 @@ import argparse
 import math
 import os
 import sys
+from itertools import compress
 
 from . import arith, cyclotomic, dirichlet, radical, zeta
 from .cyclotomic import cyclotomic as cyclotomic_poly
@@ -154,9 +155,8 @@ def _probe_dict(row: zeta.ProbeRow, suffix: str = "") -> dict:
             "rhs_error_bound": row.rhs.error_bound, "note": row.note}
 
 
-def _mismatch_scan(lhs: dirichlet.DirichletSeries, rhs: dirichlet.DirichletSeries,
-                   table: arith.PrimeTable) -> dict:
-    """The mismatch_scan fact of the two claim series, truncated to N.
+def _mismatch_scan(n: int, support: list[int], table: arith.PrimeTable) -> dict:
+    """The mismatch_scan fact of the support of lhs - rhs, truncated to N.
 
     all_mismatches_have_three_distinct_primes is true only when the
     indices where the series differ are exactly the squarefree m <= N
@@ -164,7 +164,6 @@ def _mismatch_scan(lhs: dirichlet.DirichletSeries, rhs: dirichlet.DirichletSerie
     names.  Squarefreeness and omega come from one pass over the
     sieve's smallest_factor.
     """
-    n = lhs.truncation
     spf = table.smallest_factor
     # omega[m] counts the primes of a squarefree m; -1 marks a square factor
     omega = [0] * (n + 1)
@@ -172,14 +171,12 @@ def _mismatch_scan(lhs: dirichlet.DirichletSeries, rhs: dirichlet.DirichletSerie
         p = spf[m]
         rest = m // p
         omega[m] = -1 if spf[rest] == p or omega[rest] < 0 else omega[rest] + 1
-    pairs = zip(lhs.coefficients(), rhs.coefficients())
-    mismatches = [m for m, (a, b) in enumerate(pairs, 1) if a != b]
     return {
         "name": "mismatch_scan",
         "truncation": n,
-        "mismatch_count": len(mismatches),
+        "mismatch_count": len(support),
         "all_mismatches_have_three_distinct_primes":
-            mismatches == [m for m in range(1, n + 1) if omega[m] >= 3],
+            support == [m for m in range(1, n + 1) if omega[m] >= 3],
     }
 
 
@@ -188,10 +185,12 @@ def _claim23_symbolic(params: dict) -> list:
     table = arith.sieve(max(n, 2))
     lhs = dirichlet.claim_lhs_series(n)
     rhs = dirichlet.claim_rhs_series(n, table)
-    hit = dirichlet.first_mismatch(lhs, rhs)
-    if hit is None:
+    support = list(compress(range(1, n + 1), (lhs - rhs).coefficients()))
+    if not support:
         return [{"name": "coefficient_agreement", "truncation": n, "exact": True}]
-    return [_mismatch_fact("first_mismatch", *hit), _mismatch_scan(lhs, rhs, table)]
+    m = support[0]
+    return [_mismatch_fact("first_mismatch", m, lhs[m], rhs[m]),
+            _mismatch_scan(n, support, table)]
 
 
 def _claim23_numeric(params: dict) -> list:

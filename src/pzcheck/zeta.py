@@ -331,7 +331,7 @@ class FitResult(namedtuple("FitResult", "leading linear constant rel_residual"))
     __slots__ = ()
 
 
-def _det3(m) -> Fraction:
+def _det3(m):
     (a, b, c), (d, e, f), (g, h, i) = m
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 

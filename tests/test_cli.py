@@ -237,7 +237,7 @@ def test_check_rejects_bad_combinations():
         cmd_check("claim4", "probe", {})
     with pytest.raises(UsageError):
         cmd_check("migotti_remark", "numeric", {})
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match=r"^unknown claim 'CLAIM9'$"):
         cmd_check("claim9", None, {})
     with pytest.raises(UsageError, match=r"^--max-n must be <= 10000 \(cyclotomic domain\)"):
         cmd_check("migotti_remark", None, {"max_n": 10**5})
@@ -396,13 +396,18 @@ def test_mismatch_scan_flag_needs_exactly_the_paper_set():
     flag = "all_mismatches_have_three_distinct_primes"
     table = sieve(200)
     lhs, rhs = claim_lhs_series(200), claim_rhs_series(200, table)
-    assert _mismatch_scan(lhs, rhs, table)[flag] is True
+
+    def support(other):  # the indices of the nonzero coefficients of lhs - other
+        d = lhs - other
+        return [m for m in range(1, d.truncation + 1) if d[m]]
+
+    assert _mismatch_scan(200, support(rhs), table)[flag] is True
     missing = rhs.coefficients()
     missing[30 - 1] = lhs[30]  # 30 = 2*3*5 no longer differs
     extra = rhs.coefficients()
     extra[60 - 1] += 1  # 60 = 2^2*3*5 has three primes but is not squarefree
     for coefficients in (missing, extra):
-        scan = _mismatch_scan(lhs, DirichletSeries(coefficients), table)
+        scan = _mismatch_scan(200, support(DirichletSeries(coefficients)), table)
         assert scan[flag] is False
 
 
@@ -962,7 +967,7 @@ def test_radical_tables_fail_only_what_the_pole_makes_unreachable():
 
 
 def test_table_usage_errors():
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match=r"^unknown table selector 'nope'$"):
         cmd_table("nope", {})
     with pytest.raises(UsageError):
         cmd_table("zeta", {"s": "0.5"})

@@ -230,21 +230,26 @@ def test_first_mismatch_requires_equal_truncations():
         first_mismatch(zeta_series(10), zeta_series(11))
 
 
-def test_mismatch_indices_are_never_prime_power_pairs(table_1e4):
-    # every mismatch index within 10^4 has >= 3 distinct prime factors,
-    # i.e. is not 1, p^a, or p^a q^b
-    n = 10**4
+def test_mismatch_indices_are_never_prime_power_pairs(table_1e5):
+    # d = lhs - rhs is supported within 2 * 10^4 exactly on the squarefree
+    # m with three or more distinct primes (never 1, p^a or p^a q^b),
+    # where rhs_m = 0 and so d_m = lhs_m = 2 mu(m); d_m = 0 everywhere else
+    n = 2 * 10**4
     lhs = claim_lhs_series(n)
-    rhs = claim_rhs_series(n, table_1e4)
-    mismatches = [m for m in range(1, n + 1) if lhs[m] != rhs[m]]
+    rhs = claim_rhs_series(n, table_1e5)
+    d = lhs - rhs
+    mismatches = [m for m in range(1, n + 1) if d[m]]
     assert mismatches[0] == 30
-    # precisely the squarefree indices with three or more primes
-    assert mismatches == [m for m in range(1, n + 1)
-                          if naive_mobius(m) and len(naive_factor(m)) >= 3]
+    assert len(mismatches) == 4850
+    paper_set = [m for m in range(1, n + 1) if naive_mobius(m) and len(naive_factor(m)) >= 3]
+    assert mismatches == paper_set
+    for m in paper_set:
+        assert rhs[m] == 0
+        assert d[m] == 2 * naive_mobius(m)
     from pzcheck import factorize
 
     for m in mismatches:
-        assert factorize(m, table_1e4).omega >= 3
+        assert factorize(m, table_1e5).omega >= 3
 
 
 def test_far_end_sum_settles_every_s_from_three(table_1e5):
@@ -253,9 +258,8 @@ def test_far_end_sum_settles_every_s_from_three(table_1e5):
     # for s >= 3 is at least 30^-s (2 - S - tail), S the sum below to
     # n = N and tail = 4 * 30^3 / (2 N^2) bounding the terms past N
     n = 10**5
-    lhs, rhs = claim_lhs_series(n), claim_rhs_series(n, table_1e5)
-    d = {m: x - y for m, (x, y) in enumerate(zip(lhs.coefficients(), rhs.coefficients()), 1)
-         if x != y}
+    diff = claim_lhs_series(n) - claim_rhs_series(n, table_1e5)
+    d = {m: diff[m] for m in range(1, n + 1) if diff[m]}
     assert min(d) == 30 and d[30] == -2
     past = {m: x for m, x in d.items() if m > 30}
     assert len(past) == 27887

@@ -17,7 +17,7 @@ records that check their fields check them on every path that builds one.
 Every bounded float the layers return is an EvalResult, and outside
 that class no arithmetic reads an error_bound: bounds combine only in
 its operators.
-Every annotation in the package resolves, given only Fraction.
+Every annotation in the package resolves.
 Dirichlet series are over the integers, so the only import of fractions
 in the package is the probe fit's, inside zeta.fit_log_quadratic.
 
@@ -27,7 +27,6 @@ except the few listed in _NOT_RUN_BY_COMMANDS, each with its reason.
 """
 
 import ast
-import fractions
 import inspect
 import json
 import math
@@ -174,8 +173,6 @@ _NOT_RUN_BY_COMMANDS = {
     "pzcheck.cyclotomic.IntPolynomial.__repr__": "value semantics of the exported Phi_n polynomial",
     "pzcheck.dirichlet.DirichletSeries.__init__":
         "builds a series from a caller's list; the operations adopt their own lists",
-    "pzcheck.dirichlet.DirichletSeries.__getitem__":
-        "a_n for library callers; the pipelines read whole coefficient lists",
     "pzcheck.dirichlet.DirichletSeries.__hash__": "value semantics of the exported series",
     "pzcheck.dirichlet.DirichletSeries.__repr__": "value semantics of the exported series",
     "pzcheck.zeta.EvalResult._make": "record contract: _replace runs the field checks",
@@ -223,12 +220,10 @@ def test_golden_commands_run_every_function_but_the_listed_ones():
 
 
 def test_every_annotation_resolves():
-    # Fraction is the one name the package imports lazily, so it is
-    # absent from the modules' globals on purpose
     unresolved = []
     for function in _defined_functions():
         try:
-            typing.get_type_hints(function, localns={"Fraction": fractions.Fraction})
+            typing.get_type_hints(function)
         except NameError as exc:
             unresolved.append(f"{function.__module__}.{function.__qualname__}: {exc}")
     assert not unresolved, unresolved
