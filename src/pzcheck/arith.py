@@ -1,15 +1,16 @@
 """Exact integer primitives.
 
-Prime sieve with least-prime-factor table, certified factorization
-and the Mobius function.  All arithmetic in this module is exact;
-nothing here touches floats.
+Prime sieve with least-prime-factor table, certified factorization, the
+Mobius function, and omega and squarefreeness in one pass.  All
+arithmetic in this module is exact; nothing here touches floats.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import compress
+from itertools import compress, takewhile
 from math import isqrt
+from operator import index
 
 
 class PrimeTable(namedtuple("PrimeTable", "limit primes smallest_factor")):
@@ -34,15 +35,6 @@ class FactoredInteger(namedtuple("FactoredInteger", "n factors")):
     __slots__ = ()
 
     @property
-    def omega(self) -> int:
-        """Number of distinct prime factors."""
-        return len(self.factors)
-
-    @property
-    def is_squarefree(self) -> bool:
-        return all(e == 1 for _, e in self.factors)
-
-    @property
     def totient(self) -> int:
         """Euler's phi, read off the factorization."""
         t = 1
@@ -57,6 +49,7 @@ def primes_upto(limit: int) -> tuple[int, ...]:
     sieve() builds on it; call it directly when only the primes are
     needed, since the least-prime-factor table costs more than the pass.
     """
+    limit = index(limit)
     if limit < 2:
         raise ValueError(f"sieve limit must be >= 2, got {limit}")
     flags = bytearray([1]) * (limit + 1)
@@ -80,6 +73,24 @@ def sieve(limit: int) -> PrimeTable:
     for p in reversed(primes):
         spf[p::p] = [p] * (limit // p)
     return PrimeTable(limit=limit, primes=primes, smallest_factor=tuple(spf))
+
+
+def omega_upto(n: int, table: PrimeTable) -> tuple[list[int], bytearray]:
+    """omega(m), m's count of distinct primes, and whether m is squarefree,
+    for 0 <= m <= n, entry 0 of both being 0.  One walk over smallest_factor
+    gives omega: m = p * rest, p least, has rest's primes and p unless p
+    divides rest.  One slice per prime square q <= n marks q's multiples."""
+    if not 0 <= n <= table.limit:
+        raise ValueError(f"n={n} outside the table's range [0, {table.limit}]")
+    spf = table.smallest_factor
+    omega = [0] * (n + 1)
+    for m in range(2, n + 1):
+        rest = m // spf[m]
+        omega[m] = omega[rest] if spf[rest] == spf[m] else omega[rest] + 1
+    squarefree = bytearray([0]) + bytearray([1]) * n
+    for q in takewhile(lambda q: q <= n, (p * p for p in table.primes)):
+        squarefree[q::q] = bytes(n // q)
+    return omega, squarefree
 
 
 def factorize(n: int, table: PrimeTable) -> FactoredInteger:
@@ -111,6 +122,4 @@ def factorize(n: int, table: PrimeTable) -> FactoredInteger:
 
 def mobius(f: FactoredInteger) -> int:
     """Mobius mu: 0 unless squarefree, else (-1)**omega."""
-    if not f.is_squarefree:
-        return 0
-    return -1 if f.omega % 2 else 1
+    return 0 if any(e > 1 for _, e in f.factors) else (-1) ** len(f.factors)

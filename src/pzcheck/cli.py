@@ -161,22 +161,15 @@ def _mismatch_scan(n: int, support: list[int], table: arith.PrimeTable) -> dict:
     all_mismatches_have_three_distinct_primes is true only when the
     indices where the series differ are exactly the squarefree m <= N
     with at least three distinct prime factors, the set the paper
-    names.  Squarefreeness and omega come from one pass over the
-    sieve's smallest_factor.
+    names, read off arith.omega_upto.
     """
-    spf = table.smallest_factor
-    # omega[m] counts the primes of a squarefree m; -1 marks a square factor
-    omega = [0] * (n + 1)
-    for m in range(2, n + 1):
-        p = spf[m]
-        rest = m // p
-        omega[m] = -1 if spf[rest] == p or omega[rest] < 0 else omega[rest] + 1
+    omega, squarefree = arith.omega_upto(n, table)
     return {
         "name": "mismatch_scan",
         "truncation": n,
         "mismatch_count": len(support),
         "all_mismatches_have_three_distinct_primes":
-            support == [m for m in range(1, n + 1) if omega[m] >= 3],
+            support == [m for m in compress(range(n + 1), squarefree) if omega[m] >= 3],
     }
 
 
@@ -267,14 +260,10 @@ def _migotti(params: dict) -> list:
     h105 = cyclotomic_height(105)
     if h105 != max(map(abs, cyclotomic_poly(105).coeffs)):
         raise ArithmeticError(f"packed height {h105} of Phi_105 disagrees with its coefficients")
-    # odd_omega[m], m's distinct odd primes, from m / spf[m] in one pass
-    # over cyclotomic's own 10^4 sieve, so that only cyclotomic_height factors n
-    spf = cyclotomic._table().smallest_factor
-    odd_omega = [0, 0]
-    for m in range(2, limit + 1):
-        p, rest = spf[m], m // spf[m]
-        odd_omega.append(odd_omega[rest] + (p != 2 and spf[rest] != p))
-    eligible = [n for n in range(1, limit + 1) if odd_omega[n] <= 2]
+    # n's distinct odd primes, omega(n) - [2 | n], from arith.omega_upto over
+    # cyclotomic's own 10^4 sieve, so that only cyclotomic_height factors n
+    omega, _ = arith.omega_upto(limit, cyclotomic._table())
+    eligible = [n for n in range(1, limit + 1) if omega[n] - (n % 2 == 0) <= 2]
     violations = [n for n in eligible if cyclotomic_height(n) != 1]
     return _migotti_evidence(phi105, h105, limit, len(eligible), violations)
 

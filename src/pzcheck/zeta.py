@@ -44,7 +44,7 @@ from collections import namedtuple
 from functools import lru_cache
 from math import fsum, log
 
-from .arith import factorize, mobius, sieve
+from .arith import omega_upto, sieve
 from .dirichlet import rhs_form
 
 # Euler-Maclaurin cutoff M.  With the order J (_EM_ORDER, below) it keeps
@@ -212,9 +212,9 @@ def _check_tol(tol: float, floor: float = MIN_TOL) -> None:
 @lru_cache(maxsize=1)
 def _mobius_small() -> tuple[int, ...]:
     # mu(k) for k up to the largest truncation index K; K*s > 60 with
-    # s > 1 keeps K below 64.
-    table = sieve(64)
-    return (0,) + tuple(mobius(factorize(k, table)) for k in range(1, 65))
+    # s > 1 keeps K below 64; entry 0 is 0.
+    omega, squarefree = omega_upto(64, sieve(64))
+    return tuple(squarefree[k] * (-1) ** omega[k] for k in range(65))
 
 
 def _pz_tail_bound(k: int, s: float) -> float:

@@ -1,13 +1,15 @@
-"""arith: sieve, factorization, Mobius; and the Bernoulli oracle that
-the zeta tests check the Euler-Maclaurin coefficients against."""
+"""arith: sieve, factorization, Mobius, the omega and squarefreeness pass;
+and the Bernoulli oracle that the zeta tests check the Euler-Maclaurin
+coefficients against."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import naive_mobius, naive_primes, naive_totient, oracle_bernoulli
-from pzcheck import factorize, mobius, primes_upto, sieve
+from conftest import naive_factor, naive_mobius, naive_primes, naive_totient, oracle_bernoulli
+from pzcheck import factorize, mobius, primes_upto, sieve, zeta
+from pzcheck.arith import omega_upto
 
 
 def test_sieve_first_primes():
@@ -33,6 +35,14 @@ def test_sieve_rejects_tiny_limit():
         primes_upto(0)
 
 
+def test_sieve_takes_its_limit_as_an_index():
+    # a float limit is refused by operator.index, as series sizes are,
+    # not deep inside the bytearray it would size
+    for build in (sieve, primes_upto):
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            build(2.5)
+
+
 def test_smallest_factor_table(table_1e4):
     spf = table_1e4.smallest_factor
     assert spf[0] == 0 and spf[1] == 0
@@ -47,8 +57,6 @@ def test_smallest_factor_table(table_1e4):
 def test_factorize_one_is_empty(table_1e4):
     f = factorize(1, table_1e4)
     assert f.factors == ()
-    assert f.omega == 0
-    assert f.is_squarefree
     assert f.totient == 1
 
 
@@ -59,8 +67,6 @@ def test_factorize_30(table_1e4):
 def test_factorize_12(table_1e4):
     f = factorize(12, table_1e4)
     assert f.factors == ((2, 2), (3, 1))
-    assert not f.is_squarefree
-    assert f.omega == 2
 
 
 def test_factorize_out_of_range(table_1e4):
@@ -95,6 +101,33 @@ def test_mobius_edge_values(table_1e4):
 def test_mobius_against_trial_division(table_1e4):
     for n in range(1, 10**4 + 1):
         assert mobius(factorize(n, table_1e4)) == naive_mobius(n)
+
+
+@pytest.mark.parametrize("fixture", ["table_1e4", "table_1e5"])
+def test_omega_upto_against_trial_division(fixture, request):
+    # n = 10^4 at the table's own limit and inside a larger table
+    omega, squarefree = omega_upto(10**4, request.getfixturevalue(fixture))
+    assert len(omega) == len(squarefree) == 10**4 + 1
+    assert (omega[0], squarefree[0]) == (0, 0)
+    for m in range(1, 10**4 + 1):
+        factors = naive_factor(m)
+        assert omega[m] == len(factors), m
+        assert squarefree[m] == all(e == 1 for _, e in factors), m
+
+
+def test_omega_upto_small_n_and_refusal(table_200):
+    # below 4 no prime square marks anything; entry 0 is 0 at every n
+    assert omega_upto(0, table_200) == ([0], bytearray([0]))
+    assert omega_upto(3, table_200) == ([0, 0, 1, 1], bytearray([0, 1, 1, 1]))
+    assert omega_upto(4, table_200) == ([0, 0, 1, 1, 1], bytearray([0, 1, 1, 1, 0]))
+    for n in (201, -1):
+        with pytest.raises(ValueError, match=f"n={n} outside the table's range"):
+            omega_upto(n, table_200)
+
+
+def test_prime_zeta_mobius_against_trial_division():
+    # prime_zeta's mu(k) for k <= 64, read off omega_upto; entry 0 is 0
+    assert zeta._mobius_small() == (0, *(naive_mobius(k) for k in range(1, 65)))
 
 
 def test_mobius_fundamental_property(table_1e4):

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import naive_mobius, naive_primes, naive_totient
+from conftest import naive_factor, naive_mobius, naive_primes, naive_totient
 from pzcheck import (DirichletSeries, arith, claim_lhs_series, claim_rhs_series, cli, report,
                      sieve, zeta)
 from pzcheck.cli import UsageError, _mismatch_scan, cmd_check, cmd_table, main
@@ -165,6 +165,15 @@ def test_migotti_check_pipeline():
     assert bound["scan_limit"] == 200
     assert bound["eligible_count"] == 197
     assert bound["all_heights_one"] is True
+
+
+@pytest.mark.parametrize("limit", [1, 2, 104, 105, 106, 3217])
+def test_migotti_eligible_count_against_trial_division(limit):
+    # eligible n have at most two distinct odd primes; 105 = 3 * 5 * 7 is
+    # the first n that is not
+    naive = sum(sum(p != 2 for p, _ in naive_factor(n)) <= 2 for n in range(1, limit + 1))
+    (bound,) = _facts(cmd_check("migotti_remark", None, {"max_n": limit}), "migotti_bound")
+    assert bound["eligible_count"] == naive
 
 
 def test_migotti_cross_check_refuses_a_wrong_phi_105_height(monkeypatch):

@@ -168,6 +168,8 @@ def _defined_functions():
 # functions no golden command line runs, each with the reason it stays
 _NOT_RUN_BY_COMMANDS = {
     "pzcheck.__dir__": "dir(pzcheck) lists the lazy exports; test_dir_lists_every_export",
+    "pzcheck.arith.mobius":
+        "the tests' reference Mobius for dirichlet.invert; zeta reads mu off arith.omega_upto",
     "pzcheck.cyclotomic.IntPolynomial.__eq__": "value semantics of the exported Phi_n polynomial",
     "pzcheck.cyclotomic.IntPolynomial.__hash__": "value semantics of the exported Phi_n polynomial",
     "pzcheck.cyclotomic.IntPolynomial.__repr__": "value semantics of the exported Phi_n polynomial",
@@ -361,6 +363,15 @@ def test_square_is_called_only_where_a_claim_form_is_spelled():
                 and node.func.attr == "square")
 
     assert _package_scopes(calls_square) == ["cli._claim4", "dirichlet.rhs_form"]
+
+
+def test_smallest_factor_is_read_only_in_arith():
+    # omega and squarefreeness are read off the sieve once, in
+    # arith.omega_upto; factorize is the table's one other reader
+    def reads_smallest_factor(node):
+        return isinstance(node, ast.Attribute) and node.attr == "smallest_factor"
+
+    assert _package_scopes(reads_smallest_factor) == ["arith.omega_upto", "arith.factorize"]
 
 
 def test_bounds_combine_only_in_eval_result():
