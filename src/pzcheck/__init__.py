@@ -19,8 +19,7 @@ _EXPORTS = {
               "sieve"),
     "cyclotomic": ("IntPolynomial", "height"),
     "dirichlet": ("DirichletSeries", "claim_lhs_series", "claim_rhs_series", "convolve",
-                  "dilate", "first_mismatch", "invert", "prime_zeta_series", "unit_series",
-                  "zeta_series"),
+                  "dilate", "invert", "prime_zeta_series", "unit_series", "zeta_series"),
     "radical": ("Claim4Result", "NegativeRadicandError", "claim4_check",
                 "convergence_report", "domain_scan", "eval_nested"),
     "zeta": ("EvalResult", "FitResult", "PrecisionError", "ProbeRow", "claim_lhs",

@@ -173,12 +173,18 @@ def _mismatch_scan(n: int, support: list[int], table: arith.PrimeTable) -> dict:
     }
 
 
-def _claim23_symbolic(params: dict) -> list:
-    n = params["max_n"]
+def _claim_support(n: int) -> tuple:
+    # the claim's two exact series to N = n, the sieve they read and the
+    # ascending support of lhs - rhs: the one comparison of the claim's sides
     table = arith.sieve(max(n, 2))
     lhs = dirichlet.claim_lhs_series(n)
     rhs = dirichlet.claim_rhs_series(n, table)
-    support = list(compress(range(1, n + 1), (lhs - rhs).coefficients()))
+    return lhs, rhs, table, list(compress(range(1, n + 1), (lhs - rhs).coefficients()))
+
+
+def _claim23_symbolic(params: dict) -> list:
+    n = params["max_n"]
+    lhs, rhs, table, support = _claim_support(n)
     if not support:
         return [{"name": "coefficient_agreement", "truncation": n, "exact": True}]
     m = support[0]
@@ -236,9 +242,8 @@ def _claim4(params: dict) -> list:
     # exact-series leg: squaring the radical identity must land on the
     # claimed identity's coefficient structure, sharing its mismatch
     n = 100
-    table = arith.sieve(n)
-    lhs = dirichlet.claim_lhs_series(n)  # 2/zeta(s)
-    rhs = dirichlet.claim_rhs_series(n, table)
+    lhs, rhs, table, support = _claim_support(n)
+    m = support[0]
     p = dirichlet.prime_zeta_series(n, table)
     structure_ok = (1 - p).square() + dirichlet.unit_series(n) - dirichlet.dilate(p) == rhs
 
@@ -247,7 +252,7 @@ def _claim4(params: dict) -> list:
         _eval_fact("prime_zeta_side", result.prime_zeta_value),
         gap,
         {"name": "squared_form_equals_claim_form", "truncation": n, "equal": structure_ok},
-        _mismatch_fact("series_mismatch", *dirichlet.first_mismatch(lhs, rhs)),
+        _mismatch_fact("series_mismatch", m, lhs[m], rhs[m]),
     ]
     return _by_bound(gap, evidence, "gap within combined error bounds")
 

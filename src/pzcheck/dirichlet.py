@@ -179,18 +179,6 @@ def dilate(a: DirichletSeries) -> DirichletSeries:
     return DirichletSeries._adopt(out)
 
 
-def first_mismatch(a: DirichletSeries, b: DirichletSeries) -> tuple[int, int, int] | None:
-    """Smallest n with a_n != b_n, as (n, a_n, b_n); None if all agree.
-
-    Comparing series of different truncations is refused rather than
-    silently clipped: agreement over different ranges is a different
-    statement.
-    """
-    if a.truncation != b.truncation:
-        raise ValueError(f"truncation mismatch: {a.truncation} vs {b.truncation}")
-    return next(((n, x, y) for n, (x, y) in enumerate(zip(a._a, b._a)) if x != y), None)
-
-
 def claim_lhs_series(truncation: int) -> DirichletSeries:
     """Series of 2/zeta(s): twice the convolution inverse of zeta.
 

@@ -19,7 +19,6 @@ from pzcheck import (
     claim_rhs_series,
     convolve,
     dilate,
-    first_mismatch,
     invert,
     prime_zeta_series,
     sieve,
@@ -209,9 +208,12 @@ def test_claim_rhs_vanishes_at_4(table_200):
 
 
 def test_first_mismatch_of_the_claim(table_200):
+    # the refutation is the head of the support of lhs - rhs
     lhs = claim_lhs_series(100)
     rhs = claim_rhs_series(100, table_200)
-    hit = first_mismatch(lhs, rhs)
+    d = lhs - rhs
+    m = next(n for n in range(1, 101) if d[n])
+    hit = (m, lhs[m], rhs[m])
     assert hit == (30, -2, 0)
     assert [type(x) for x in hit] == [int, int, int]
     # agreement below the mismatch
@@ -221,13 +223,9 @@ def test_first_mismatch_of_the_claim(table_200):
 
 def test_first_mismatch_reflexive_and_trivial(table_200):
     a = claim_lhs_series(40)
-    assert first_mismatch(a, a) is None
-    assert first_mismatch(zeta_series(10), unit_series(10)) == (2, 1, 0)
-
-
-def test_first_mismatch_requires_equal_truncations():
-    with pytest.raises(ValueError):
-        first_mismatch(zeta_series(10), zeta_series(11))
+    assert not any((a - a).coefficients())
+    d = zeta_series(10) - unit_series(10)
+    assert d.coefficients() == [0] + [1] * 9
 
 
 def test_mismatch_indices_are_never_prime_power_pairs(table_1e5):
@@ -269,6 +267,44 @@ def test_far_end_sum_settles_every_s_from_three(table_1e5):
     tail = 4 * 30**3 / (2 * n**2)
     assert tail == pytest.approx(5.4e-6)
     assert total + tail < 2
+
+
+# the real primitive characters (d/.) mod q = |d|, as residue tables
+# [chi(0), ..., chi(q - 1)], with the first index and coefficient of the
+# twisted difference: the smallest squarefree n coprime to q with three
+# distinct primes, where chi(n) d_n = chi(n) 2 mu(n)
+_REAL_CHARACTERS = [
+    (-3, [0, 1, -1], 70, -2),
+    (-4, [0, 1, 0, -1], 105, -2),
+    (5, [0, 1, -1, -1, 1], 42, 2),
+    (8, [0, 1, 0, -1, 0, -1, 0, 1], 105, -2),
+    (-8, [0, 1, 0, 1, 0, -1, 0, -1], 105, -2),
+]
+
+
+def _twist(chi, a):
+    q = len(chi)
+    return DirichletSeries([chi[n % q] * a[n] for n in range(1, a.truncation + 1)])
+
+
+@pytest.mark.parametrize("d, chi, first, coefficient", _REAL_CHARACTERS)
+def test_twisted_difference_is_the_twist_of_the_difference(table_1e4, d, chi, first, coefficient):
+    # the character twist of the claim (Agelas's Lemma 2.3), built from
+    # twisted leaves: chi is completely multiplicative, so twisting commutes
+    # with invert and convolve, and P_{chi^2}(2s) is the twist of P(2s),
+    # chi(p)^2 at p^2, not the dilation of P_chi(s), chi(p) at p^2
+    q = len(chi)
+    assert q == abs(d)
+    assert all(chi[a * b % q] == chi[a] * chi[b] for a in range(q) for b in range(q))
+    assert all(abs(chi[a]) == (math.gcd(a, q) == 1) for a in range(q))
+    n = 2000
+    p = prime_zeta_series(n, table_1e4)
+    twisted = 2 * invert(_twist(chi, zeta_series(n))) - rhs_form(
+        _twist(chi, p), _twist(chi, dilate(p)))
+    assert twisted == _twist(chi, claim_lhs_series(n) - claim_rhs_series(n, table_1e4))
+    m = next(k for k in range(1, n + 1) if twisted[k])
+    assert (m, twisted[m]) == (first, coefficient)
+    assert dilate(_twist(chi, p)) != _twist(chi, dilate(p))
 
 
 @pytest.mark.parametrize("s", [1.05, 1.1, 1.2, 1.3, 3, 4, 6, 10])
@@ -460,7 +496,7 @@ def test_equal_series_hash_alike_and_compare_exactly():
     inv = invert(DirichletSeries([1, 4, 6, 8]))
     want = DirichletSeries([1, -4, -6, 8])
     assert inv == want
-    assert first_mismatch(inv, want) is None
+    assert not any((inv - want).coefficients())
     assert hash(inv) == hash(want)
     assert repr(inv) == "DirichletSeries(N=4; 1, -4, -6, 8)"
     assert repr(DirichletSeries(list(range(1, 10)))) == "DirichletSeries(N=9; 1, 2, 3, 4, 5, 6, 7, 8, ...)"

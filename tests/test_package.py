@@ -365,6 +365,18 @@ def test_square_is_called_only_where_a_claim_form_is_spelled():
     assert _package_scopes(calls_square) == ["cli._claim4", "dirichlet.rhs_form"]
 
 
+def test_claim_series_are_built_only_by_one_cli_helper():
+    # every check that compares the claim's exact sides reads them, and the
+    # support of lhs - rhs, from cli._claim_support, which builds each once
+    def builds_claim_series(node):
+        return (isinstance(node, ast.Call)
+                and getattr(node.func, "attr", getattr(node.func, "id", None))
+                in ("claim_lhs_series", "claim_rhs_series"))
+
+    assert [scope for scope in _package_scopes(builds_claim_series)
+            if scope.startswith("cli.")] == ["cli._claim_support"] * 2
+
+
 def test_smallest_factor_is_read_only_in_arith():
     # omega and squarefreeness are read off the sieve once, in
     # arith.omega_upto; factorize is the table's one other reader
